@@ -4,8 +4,11 @@ The OPF works in the reduced space of control variables (non-slack generator
 active power and generator-bus voltage setpoints). Every objective/constraint
 evaluation runs an inner power flow, so the AC physics holds exactly along the
 whole search path; inequality limits are handled with an augmented Lagrangian
-and the inner minimization uses L-BFGS-B with central-difference gradients.
-Grids in scope are small (tens of buses), so everything is dense numpy.
+and the inner minimization uses L-BFGS-B with exact reduced gradients: one
+solve with the power-flow Jacobian at the solution gives the sensitivity of
+the state to every control (Dommel & Tinney, 1968), so each evaluation costs
+one power flow. Grids in scope are small (tens of buses), so everything is
+dense numpy.
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ class OpfSolution:
     objective_cost: float                        # $/h
     feasible: bool
     max_violation_pu: float
-    controls: np.ndarray                         # warm-start vector for related cases
+    controls: np.ndarray = field(compare=False)  # warm-start vector for related cases
     message: str = ""
 
 
@@ -70,6 +73,8 @@ class _Network:
         self.pv = np.array([i for i, k in enumerate(kinds) if k == BusKind.PV], int)
         self.pq = np.array([i for i, k in enumerate(kinds) if k == BusKind.PQ], int)
         self.pvpq = np.concatenate([self.pv, self.pq])
+        self.fixed = np.concatenate([[self.slack_bus], self.pv])  # |V| held at a setpoint
+        self.n_state = len(self.pvpq) + len(self.pq)
 
         self.p_load = np.zeros(n)
         self.q_load = np.zeros(n)
@@ -77,26 +82,79 @@ class _Network:
             self.p_load[ld.bus] += ld.p_mw / self.base
             self.q_load[ld.bus] += ld.q_mvar / self.base
 
-        self.gen_bus = np.array([g.bus for g in case.generators], dtype=int)
-        self.gen_is_slack = np.array([g.is_slack for g in case.generators], dtype=bool)
+        gens = case.generators
+        self.gen_bus = np.array([g.bus for g in gens], dtype=int)
+        self.gen_is_slack = np.array([g.is_slack for g in gens], dtype=bool)
         self.vm_min = np.array([b.vm_min for b in case.buses])
         self.vm_max = np.array([b.vm_max for b in case.buses])
 
-    def gen_p_bus(self, gen_p_pu: np.ndarray) -> np.ndarray:
-        """Sum generator setpoints onto buses (slack machine excluded)."""
-        p = np.zeros(self.case.n_bus)
-        for i, g in enumerate(self.case.generators):
-            if not g.is_slack:
-                p[g.bus] += gen_p_pu[i]
-        return p
+        # bus <- machine incidence of active setpoints; the slack machine's
+        # output is whatever closes the balance, so its column is zero
+        self.gen_p_inc = np.zeros((n, len(gens)))
+        self.gen_p_inc[self.gen_bus, np.arange(len(gens))] = ~self.gen_is_slack
+        # fixed bus self.fixed[vm_set_pos[k]] takes the |V| setpoint of machine
+        # vm_set_gen[k] (last machine wins on shared buses); others stay at 1 pu
+        last = {g.bus: i for i, g in enumerate(gens)}
+        self.vm_set_pos = np.array([k for k, b in enumerate(self.fixed) if b in last], int)
+        self.vm_set_gen = np.array([last[b] for b in self.fixed if b in last], int)
+        # a bus's reactive output splits among its machines in proportion to
+        # their reactive range, equally if every range is zero
+        q_range = np.array([g.q_max_mvar - g.q_min_mvar for g in gens])
+        bus_range = np.bincount(self.gen_bus, q_range, n)[self.gen_bus]
+        bus_count = np.bincount(self.gen_bus, minlength=n)[self.gen_bus]
+        self.q_weight = np.where(
+            bus_range > 0, q_range / np.where(bus_range > 0, bus_range, 1.0), 1.0 / bus_count
+        )
+
+        rated = [ln for ln in case.lines if ln.rate_mva > 0]
+        self.line_f, self.line_t, self.Yf, self.Yt = _branch_admittances(case, rated)
+        self.rate = np.array([ln.rate_mva for ln in rated]) / self.base
+
+        # Flat positions of the PF Jacobian in the stacked blocks
+        # (dS/dVa.real, dS/dVm.real, dS/dVa.imag, dS/dVm.imag), n*n each.
+        # Rows: P at pvpq, Q at pq. Columns: Va at pvpq, Vm at pq, then Vm at
+        # the fixed buses, which give the sensitivity to the |V| setpoints.
+        nn = n * n
+        rows = np.concatenate([self.pvpq * n, 2 * nn + self.pq * n])
+        cols = np.concatenate([self.pvpq, nn + self.pq, nn + self.fixed])
+        self.jac_index = rows[:, None] + cols
 
 
-def _bus_vm_setpoints(net: _Network, gen_vm: np.ndarray) -> np.ndarray:
-    """Voltage magnitude target per generator bus (last machine wins on shared buses)."""
-    vm = np.ones(net.case.n_bus)
-    for i, g in enumerate(net.case.generators):
-        vm[g.bus] = gen_vm[i]
-    return vm
+def _branch_admittances(case: GridCase, lines):
+    """From/to bus indices and the pi-model matrices giving each end's current.
+
+    Row k of ``Yf @ V`` is the current entering ``lines[k]`` at its from bus
+    (off-nominal tap on that side), row k of ``Yt @ V`` at its to bus.
+    """
+    f = np.array([ln.from_bus for ln in lines], dtype=int)
+    t = np.array([ln.to_bus for ln in lines], dtype=int)
+    ys = 1.0 / np.array([complex(ln.r_pu, ln.x_pu) for ln in lines])
+    bc = 0.5j * np.array([ln.b_pu for ln in lines])
+    tap = np.array([ln.tap_ratio for ln in lines])
+    k = np.arange(len(lines))
+    Yf = np.zeros((len(lines), case.n_bus), dtype=complex)
+    Yt = np.zeros((len(lines), case.n_bus), dtype=complex)
+    Yf[k, f] = (ys + bc) / (tap * tap)
+    Yf[k, t] = -ys / tap
+    Yt[k, f] = -ys / tap
+    Yt[k, t] = ys + bc
+    return f, t, Yf, Yt
+
+
+def _jacobian(net: _Network, V: np.ndarray) -> np.ndarray:
+    """PF Jacobian at V plus the |V| columns of the fixed buses (``net.jac_index``).
+
+    MATPOWER's dSbus_dV in polar form, with broadcasting in place of diag().
+    """
+    Ibus = net.Y @ V
+    Vnorm = V / np.abs(V)
+    diag = np.arange(len(V))
+    dS_dVa = -1j * V[:, None] * np.conj(net.Y * V)
+    dS_dVa[diag, diag] += 1j * V * np.conj(Ibus)
+    dS_dVm = V[:, None] * np.conj(net.Y * Vnorm)
+    dS_dVm[diag, diag] += np.conj(Ibus) * Vnorm
+    blocks = np.stack([dS_dVa.real, dS_dVm.real, dS_dVa.imag, dS_dVm.imag])
+    return blocks.take(net.jac_index)
 
 
 def _newton_pf(
@@ -109,18 +167,19 @@ def _newton_pf(
 ):
     """Core NR loop; returns (V complex, converged, iterations, max_mismatch)."""
     n = net.case.n_bus
-    vm_target = _bus_vm_setpoints(net, gen_vm)
+    vm_fixed = np.ones(len(net.fixed))
+    vm_fixed[net.vm_set_pos] = gen_vm[net.vm_set_gen]
 
     if v0 is not None:
         V = v0.copy()
     else:
         V = np.ones(n, dtype=complex)
     # pin controlled magnitudes, keep warm-start angles
-    fixed = np.concatenate([[net.slack_bus], net.pv])
-    V[fixed] = vm_target[fixed] * V[fixed] / np.abs(V[fixed])
-    V[net.slack_bus] = vm_target[net.slack_bus]  # slack angle = 0
+    fixed = net.fixed
+    V[fixed] = vm_fixed * V[fixed] / np.abs(V[fixed])
+    V[net.slack_bus] = vm_fixed[0]  # slack angle = 0
 
-    p_spec = net.gen_p_bus(gen_p_pu) - net.p_load
+    p_spec = net.gen_p_inc @ gen_p_pu - net.p_load
     q_spec = -net.q_load
 
     pv, pq, pvpq = net.pv, net.pq, net.pvpq
@@ -136,18 +195,7 @@ def _newton_pf(
     F = mismatch(V)
     norm = np.max(np.abs(F)) if F.size else 0.0
     while norm > tol and it < max_iter:
-        Ibus = net.Y @ V
-        diagV = np.diag(V)
-        diagI = np.diag(Ibus)
-        diagVnorm = np.diag(V / np.abs(V))
-        dS_dVa = 1j * diagV @ np.conj(diagI - net.Y @ diagV)
-        dS_dVm = diagV @ np.conj(net.Y @ diagVnorm) + np.conj(diagI) @ diagVnorm
-
-        J11 = dS_dVa[np.ix_(pvpq, pvpq)].real
-        J12 = dS_dVm[np.ix_(pvpq, pq)].real
-        J21 = dS_dVa[np.ix_(pq, pvpq)].imag
-        J22 = dS_dVm[np.ix_(pq, pq)].imag
-        J = np.block([[J11, J12], [J21, J22]])
+        J = _jacobian(net, V)[:, : net.n_state]
         try:
             dx = np.linalg.solve(J, F)
         except np.linalg.LinAlgError as exc:
@@ -165,38 +213,15 @@ def _newton_pf(
     return V, norm <= tol, it, norm
 
 
-def _allocate_gen_q(net: _Network, V: np.ndarray) -> np.ndarray:
-    """Split each generator bus's reactive output among its machines.
-
-    Shared buses split proportionally to reactive range (equal if all ranges
-    are zero); fixtures have one machine per bus so this is usually identity.
-    """
-    S = V * np.conj(net.Y @ V)
-    q_bus = S.imag + net.q_load
-    q = np.zeros(len(net.case.generators))
-    by_bus: dict[int, list[int]] = {}
-    for i, g in enumerate(net.case.generators):
-        by_bus.setdefault(g.bus, []).append(i)
-    for bus, idxs in by_bus.items():
-        ranges = np.array(
-            [net.case.generators[i].q_max_mvar - net.case.generators[i].q_min_mvar
-             for i in idxs]
-        )
-        w = ranges / ranges.sum() if ranges.sum() > 0 else np.full(len(idxs), 1 / len(idxs))
-        for i, wi in zip(idxs, w):
-            q[i] = q_bus[bus] * net.base * wi  # MVAr
-    return q
+def _slack_p_pu(net: _Network, S: np.ndarray, gen_p_pu: np.ndarray) -> float:
+    """Slack machine output: slack-bus injection S plus load, less co-located setpoints."""
+    sb = net.slack_bus
+    return S.real[sb] + net.p_load[sb] - net.gen_p_inc[sb] @ gen_p_pu
 
 
-def _slack_p_mw(net: _Network, V: np.ndarray, gen_p_pu: np.ndarray) -> float:
-    S = V * np.conj(net.Y @ V)
-    p_bus = S.real[net.slack_bus] + net.p_load[net.slack_bus]
-    others = sum(
-        gen_p_pu[i]
-        for i, g in enumerate(net.case.generators)
-        if not g.is_slack and g.bus == net.slack_bus
-    )
-    return (p_bus - others) * net.base
+def _gen_q_pu(net: _Network, S: np.ndarray) -> np.ndarray:
+    """Reactive output per machine: each bus's balance split by ``net.q_weight``."""
+    return net.q_weight * (S.imag + net.q_load)[net.gen_bus]
 
 
 def solve_pf(
@@ -225,11 +250,10 @@ def solve_pf(
     )
     V, converged, it, norm = _newton_pf(net, gen_p, gen_vm, tol, max_iter, v0)
 
+    S = V * np.conj(net.Y @ V)
     p_out = gen_p * net.base
-    for i, g in enumerate(case.generators):
-        if g.is_slack:
-            p_out[i] = _slack_p_mw(net, V, gen_p)
-    q_out = _allocate_gen_q(net, V)
+    p_out[net.gen_is_slack] = _slack_p_pu(net, S, gen_p) * net.base
+    q_out = _gen_q_pu(net, S) * net.base
     # loads at non-generator buses keep their own Q; zero out at pure PQ gens? no:
     # every generator bus is PV or slack by construction of the fixtures; if a
     # generator sits on a PQ bus its Q output is whatever closes the balance.
@@ -252,6 +276,20 @@ def generation_cost(case: GridCase, gen_p_mw: np.ndarray) -> float:
     return total
 
 
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows a[0], b[0], a[1], b[1], ... (the constraint order)."""
+    out = np.empty((2 * len(a),) + a.shape[1:], dtype=a.dtype)
+    out[0::2] = a
+    out[1::2] = b
+    return out
+
+
+def _dabs(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """Rows d|z_k|/dx = Re(conj(z_k) dz_k/dx) / |z_k|, 0 where z_k = 0."""
+    mag = np.abs(z)
+    return (np.conj(z)[:, None] * dz).real / np.where(mag > 0, mag, 1.0)[:, None]
+
+
 class _OpfProblem:
     """Reduced-space OPF: controls are non-slack gen P (pu) and gen bus Vm."""
 
@@ -260,25 +298,31 @@ class _OpfProblem:
         self.opts = opts
         self.net = _Network(case)
         self.gens = case.generators
-        self.free = [i for i, g in enumerate(self.gens) if not g.is_slack]
+        self.free = np.array([i for i, g in enumerate(self.gens) if not g.is_slack], int)
         self.slack_i = next(i for i, g in enumerate(self.gens) if g.is_slack)
         self.n_p = len(self.free)
         self.n_v = len(self.gens)
         self._v_warm: np.ndarray | None = None
         self._pf_fail_streak = 0
 
-        lo = [self.gens[i].p_min_mw / self.net.base for i in self.free]
-        hi = [self.gens[i].p_max_mw / self.net.base for i in self.free]
+        base = self.net.base
+        lo = [self.gens[i].p_min_mw / base for i in self.free]
+        hi = [self.gens[i].p_max_mw / base for i in self.free]
         for g in self.gens:
             b = case.buses[g.bus]
             lo.append(b.vm_min)
             hi.append(b.vm_max)
         self.bounds = optimize.Bounds(np.array(lo), np.array(hi))
 
-        self.rated = [ln for ln in case.lines if ln.rate_mva > 0]
+        sg = self.gens[self.slack_i]
+        self.slack_p_min, self.slack_p_max = sg.p_min_mw / base, sg.p_max_mw / base
+        self.q_min = np.array([g.q_min_mvar for g in self.gens]) / base
+        self.q_max = np.array([g.q_max_mvar for g in self.gens]) / base
+        self.cost_c2 = np.array([g.cost_c2 for g in self.gens])
+        self.cost_c1 = np.array([g.cost_c1 for g in self.gens])
         # constraint count: slack P (2) + gen Q (2 each) + PQ-bus Vm (2 each)
         # + line flow (2 per rated line)
-        self.n_con = 2 + 2 * len(self.gens) + 2 * len(self.net.pq) + 2 * len(self.rated)
+        self.n_con = 2 + 2 * len(self.gens) + 2 * len(self.net.pq) + 2 * len(self.net.rate)
 
     def x0(self) -> np.ndarray:
         p = [self.gens[i].p_mw / self.net.base for i in self.free]
@@ -288,8 +332,7 @@ class _OpfProblem:
 
     def split(self, x: np.ndarray):
         gen_p = np.zeros(len(self.gens))
-        for k, i in enumerate(self.free):
-            gen_p[i] = x[k]
+        gen_p[self.free] = x[: self.n_p]
         gen_vm = x[self.n_p :]
         return gen_p, gen_vm
 
@@ -308,36 +351,79 @@ class _OpfProblem:
                 self._v_warm = None  # warm start went sour, fall back to flat
         return V, conv, norm
 
-    def cost_pu(self, x: np.ndarray, V: np.ndarray) -> float:
-        gen_p, _ = self.split(x)
-        p_mw = gen_p * self.net.base
-        p_mw[self.slack_i] = _slack_p_mw(self.net, V, gen_p)
-        return generation_cost(self.case, p_mw)
+    def sensitivity(self, V: np.ndarray) -> np.ndarray:
+        """dV/dx at a power flow solution V (reduced gradient, Dommel & Tinney 1968).
 
-    def constraints(self, x: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """g(x) <= 0, every entry expressed in per-unit so one tolerance fits all."""
-        gen_p, _ = self.split(x)
+        Differentiating the mismatch spec(x) - S(state, |V_fixed|(x)) = 0 gives
+        J dstate/dx = dspec/dx - J_fixed d|V_fixed|/dx: one solve with the PF
+        Jacobian and one right-hand side per control.
+        """
         net = self.net
-        g: list[float] = []
-
-        sp = _slack_p_mw(net, V, gen_p) / net.base
-        sg = self.gens[self.slack_i]
-        g += [sp - sg.p_max_mw / net.base, sg.p_min_mw / net.base - sp]
-
-        q_mvar = _allocate_gen_q(net, V)
-        for gen, q in zip(self.gens, q_mvar):
-            qpu = q / net.base
-            g += [qpu - gen.q_max_mvar / net.base, gen.q_min_mvar / net.base - qpu]
-
+        ns, npvpq, n_p = net.n_state, len(net.pvpq), self.n_p
+        J = _jacobian(net, V)
+        rhs = np.zeros((ns, len(self.bounds.lb)))
+        rhs[:npvpq, :n_p] = net.gen_p_inc[np.ix_(net.pvpq, self.free)]
+        rhs[:, n_p + net.vm_set_gen] = -J[:, ns + net.vm_set_pos]
+        try:
+            d = np.linalg.solve(J[:, :ns], rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("singular power-flow Jacobian at the solution") from exc
+        dva = np.zeros((len(V), rhs.shape[1]))
+        dvm = np.zeros_like(dva)
+        dva[net.pvpq] = d[:npvpq]
+        dvm[net.pq] = d[npvpq:]
+        dvm[net.fixed[net.vm_set_pos], n_p + net.vm_set_gen] = 1.0
         vm = np.abs(V)
-        for b in net.pq:
-            g += [vm[b] - net.vm_max[b], net.vm_min[b] - vm[b]]
+        return (dvm + 1j * vm[:, None] * dva) * (V / vm)[:, None]
 
-        for ln in self.rated:
-            sf, st = _line_flows(self.case, V, ln)
-            rate = ln.rate_mva / net.base
-            g += [abs(sf) / net.base - rate, abs(st) / net.base - rate]
-        return np.array(g)
+    def evaluate(self, x: np.ndarray, V: np.ndarray, dV: np.ndarray | None = None):
+        """Cost ($/h) and g(x) <= 0 at the power flow solution V of controls x.
+
+        Every g entry is in per-unit so one tolerance fits all. Given
+        ``dV = sensitivity(V)``, also returns d(cost)/dx and dg/dx.
+        """
+        net = self.net
+        gen_p, _ = self.split(x)
+        Ibus = net.Y @ V
+        S = V * np.conj(Ibus)
+        sp = _slack_p_pu(net, S, gen_p)
+        q = _gen_q_pu(net, S)
+        vm = np.abs(V[net.pq])
+        If, It = net.Yf @ V, net.Yt @ V
+        sf, st = V[net.line_f] * np.conj(If), V[net.line_t] * np.conj(It)
+
+        p_mw = gen_p * net.base
+        p_mw[self.slack_i] = sp * net.base
+        cost = generation_cost(self.case, p_mw)
+        # pairs (upper, lower) for slack P, each machine's Q and each PQ-bus
+        # |V|, then (from end, to end) for each rated line
+        g = _interleave(
+            np.concatenate([[sp - self.slack_p_max], q - self.q_max,
+                            vm - net.vm_max[net.pq], np.abs(sf) - net.rate]),
+            np.concatenate([[self.slack_p_min - sp], self.q_min - q,
+                            net.vm_min[net.pq] - vm, np.abs(st) - net.rate]),
+        )
+        if dV is None:
+            return cost, g
+
+        dS = np.conj(Ibus)[:, None] * dV + V[:, None] * np.conj(net.Y @ dV)
+        dsp = dS.real[net.slack_bus].copy()  # a view of dS otherwise
+        dsp[: self.n_p] -= net.gen_p_inc[net.slack_bus, self.free]
+        dq = net.q_weight[:, None] * dS.imag[net.gen_bus]
+        dvm = _dabs(V[net.pq], dV[net.pq])
+        dsf = _dabs(sf, np.conj(If)[:, None] * dV[net.line_f]
+                    + V[net.line_f, None] * np.conj(net.Yf @ dV))
+        dst = _dabs(st, np.conj(It)[:, None] * dV[net.line_t]
+                    + V[net.line_t, None] * np.conj(net.Yt @ dV))
+
+        marginal = (2.0 * self.cost_c2 * p_mw + self.cost_c1) * net.base  # $/h per pu
+        dcost = marginal[self.slack_i] * dsp
+        dcost[: self.n_p] += marginal[self.free]
+        dg = _interleave(
+            np.concatenate([dsp[None], dq, dvm, dsf]),
+            np.concatenate([-dsp[None], -dq, -dvm, dst]),
+        )
+        return cost, g, dcost, dg
 
     def solve(self) -> OpfSolution:
         opts = self.opts
@@ -348,7 +434,7 @@ class _OpfProblem:
         if not conv:
             self._v_warm = None
             return self._result(x, None, False, "initial power flow diverged")
-        f_scale = max(abs(self.cost_pu(x, V0)), 1.0)
+        f_scale = max(abs(self.evaluate(x, V0)[0]), 1.0)
 
         lam = np.zeros(self.n_con)
         mu = opts.mu0
@@ -356,14 +442,14 @@ class _OpfProblem:
         prev_viol = np.inf
         best = (np.inf, x.copy())
 
-        def auglag(xv: np.ndarray) -> float:
+        def auglag(xv: np.ndarray) -> tuple[float, np.ndarray]:
             V, conv, norm = self.pf(xv)
-            if not conv:
-                return 1e3 * (1.0 + norm)
-            f = self.cost_pu(xv, V) / f_scale
-            gv = self.constraints(xv, V)
+            if not conv:  # no gradient without a PF solution; the line search backs off on f
+                return 1e3 * (1.0 + norm), np.zeros_like(xv)
+            cost, gv, dcost, dg = self.evaluate(xv, V, self.sensitivity(V))
             t = np.maximum(0.0, lam + mu * gv)
-            return f + (np.sum(t * t) - np.sum(lam * lam)) / (2.0 * mu)
+            f = cost / f_scale + (np.sum(t * t) - np.sum(lam * lam)) / (2.0 * mu)
+            return f, dcost / f_scale + t @ dg
 
         message = ""
         for outer in range(opts.max_outer):
@@ -371,23 +457,17 @@ class _OpfProblem:
                 auglag,
                 x,
                 method="L-BFGS-B",
-                jac="3-point",
+                jac=True,
                 bounds=self.bounds,
-                options={
-                    "maxiter": opts.inner_maxiter,
-                    "ftol": 1e-10,
-                    "gtol": 1e-7,
-                    "finite_diff_rel_step": 1e-6,
-                },
+                options={"maxiter": opts.inner_maxiter, "ftol": 1e-10, "gtol": 1e-7},
             )
             x = res.x
             V, conv, _ = self.pf(x)
             if not conv:
                 message = "power flow diverged during optimization"
                 break
-            gv = self.constraints(x, V)
+            cost, gv = self.evaluate(x, V)
             viol = float(np.max(gv)) if gv.size else 0.0
-            cost = self.cost_pu(x, V)
 
             if viol <= opts.constraint_tol and cost < best[0]:
                 best = (cost, x.copy())
@@ -421,10 +501,11 @@ class _OpfProblem:
                 message=message or "power flow diverged",
             )
         gen_p, _ = self.split(x)
+        S = V * np.conj(net.Y @ V)
         p_mw = gen_p * net.base
-        p_mw[self.slack_i] = _slack_p_mw(net, V, gen_p)
-        q_mvar = _allocate_gen_q(net, V)
-        gv = self.constraints(x, V)
+        p_mw[self.slack_i] = _slack_p_pu(net, S, gen_p) * net.base
+        q_mvar = _gen_q_pu(net, S) * net.base
+        cost, gv = self.evaluate(x, V)
         viol = float(np.max(gv)) if gv.size else 0.0
         feasible = viol <= self.opts.constraint_tol
         gen = tuple(
@@ -443,7 +524,7 @@ class _OpfProblem:
             gen=gen,
             slack=slack,
             bus=bus,
-            objective_cost=generation_cost(self.case, p_mw),
+            objective_cost=cost,
             feasible=feasible,
             max_violation_pu=viol,
             controls=x.copy(),
@@ -451,25 +532,13 @@ class _OpfProblem:
         )
 
 
-def _line_flows(case: GridCase, V: np.ndarray, ln) -> tuple[complex, complex]:
-    """Complex power (MVA) entering the line at each end."""
-    ys = 1.0 / complex(ln.r_pu, ln.x_pu)
-    bc = 1j * ln.b_pu / 2.0
-    t = ln.tap_ratio
-    vf, vt = V[ln.from_bus], V[ln.to_bus]
-    i_f = (ys + bc) * vf / (t * t) - ys * vt / t
-    i_t = (ys + bc) * vt - ys * vf / t
-    return vf * np.conj(i_f) * case.base_mva, vt * np.conj(i_t) * case.base_mva
-
-
 def line_loadings_mva(case: GridCase, vm_pu, va_deg) -> list[tuple[int, float, float]]:
     """Apparent power at both ends of every line, for limit reporting."""
     V = np.asarray(vm_pu) * np.exp(1j * np.radians(np.asarray(va_deg)))
-    out = []
-    for ln in case.lines:
-        sf, st = _line_flows(case, V, ln)
-        out.append((ln.id, abs(sf), abs(st)))
-    return out
+    f, t, Yf, Yt = _branch_admittances(case, case.lines)
+    sf = np.abs(V[f] * np.conj(Yf @ V)) * case.base_mva
+    st = np.abs(V[t] * np.conj(Yt @ V)) * case.base_mva
+    return [(ln.id, float(a), float(b)) for ln, a, b in zip(case.lines, sf, st)]
 
 
 def solve_opf(case: GridCase, opts: OpfOptions | None = None) -> OpfSolution:

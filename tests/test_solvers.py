@@ -7,6 +7,8 @@ from gridprompt.grid_model import admittance_matrix
 from gridprompt.scenario_gen import MutationSpec, mutate
 from gridprompt.solvers import (
     OpfOptions,
+    _newton_pf,
+    _OpfProblem,
     generation_cost,
     line_loadings_mva,
     solve_opf,
@@ -26,6 +28,21 @@ def pf_residual_pu(case, vm_pu, va_deg, gen_p_mw, gen_q_mvar):
     for g, p, q in zip(case.generators, gen_p_mw, gen_q_mvar):
         inj[g.bus] += complex(p, q)
     return np.max(np.abs(S - inj)) / case.base_mva
+
+
+def pi_model_loadings_mva(case, vm_pu, va_deg):
+    """|S| at both ends of every line, written out per line from the pi model."""
+    V = np.asarray(vm_pu) * np.exp(1j * np.radians(va_deg))
+    out = []
+    for ln in case.lines:
+        ys = 1.0 / complex(ln.r_pu, ln.x_pu)
+        half_b = 1j * ln.b_pu / 2.0
+        tap = ln.tap_ratio
+        vf, vt = V[ln.from_bus], V[ln.to_bus]
+        i_f = (ys + half_b) * vf / (tap * tap) - ys * vt / tap
+        i_t = (ys + half_b) * vt - ys * vf / tap
+        out.append((ln.id, abs(vf * np.conj(i_f)), abs(vt * np.conj(i_t))))
+    return [(lid, sf * case.base_mva, st * case.base_mva) for lid, sf, st in out]
 
 
 class TestPowerFlow:
@@ -87,6 +104,37 @@ class TestPowerFlow:
         warm = solve_pf(case9, v0=V)
         assert warm.converged
         assert warm.iterations <= 1
+
+    def test_shared_buses_split_q_by_range_and_last_setpoint_wins(self, case9_shared_buses):
+        case = case9_shared_buses
+        sol = solve_pf(case, tol=1e-10)
+        assert sol.converged
+        assert pf_residual_pu(case, sol.vm_pu, sol.va_deg, sol.gen_p_mw, sol.gen_q_mvar) < 1e-8
+        assert sol.vm_pu[1] == pytest.approx(1.02)  # machine 4, listed after machine 1
+        for bus in {g.bus for g in case.generators}:
+            idx = [i for i, g in enumerate(case.generators) if g.bus == bus]
+            ranges = [case.generators[i].q_max_mvar - case.generators[i].q_min_mvar for i in idx]
+            total = sum(sol.gen_q_mvar[i] for i in idx)
+            for i, r in zip(idx, ranges):
+                assert sol.gen_q_mvar[i] == pytest.approx(total * r / sum(ranges), abs=1e-9)
+
+    def test_line_loadings_match_pi_model_with_taps(self, case30):
+        taps = {10: 0.978, 11: 0.969, 14: 0.932, 35: 0.968}  # IEEE 30-bus transformer ratios
+        tapped = dataclasses.replace(
+            case30,
+            lines=tuple(
+                dataclasses.replace(ln, tap_ratio=taps.get(ln.id, ln.tap_ratio))
+                for ln in case30.lines
+            ),
+        )
+        pf = solve_pf(tapped)
+        assert pf.converged
+        got = line_loadings_mva(tapped, pf.vm_pu, pf.va_deg)
+        want = pi_model_loadings_mva(tapped, pf.vm_pu, pf.va_deg)
+        assert [lid for lid, _, _ in got] == [ln.id for ln in tapped.lines]
+        np.testing.assert_allclose(
+            np.array(got)[:, 1:], np.array(want)[:, 1:], rtol=1e-12, atol=1e-9
+        )
 
 
 class TestOpf:
@@ -209,3 +257,47 @@ class TestOpf:
         sol = solve_opf(tight)  # 315 MW load, 120 MW of capacity
         assert not sol.feasible
         assert sol.max_violation_pu > 1e-4 or sol.message
+
+    def test_solutions_compare_by_value(self, case9):
+        assert solve_opf(case9) == solve_opf(case9)
+
+
+@pytest.fixture
+def case9_shared_buses(case9):
+    """case9 plus a dispatchable machine on the slack bus and a second one on bus 1."""
+    g0, g1 = case9.generators[0], case9.generators[1]
+    extra = (
+        dataclasses.replace(g1, id=3, bus=g0.bus, p_mw=20.0, q_min_mvar=-50.0, q_max_mvar=50.0),
+        dataclasses.replace(g1, id=4, p_mw=30.0, vm_setpoint_pu=1.02, q_max_mvar=100.0),
+    )
+    return dataclasses.replace(case9, generators=case9.generators + extra)
+
+
+@pytest.mark.parametrize("case_name", ["case9", "case30", "case9_shared_buses"])
+def test_exact_gradients_match_central_differences(case_name, request):
+    """Reduced-space d(cost)/dx and dg/dx against central differences of tight PFs."""
+    case = request.getfixturevalue(case_name)
+    prob = _OpfProblem(case, OpfOptions(pf_tol=1e-12))
+    lb, ub = prob.bounds.lb, prob.bounds.ub
+    rng = np.random.default_rng(0)
+    x = np.clip(prob.x0() + 0.02 * rng.standard_normal(len(lb)), lb, ub)
+    V, conv, _ = prob.pf(x)
+    assert conv
+    cost, g, dcost, dg = prob.evaluate(x, V, prob.sensitivity(V))
+
+    def at(xk):
+        Vk, ok, _, _ = _newton_pf(prob.net, *prob.split(xk), 1e-12, 50, V)
+        assert ok
+        return prob.evaluate(xk, Vk)
+
+    h = 1e-6
+    fd_cost = np.zeros_like(dcost)
+    fd_g = np.zeros_like(dg)
+    for k in range(len(x)):
+        step = np.zeros_like(x)
+        step[k] = h
+        (c_hi, g_hi), (c_lo, g_lo) = at(x + step), at(x - step)
+        fd_cost[k] = (c_hi - c_lo) / (2 * h)
+        fd_g[:, k] = (g_hi - g_lo) / (2 * h)
+    assert np.max(np.abs(dcost - fd_cost)) <= 1e-6 * np.max(np.abs(fd_cost))
+    assert np.max(np.abs(dg - fd_g)) <= 1e-6
