@@ -6,7 +6,6 @@ from .grid_model import (
     Generator,
     GridCase,
     GridError,
-    HeteroGrid,
     Line,
     Load,
     admittance_matrix,

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .grid_model import NODE_TYPES, GridError, HeteroGrid
+from .grid_model import NODE_FIELDS, NODE_TYPES
 from .solvers import OpfSolution
 
 SCHEMA = "gridprompt/v1"
@@ -50,42 +50,44 @@ _REF_COLUMNS = {"load": ("bus",), "gen": ("bus",), "slack": ("bus",),
                 "line": ("from_bus", "to_bus"), "bus": ()}
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _round_record(rec: dict, decimals: int) -> dict:
-    out = {}
-    for k, v in rec.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            out[k] = v
-        elif isinstance(v, int):
-            out[k] = v
-        else:
-            out[k] = round(v, decimals)
-    return out
+    return {k: round(v, decimals) if isinstance(v, float) else v for k, v in rec.items()}
 
 
 def _dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def embed_grid(grid: HeteroGrid, fmt: EmbeddingFormat = EmbeddingFormat()) -> str:
+def embed_grid(grid: dict, fmt: EmbeddingFormat = EmbeddingFormat()) -> str:
+    """Embed node tables (``to_hetero``) as canonical JSON of the given kind.
+
+    The graph kind moves the bus-reference columns out of the records into
+    typed edges, in NODE_TYPES order with a line's from-end first.
+    """
     doc: dict = {
         "schema": SCHEMA,
         "kind": fmt.kind,
-        "name": grid.name,
-        "base_mva": round(float(grid.base_mva), fmt.decimals),
+        "name": grid["name"],
+        "base_mva": round(float(grid["base_mva"]), fmt.decimals),
     }
-    nodes = {}
-    for t in NODE_TYPES:
-        records = []
-        for rec in grid.nodes.get(t, ()):
-            if fmt.kind == "graph":
-                rec = {k: v for k, v in rec.items() if k not in _REF_COLUMNS[t]}
-            records.append(_round_record(rec, fmt.decimals))
-        nodes[t] = records
-    if fmt.kind == "graph":
-        doc["nodes"] = nodes
-        doc["edges"] = [list(e) for e in grid.edges]
-    else:
+    nodes = {t: [_round_record(r, fmt.decimals) for r in grid[t]] for t in NODE_TYPES}
+    if fmt.kind == "table":
         doc.update(nodes)
+        return _dumps(doc)
+    doc["nodes"] = {
+        t: [{k: v for k, v in r.items() if k not in _REF_COLUMNS[t]} for r in recs]
+        for t, recs in nodes.items()
+    }
+    doc["edges"] = [
+        [t, i, "bus", r[col]]
+        for t in NODE_TYPES
+        for i, r in enumerate(grid[t])
+        for col in _REF_COLUMNS[t]
+    ]
     return _dumps(doc)
 
 
@@ -94,8 +96,13 @@ def _require(cond: bool, path: str, why: str):
         raise EmbeddingParseError(f"{path}: {why}")
 
 
-def parse_grid(text: str) -> HeteroGrid:
-    """Inverse of embed_grid for either kind; re-embedding is byte-identical."""
+def parse_grid(text: str) -> dict:
+    """Inverse of embed_grid for either kind: node tables as ``to_hetero`` gives.
+
+    Re-embedding is byte-identical. Every record must be an object holding
+    exactly its node type's fields (NODE_FIELDS) with numeric values, and every
+    bus reference must name an existing bus.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -104,20 +111,34 @@ def parse_grid(text: str) -> HeteroGrid:
     _require(doc.get("schema") == SCHEMA, "$.schema", f"expected {SCHEMA!r}")
     kind = doc.get("kind")
     _require(kind in ("graph", "table"), "$.kind", "expected 'graph' or 'table'")
+    base_mva = doc.get("base_mva", 100.0)
+    _require(_is_number(base_mva), "$.base_mva", "expected a number")
 
     raw_nodes = doc.get("nodes", doc) if kind == "graph" else doc
-    nodes: dict[str, list[dict]] = {}
+    _require(isinstance(raw_nodes, dict), "$.nodes", "expected a JSON object")
+    tables: dict = {"name": str(doc.get("name", "grid")), "base_mva": float(base_mva)}
     for t in NODE_TYPES:
         recs = raw_nodes.get(t)
         _require(isinstance(recs, list), f"$.{t}", "missing node table")
-        nodes[t] = [dict(r) for r in recs]
+        inline = [f for f in NODE_FIELDS[t] if kind == "table" or f not in _REF_COLUMNS[t]]
+        for i, rec in enumerate(recs):
+            _require(isinstance(rec, dict), f"$.{t}[{i}]", "expected a JSON object")
+            missing = [f for f in inline if f not in rec]
+            _require(not missing, f"$.{t}[{i}]", f"missing fields {missing}")
+            unknown = sorted(set(rec) - set(inline))
+            _require(not unknown, f"$.{t}[{i}]", f"unknown fields {unknown}")
+            for k, v in rec.items():
+                _require(
+                    isinstance(v, str) if k == "bus_kind" else _is_number(v),
+                    f"$.{t}[{i}].{k}", f"unexpected value {v!r}",
+                )
+        tables[t] = recs
 
-    n_bus = len(nodes["bus"])
+    n_bus = len(tables["bus"])
     if kind == "graph":
         edges = doc.get("edges")
         _require(isinstance(edges, list), "$.edges", "missing edge list")
-        # restore reference columns from the typed edges
-        line_ends: dict[int, list[int]] = {}
+        ends: dict[tuple[str, int], list] = {}
         for k, e in enumerate(edges):
             _require(
                 isinstance(e, list) and len(e) == 4, f"$.edges[{k}]",
@@ -125,52 +146,33 @@ def parse_grid(text: str) -> HeteroGrid:
             )
             src_t, src_i, dst_t, dst_i = e
             _require(dst_t == "bus", f"$.edges[{k}]", "edges must point at buses")
-            _require(0 <= dst_i < n_bus, f"$.edges[{k}]", f"missing bus {dst_i}")
             _require(
-                src_t in ("load", "gen", "slack", "line") and 0 <= src_i < len(nodes[src_t]),
+                isinstance(dst_i, int) and 0 <= dst_i < n_bus, f"$.edges[{k}]",
+                f"missing bus {dst_i}",
+            )
+            _require(
+                src_t in ("load", "gen", "slack", "line") and isinstance(src_i, int)
+                and 0 <= src_i < len(tables[src_t]),
                 f"$.edges[{k}]", "dangling source node",
             )
-            if src_t == "line":
-                line_ends.setdefault(src_i, []).append(dst_i)
-            else:
-                nodes[src_t][src_i]["bus"] = dst_i
-        for i, rec in enumerate(nodes["line"]):
-            ends = line_ends.get(i, [])
-            _require(len(ends) == 2, f"$.line[{i}]", "expected exactly two line edges")
-            rec["from_bus"], rec["to_bus"] = ends
-        for t in ("load", "gen", "slack"):
-            for i, rec in enumerate(nodes[t]):
-                _require("bus" in rec, f"$.{t}[{i}]", "no bus edge for this node")
-    else:
-        for t in ("load", "gen", "slack", "line"):
-            for i, rec in enumerate(nodes[t]):
-                for col in _REF_COLUMNS[t]:
-                    _require(col in rec, f"$.{t}[{i}].{col}", "missing bus reference")
-                    _require(
-                        isinstance(rec[col], int) and 0 <= rec[col] < n_bus,
-                        f"$.{t}[{i}].{col}", f"missing bus {rec.get(col)}",
-                    )
-
-    edges: list[tuple[str, int, str, int]] = []
-    for i, rec in enumerate(nodes["load"]):
-        edges.append(("load", i, "bus", rec["bus"]))
-    for i, rec in enumerate(nodes["gen"]):
-        edges.append(("gen", i, "bus", rec["bus"]))
-    for i, rec in enumerate(nodes["slack"]):
-        edges.append(("slack", i, "bus", rec["bus"]))
-    for i, rec in enumerate(nodes["line"]):
-        edges.append(("line", i, "bus", rec["from_bus"]))
-        edges.append(("line", i, "bus", rec["to_bus"]))
-
-    try:
-        return HeteroGrid(
-            name=str(doc.get("name", "grid")),
-            base_mva=float(doc.get("base_mva", 100.0)),
-            nodes={t: tuple(nodes[t]) for t in NODE_TYPES},
-            edges=tuple(edges),
-        )
-    except GridError as exc:
-        raise EmbeddingParseError(f"$: {exc}") from None
+            ends.setdefault((src_t, src_i), []).append(dst_i)
+        for t in NODE_TYPES:
+            cols = _REF_COLUMNS[t]
+            for i, rec in enumerate(tables[t]):
+                node_ends = ends.get((t, i), [])
+                _require(
+                    len(node_ends) == len(cols), f"$.{t}[{i}]",
+                    f"expected {len(cols)} bus edge(s), found {len(node_ends)}",
+                )
+                rec.update(zip(cols, node_ends))
+    for t in NODE_TYPES:
+        for i, rec in enumerate(tables[t]):
+            for col in _REF_COLUMNS[t]:
+                _require(
+                    isinstance(rec[col], int) and 0 <= rec[col] < n_bus,
+                    f"$.{t}[{i}].{col}", f"missing bus {rec[col]}",
+                )
+    return tables
 
 
 def encode_solution(sol: OpfSolution, decimals: int = 4) -> str:

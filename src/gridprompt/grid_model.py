@@ -6,7 +6,7 @@ Every type here is an immutable value: mutation helpers return new objects.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace, field
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -90,9 +90,6 @@ class GridCase:
     def n_bus(self) -> int:
         return len(self.buses)
 
-    def bus_by_id(self, bus_id: int) -> Bus:
-        return self.buses[bus_id]
-
     @property
     def slack_bus(self) -> Bus:
         return next(b for b in self.buses if b.bus_kind == BusKind.SLACK)
@@ -167,168 +164,65 @@ def _connected(case: GridCase) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Heterogeneous (node-typed) view used by the text embeddings
+# Node tables: the content of the text embeddings
 # ---------------------------------------------------------------------------
 
 NODE_TYPES = ("bus", "load", "gen", "slack", "line")
 
+# record fields of each node type: its component's dataclass fields
+NODE_FIELDS = {
+    t: tuple(f.name for f in fields(cls) if f.name != "is_slack")
+    for t, cls in (("bus", Bus), ("load", Load), ("gen", Generator),
+                   ("slack", Generator), ("line", Line))
+}
 
-@dataclass(frozen=True)
-class HeteroGrid:
-    """Node-typed view of a grid: per-type feature records plus typed edges.
 
-    ``nodes`` maps each type in NODE_TYPES to a tuple of feature dicts;
-    ``edges`` holds (src_type, src_id, dst_type, dst_id) connections.
-    The slack machine appears under type "slack", other machines under "gen".
+def _record(component) -> dict:
+    rec = dict(vars(component))
+    rec.pop("is_slack", None)
+    if "bus_kind" in rec:
+        rec["bus_kind"] = rec["bus_kind"].value
+    return rec
+
+
+def to_hetero(case: GridCase) -> dict:
+    """Node tables of a grid: ``name``, ``base_mva`` and one list per NODE_TYPES.
+
+    Each record holds its component's fields (NODE_FIELDS) by name, bus
+    references inline. The slack machine sits under "slack", the others
+    under "gen".
     """
-    name: str
-    base_mva: float
-    nodes: dict[str, tuple[dict, ...]]
-    edges: tuple[tuple[str, int, str, int], ...]
-
-    def __post_init__(self):
-        counts = {t: len(self.nodes.get(t, ())) for t in NODE_TYPES}
-        for src_t, src_i, dst_t, dst_i in self.edges:
-            if src_i >= counts.get(src_t, 0) or dst_i >= counts.get(dst_t, 0):
-                raise GridError(
-                    f"edge ({src_t},{src_i})->({dst_t},{dst_i}) has a dangling endpoint"
-                )
+    return {
+        "name": case.name,
+        "base_mva": case.base_mva,
+        "bus": [_record(b) for b in case.buses],
+        "load": [_record(ld) for ld in case.loads],
+        "gen": [_record(g) for g in case.nonslack_gens],
+        "slack": [_record(case.slack_gen)],
+        "line": [_record(ln) for ln in case.lines],
+    }
 
 
-def to_hetero(case: GridCase) -> HeteroGrid:
-    """Split a GridCase into typed node tables with explicit connection edges."""
-    bus_nodes = tuple(
-        {
-            "id": b.id,
-            "base_kv": b.base_kv,
-            "bus_kind": b.bus_kind.value,
-            "vm_min": b.vm_min,
-            "vm_max": b.vm_max,
-        }
-        for b in case.buses
-    )
-    load_nodes = tuple(
-        {"id": ld.id, "bus": ld.bus, "p_mw": ld.p_mw, "q_mvar": ld.q_mvar}
-        for ld in case.loads
-    )
+def from_hetero(tables: dict) -> GridCase:
+    """Inverse of to_hetero; field-exact round trip.
 
-    def gen_record(g: Generator) -> dict:
-        return {
-            "id": g.id,
-            "bus": g.bus,
-            "p_mw": g.p_mw,
-            "vm_setpoint_pu": g.vm_setpoint_pu,
-            "p_min_mw": g.p_min_mw,
-            "p_max_mw": g.p_max_mw,
-            "q_min_mvar": g.q_min_mvar,
-            "q_max_mvar": g.q_max_mvar,
-            "cost_c2": g.cost_c2,
-            "cost_c1": g.cost_c1,
-            "cost_c0": g.cost_c0,
-        }
-
-    gen_nodes = tuple(gen_record(g) for g in case.nonslack_gens)
-    slack_nodes = (gen_record(case.slack_gen),)
-    line_nodes = tuple(
-        {
-            "id": ln.id,
-            "from_bus": ln.from_bus,
-            "to_bus": ln.to_bus,
-            "r_pu": ln.r_pu,
-            "x_pu": ln.x_pu,
-            "b_pu": ln.b_pu,
-            "tap_ratio": ln.tap_ratio,
-            "rate_mva": ln.rate_mva,
-        }
-        for ln in case.lines
-    )
-
-    edges: list[tuple[str, int, str, int]] = []
-    for i, ld in enumerate(case.loads):
-        edges.append(("load", i, "bus", ld.bus))
-    for i, g in enumerate(case.nonslack_gens):
-        edges.append(("gen", i, "bus", g.bus))
-    edges.append(("slack", 0, "bus", case.slack_gen.bus))
-    for i, ln in enumerate(case.lines):
-        edges.append(("line", i, "bus", ln.from_bus))
-        edges.append(("line", i, "bus", ln.to_bus))
-
-    return HeteroGrid(
-        name=case.name,
-        base_mva=case.base_mva,
-        nodes={
-            "bus": bus_nodes,
-            "load": load_nodes,
-            "gen": gen_nodes,
-            "slack": slack_nodes,
-            "line": line_nodes,
-        },
-        edges=tuple(edges),
-    )
-
-
-def from_hetero(grid: HeteroGrid) -> GridCase:
-    """Inverse of to_hetero; field-exact round trip."""
-    buses = tuple(
-        Bus(
-            id=int(r["id"]),
-            base_kv=float(r["base_kv"]),
-            bus_kind=BusKind(r["bus_kind"]),
-            vm_min=float(r["vm_min"]),
-            vm_max=float(r["vm_max"]),
+    Raises GridError when a table or record does not fit its component.
+    """
+    try:
+        gens = [Generator(**r) for r in tables["gen"]]
+        gens += [Generator(**r, is_slack=True) for r in tables["slack"]]
+        return GridCase(
+            name=tables["name"],
+            base_mva=tables["base_mva"],
+            buses=tuple(
+                Bus(**{**r, "bus_kind": BusKind(r["bus_kind"])}) for r in tables["bus"]
+            ),
+            loads=tuple(Load(**r) for r in tables["load"]),
+            generators=tuple(sorted(gens, key=lambda g: g.id)),
+            lines=tuple(Line(**r) for r in tables["line"]),
         )
-        for r in grid.nodes.get("bus", ())
-    )
-    loads = tuple(
-        Load(
-            id=int(r["id"]),
-            bus=int(r["bus"]),
-            p_mw=float(r["p_mw"]),
-            q_mvar=float(r["q_mvar"]),
-        )
-        for r in grid.nodes.get("load", ())
-    )
-
-    def gen_from_record(r: dict, is_slack: bool) -> Generator:
-        return Generator(
-            id=int(r["id"]),
-            bus=int(r["bus"]),
-            p_mw=float(r["p_mw"]),
-            vm_setpoint_pu=float(r["vm_setpoint_pu"]),
-            p_min_mw=float(r["p_min_mw"]),
-            p_max_mw=float(r["p_max_mw"]),
-            q_min_mvar=float(r["q_min_mvar"]),
-            q_max_mvar=float(r["q_max_mvar"]),
-            cost_c2=float(r["cost_c2"]),
-            cost_c1=float(r["cost_c1"]),
-            cost_c0=float(r["cost_c0"]),
-            is_slack=is_slack,
-        )
-
-    gens = [gen_from_record(r, False) for r in grid.nodes.get("gen", ())]
-    gens += [gen_from_record(r, True) for r in grid.nodes.get("slack", ())]
-    gens.sort(key=lambda g: g.id)
-    lines = tuple(
-        Line(
-            id=int(r["id"]),
-            from_bus=int(r["from_bus"]),
-            to_bus=int(r["to_bus"]),
-            r_pu=float(r["r_pu"]),
-            x_pu=float(r["x_pu"]),
-            b_pu=float(r["b_pu"]),
-            tap_ratio=float(r["tap_ratio"]),
-            rate_mva=float(r["rate_mva"]),
-        )
-        for r in grid.nodes.get("line", ())
-    )
-    return GridCase(
-        name=grid.name,
-        base_mva=grid.base_mva,
-        buses=buses,
-        loads=loads,
-        generators=tuple(gens),
-        lines=lines,
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GridError(f"node tables do not describe a grid: {exc!r}") from None
 
 
 def admittance_matrix(case: GridCase) -> np.ndarray:

@@ -267,11 +267,9 @@ class HttpBackend:
 
     def __init__(self, cfg: EndpointConfig):
         self.cfg = cfg
-        self.last_stats = CompletionStats()
 
     def complete(self, seq: PromptSequence) -> str:
-        self.last_stats = CompletionStats()
-        return complete(seq, self.cfg, self.last_stats)
+        return complete(seq, self.cfg)
 
 
 def replay_backend(mode: str, truth_by_grid_text: dict[str, str] | None = None):

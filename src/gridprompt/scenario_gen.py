@@ -65,20 +65,3 @@ def generate_dataset(case: GridCase, spec: MutationSpec, n: int) -> Iterator[Gri
     for index in range(n):
         yield mutate(case, spec, index)
 
-
-def load_profile_hook(case: GridCase, factors: dict[int, tuple[float, float]]) -> GridCase:
-    """Apply externally supplied per-load (p, q) scale factors.
-
-    Entry point for profile-driven mutation strategies; the built-in pipeline
-    only uses the uniform distribution above.
-    """
-    loads = tuple(
-        Load(
-            id=ld.id,
-            bus=ld.bus,
-            p_mw=ld.p_mw * factors.get(ld.id, (1.0, 1.0))[0],
-            q_mvar=ld.q_mvar * factors.get(ld.id, (1.0, 1.0))[1],
-        )
-        for ld in case.loads
-    )
-    return replace(case, loads=loads)

@@ -57,7 +57,7 @@ class OpfOptions:
     max_outer: int = 20
     mu0: float = 10.0
     inner_maxiter: int = 120
-    x0: np.ndarray | None = None     # warm-start controls
+    x0: np.ndarray | None = field(default=None, compare=False)  # warm-start controls
 
 
 class _Network:
@@ -254,9 +254,6 @@ def solve_pf(
     p_out = gen_p * net.base
     p_out[net.gen_is_slack] = _slack_p_pu(net, S, gen_p) * net.base
     q_out = _gen_q_pu(net, S) * net.base
-    # loads at non-generator buses keep their own Q; zero out at pure PQ gens? no:
-    # every generator bus is PV or slack by construction of the fixtures; if a
-    # generator sits on a PQ bus its Q output is whatever closes the balance.
     return PfSolution(
         vm_pu=np.abs(V),
         va_deg=np.degrees(np.angle(V)),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -11,12 +12,32 @@ from gridprompt.embedding import (
     parse_grid,
     parse_solution_doc,
 )
-from gridprompt.grid_model import from_hetero, to_hetero
+from gridprompt.grid_model import NODE_TYPES, from_hetero, to_hetero
 from gridprompt.scenario_gen import MutationSpec, mutate
 from gridprompt.solvers import solve_opf
 
 GRAPH = EmbeddingFormat("graph")
 TABLE = EmbeddingFormat("table")
+
+# sha256 of embed_grid(to_hetero(case), kind) at 4 decimals; mutations are
+# MutationSpec(0.2, seed=11) draws. A change here changes every dataset.
+PINNED_SHA256 = {
+    ("case9", "graph"): "32e9bbfd5795de1b59136ed0794d5fb66b6909e245139acd1564cbb5cafbacfe",
+    ("case9", "table"): "0752f70b8495eb44b2371894e2d12abe02428758362cacf9d8876481768002b9",
+    ("case30", "graph"): "73ed86f0b1984fecab658986b7e9a4b75f9e7e9287c564146cad6878b31a44b5",
+    ("case30", "table"): "eb46bb6ea03ef669d774217e68e6029a5ea14ec56081d08fcc15fc8de8bc4414",
+    ("case9_s0", "graph"): "d0c2e58d49b2f6c7653dea22d7ac261e0e2caed0e3fcd0da8809c7aab0b06900",
+    ("case9_s0", "table"): "bd8ddc7e1c935d1c71fddc97e1c9dc42d31a181657c66c1d8d51c36f37f91d5f",
+    ("case9_s7", "graph"): "4d9617c5c4167e2ec9324aa8d3259a2b652b554be4f25e2f7f4c4f6fd06ca60f",
+    ("case9_s7", "table"): "8f2abca769f977519631f421d093c17e677dc1e3b9b3772c9e743e1a31590950",
+    ("case30_s3", "graph"): "3553411d6b97ae46a793231d367ea377c0560067b2365d63d5b8381a2999a3ae",
+    ("case30_s3", "table"): "00c928eb9f57febecde5fcd0793dea303ea7ca03ed28835796150fbdf1cda320",
+}
+
+
+def _tables(doc: dict) -> dict:
+    """The node tables of a parsed embedding document, of either kind."""
+    return doc["nodes"] if doc["kind"] == "graph" else doc
 
 
 class TestEmbedGrid:
@@ -46,6 +67,39 @@ class TestEmbedGrid:
     def test_schema_field_present(self, case9):
         doc = json.loads(embed_grid(to_hetero(case9), TABLE))
         assert doc["schema"] == "gridprompt/v1"
+
+    @pytest.mark.parametrize("name, kind", sorted(PINNED_SHA256))
+    def test_bytes_pinned(self, case9, case30, name, kind):
+        base, _, index = name.partition("_s")
+        case = {"case9": case9, "case30": case30}[base]
+        if index:
+            case = mutate(case, MutationSpec(0.2, seed=11), int(index))
+        text = embed_grid(to_hetero(case), EmbeddingFormat(kind))
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256[name, kind]
+
+    def test_graph_edge_degrees(self, case9):
+        h = to_hetero(case9)
+        edges = json.loads(embed_grid(h, GRAPH))["edges"]
+        by_src = {}
+        for src_t, src_i, _, _ in edges:
+            by_src.setdefault((src_t, src_i), 0)
+            by_src[(src_t, src_i)] += 1
+        for t in ("load", "gen", "slack"):
+            for i in range(len(h[t])):
+                assert by_src[(t, i)] == 1
+        for i in range(len(h["line"])):
+            assert by_src[("line", i)] == 2
+
+    def test_graph_edges_follow_bus_columns(self, case30):
+        h = to_hetero(case30)
+        doc = json.loads(embed_grid(h, GRAPH))
+        expected = [[t, i, "bus", r["bus"]] for t in ("load", "gen", "slack")
+                    for i, r in enumerate(h[t])]
+        expected += [["line", i, "bus", r[end]] for i, r in enumerate(h["line"])
+                     for end in ("from_bus", "to_bus")]
+        assert doc["edges"] == expected
+        assert not any("bus" in r for t in NODE_TYPES[1:] for r in doc["nodes"][t])
+        assert not any("from_bus" in r or "to_bus" in r for r in doc["nodes"]["line"])
 
 
 class TestParseGrid:
@@ -78,6 +132,54 @@ class TestParseGrid:
         doc = json.loads(embed_grid(to_hetero(case9), GRAPH))
         doc["edges"][0][3] = 99
         with pytest.raises(EmbeddingParseError, match=r"\$\.edges\[0\]"):
+            parse_grid(json.dumps(doc))
+
+    def test_dangling_source_edge_rejected(self, case9):
+        doc = json.loads(embed_grid(to_hetero(case9), GRAPH))
+        doc["edges"].append(["load", 99, "bus", 0])
+        with pytest.raises(EmbeddingParseError, match="dangling"):
+            parse_grid(json.dumps(doc))
+
+    def test_second_bus_edge_rejected(self, case9):
+        doc = json.loads(embed_grid(to_hetero(case9), GRAPH))
+        doc["edges"].append(["load", 0, "bus", 1])
+        with pytest.raises(EmbeddingParseError, match=r"\$\.load\[0\]: expected 1 bus edge"):
+            parse_grid(json.dumps(doc))
+
+    @pytest.mark.parametrize("fmt", [GRAPH, TABLE], ids=["graph", "table"])
+    def test_non_object_record_rejected(self, case9, fmt):
+        doc = json.loads(embed_grid(to_hetero(case9), fmt))
+        _tables(doc)["bus"][0] = 1
+        with pytest.raises(EmbeddingParseError, match=r"\$\.bus\[0\]: expected a JSON"):
+            parse_grid(json.dumps(doc))
+
+    @pytest.mark.parametrize("fmt", [GRAPH, TABLE], ids=["graph", "table"])
+    def test_missing_field_rejected(self, case9, fmt):
+        doc = json.loads(embed_grid(to_hetero(case9), fmt))
+        del _tables(doc)["load"][0]["p_mw"]
+        with pytest.raises(EmbeddingParseError, match=r"\$\.load\[0\]: missing fields"):
+            parse_grid(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "fmt, field",
+        [(GRAPH, "p_mw_peak"), (TABLE, "p_mw_peak"), (GRAPH, "bus")],
+        ids=["graph", "table", "graph-inline-bus"],
+    )
+    def test_unknown_field_rejected(self, case9, fmt, field):
+        doc = json.loads(embed_grid(to_hetero(case9), fmt))
+        _tables(doc)["load"][0][field] = 4
+        with pytest.raises(EmbeddingParseError, match=r"\$\.load\[0\]: unknown fields"):
+            parse_grid(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "table, field, value",
+        [("load", "p_mw", "90"), ("gen", "id", True), ("bus", "bus_kind", 3)],
+        ids=["string", "bool", "kind-not-string"],
+    )
+    def test_ill_typed_value_rejected(self, case9, table, field, value):
+        doc = json.loads(embed_grid(to_hetero(case9), TABLE))
+        doc[table][0][field] = value
+        with pytest.raises(EmbeddingParseError, match=rf"\$\.{table}\[0\]\.{field}"):
             parse_grid(json.dumps(doc))
 
     def test_not_json(self):

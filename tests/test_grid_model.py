@@ -1,15 +1,15 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from gridprompt.embedding import EmbeddingFormat, embed_grid
 from gridprompt.grid_model import (
-    Bus,
+    NODE_FIELDS,
+    NODE_TYPES,
     BusKind,
-    Generator,
-    GridCase,
     GridError,
-    HeteroGrid,
     Line,
     Load,
     admittance_matrix,
@@ -23,46 +23,60 @@ from conftest import single_bus_case, two_bus_case
 class TestToHetero:
     def test_case9_node_counts(self, case9):
         h = to_hetero(case9)
-        counts = {t: len(nodes) for t, nodes in h.nodes.items()}
+        counts = {t: len(h[t]) for t in NODE_TYPES}
         assert counts == {"bus": 9, "load": 3, "gen": 2, "slack": 1, "line": 9}
 
     def test_case30_node_counts(self, case30):
         h = to_hetero(case30)
-        assert len(h.nodes["bus"]) == 30
-        assert len(h.nodes["line"]) == 41
+        assert len(h["bus"]) == 30
+        assert len(h["line"]) == 41
 
     def test_single_bus_minimal(self):
         h = to_hetero(single_bus_case())
-        assert len(h.nodes["bus"]) == 1
-        assert len(h.nodes["slack"]) == 1
-        assert len(h.nodes["gen"]) == 0
-        assert not any(e[0] == "line" for e in h.edges)
+        assert len(h["bus"]) == 1
+        assert len(h["slack"]) == 1
+        assert len(h["gen"]) == 0
+        assert h["line"] == []
+        edges = json.loads(embed_grid(h, EmbeddingFormat("graph")))["edges"]
+        assert not any(e[0] == "line" for e in edges)
 
     def test_exactly_one_slack_node(self, case9, case30):
         for case in (case9, case30):
-            assert len(to_hetero(case).nodes["slack"]) == 1
+            assert len(to_hetero(case)["slack"]) == 1
 
-    def test_edge_degrees(self, case9):
+    def test_records_are_component_fields(self, case9):
         h = to_hetero(case9)
-        by_src = {}
-        for src_t, src_i, _, _ in h.edges:
-            by_src.setdefault((src_t, src_i), 0)
-            by_src[(src_t, src_i)] += 1
-        for t in ("load", "gen", "slack"):
-            for i in range(len(h.nodes[t])):
-                assert by_src[(t, i)] == 1
-        for i in range(len(h.nodes["line"])):
-            assert by_src[("line", i)] == 2
+        for t in NODE_TYPES:
+            assert all(tuple(r) == NODE_FIELDS[t] for r in h[t])
+        slack = case9.slack_gen
+        assert h["slack"] == [
+            {f.name: getattr(slack, f.name) for f in dataclasses.fields(slack)
+             if f.name != "is_slack"}
+        ]
+        assert [type(r["bus_kind"]) for r in h["bus"]] == [str] * 9
+        assert h["bus"][0]["bus_kind"] == "slack"
+        assert h["name"] == case9.name and h["base_mva"] == case9.base_mva
 
     def test_round_trip_identity(self, case9, case30):
         for case in (case9, case30, two_bus_case(50, 20), single_bus_case()):
             assert from_hetero(to_hetero(case)) == case
 
-    def test_dangling_edge_rejected(self, case9):
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h["load"][0].update(extra=1.0),
+            lambda h: h["load"][0].pop("p_mw"),
+            lambda h: h["bus"][0].update(bus_kind="swing"),
+            lambda h: h["slack"][0].update(is_slack=False),
+            lambda h: h.pop("line"),
+        ],
+        ids=["unknown-field", "missing-field", "bad-bus-kind", "slack-flag", "missing-table"],
+    )
+    def test_bad_tables_are_grid_error(self, case9, edit):
         h = to_hetero(case9)
-        bad = h.edges + (("load", 99, "bus", 0),)
-        with pytest.raises(GridError, match="dangling"):
-            HeteroGrid(name=h.name, base_mva=h.base_mva, nodes=h.nodes, edges=bad)
+        edit(h)
+        with pytest.raises(GridError, match="node tables"):
+            from_hetero(h)
 
 
 class TestCaseValidation:

@@ -261,6 +261,9 @@ class TestOpf:
     def test_solutions_compare_by_value(self, case9):
         assert solve_opf(case9) == solve_opf(case9)
 
+    def test_options_compare_with_warm_start(self):
+        assert OpfOptions(x0=np.zeros(2)) == OpfOptions(x0=np.zeros(2))
+
 
 @pytest.fixture
 def case9_shared_buses(case9):
