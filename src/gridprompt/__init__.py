@@ -13,7 +13,7 @@ from .grid_model import (
     to_hetero,
 )
 from .matpower_io import load_case, parse_matpower, write_matpower
-from .scenario_gen import MutationSpec, generate_dataset, mutate
+from .scenario_gen import MutationSpec, mutate
 from .solvers import OpfOptions, OpfSolution, PfSolution, solve_opf, solve_pf
 from .embedding import (
     EmbeddingFormat,

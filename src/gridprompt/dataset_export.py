@@ -148,7 +148,7 @@ def build_solved_dataset(
                 json.dumps(
                     {
                         "index": index,
-                        "reason": solution.message or "constraint violation",
+                        "reason": solution.message,
                         "max_violation_pu": solution.max_violation_pu,
                     },
                     sort_keys=True,

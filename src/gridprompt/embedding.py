@@ -267,12 +267,3 @@ def parse_solution_doc(text: str) -> SolutionDoc:
         slack=_triples(doc, "slack", ("p_mw", "q_mvar")),
         bus=_triples(doc, "bus", ("vm_pu", "va_deg")),
     )
-
-
-def solution_doc_from_opf(sol: OpfSolution) -> SolutionDoc:
-    """Exact (unrounded) doc for ground-truth comparisons."""
-    return SolutionDoc(
-        gen=tuple((i, p, q) for i, p, q in sol.gen),
-        slack=(sol.slack,),
-        bus=tuple(sol.bus),
-    )

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gridprompt.embedding import EmbeddingFormat, SolutionDoc, solution_doc_from_opf
+from gridprompt.embedding import EmbeddingFormat, SolutionDoc
 from gridprompt.dataset_export import build_solved_dataset
 from gridprompt.evaluation import (
     ScoringError,
@@ -25,6 +25,11 @@ def _toy_truth():
         objective_cost=0.0, feasible=True, max_violation_pu=0.0,
         controls=np.array([]),
     )
+
+
+def solution_doc_from_opf(sol):
+    """Exact (unrounded) doc for ground-truth comparisons."""
+    return SolutionDoc(gen=tuple(sol.gen), slack=(sol.slack,), bus=tuple(sol.bus))
 
 
 def _doc_from(truth, **overrides):

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gridprompt.grid_model import admittance_matrix
+from gridprompt import solvers
+from gridprompt.grid_model import BusKind, admittance_matrix
 from gridprompt.scenario_gen import MutationSpec, mutate
 from gridprompt.solvers import (
     OpfOptions,
@@ -257,6 +258,22 @@ class TestOpf:
         sol = solve_opf(tight)  # 315 MW load, 120 MW of capacity
         assert not sol.feasible
         assert sol.max_violation_pu > 1e-4 or sol.message
+        assert sol.message.startswith("infeasible: slack gen 0 P max over by")
+
+    def test_other_termination_reasons_lead_the_message(self, case9):
+        huge = case9.with_loads(tuple(
+            dataclasses.replace(ld, p_mw=ld.p_mw * 40, q_mvar=ld.q_mvar * 40)
+            for ld in case9.loads
+        ))
+        diverged = solve_opf(huge)
+        assert not diverged.feasible and diverged.max_violation_pu == float("inf")
+        assert diverged.message == "pf_diverged: initial power flow diverged"
+        tight = dataclasses.replace(case9, generators=tuple(
+            dataclasses.replace(g, p_max_mw=40.0, p_mw=min(g.p_mw, 40.0))
+            for g in case9.generators
+        ))
+        cut = solve_opf(tight, OpfOptions(max_outer=1))  # no stall seen, so no phase-1
+        assert cut.message.startswith("max_outer: slack gen 0 P max over by")
 
     def test_solutions_compare_by_value(self, case9):
         assert solve_opf(case9) == solve_opf(case9)
@@ -304,3 +321,83 @@ def test_exact_gradients_match_central_differences(case_name, request):
         fd_g[:, k] = (g_hi - g_lo) / (2 * h)
     assert np.max(np.abs(dcost - fd_cost)) <= 1e-6 * np.max(np.abs(fd_cost))
     assert np.max(np.abs(dg - fd_g)) <= 1e-6
+
+
+@pytest.fixture(scope="module")
+def case30_warm(case30):
+    """Options warm-starting mutated case30 solves from the base optimum, as gen does."""
+    return OpfOptions(x0=solve_opf(case30).controls)
+
+
+class TestPhase1:
+    spec = MutationSpec(0.2, seed=0)
+
+    def test_infeasible_draw_rejected_without_running_out_the_al(
+        self, case30, case30_warm, monkeypatch
+    ):
+        calls = []
+        minimize = solvers.optimize.minimize
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["options"]["maxiter"])
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(solvers.optimize, "minimize", counting)
+        sol = solve_opf(mutate(case30, self.spec, 0), case30_warm)
+        assert not sol.feasible
+        assert sol.message.startswith("infeasible: line 9 (6-8) from-end rating over by")
+        assert sol.max_violation_pu > case30_warm.constraint_tol
+        assert len(calls) < 5  # max_outer is 20
+
+    @pytest.mark.parametrize(
+        "index, cost",  # objectives of the same AL without a phase-1 step
+        [(3, 598.2014004731643), (6, 532.0399707894322), (8, 579.1155006198858)],
+    )
+    def test_feasible_verdict_leaves_the_al_path_unchanged(
+        self, case30, case30_warm, monkeypatch, index, cost
+    ):
+        verdicts = []
+        phase1 = _OpfProblem._phase1
+
+        def recording(prob, *args):
+            verdicts.append(phase1(prob, *args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(_OpfProblem, "_phase1", recording)
+        sol = solve_opf(mutate(case30, self.spec, index), case30_warm)
+        assert verdicts == [None]
+        assert sol.feasible and sol.message == ""
+        assert sol.objective_cost == pytest.approx(cost, rel=1e-12)
+
+
+def test_constraint_names_follow_g(case30):
+    """Each name labels the g entry of its quantity, computed here from a plain PF."""
+    prob = _OpfProblem(case30, OpfOptions())
+    pf = solve_pf(case30)
+    x = prob.x0()
+    assert np.array_equal(prob.split(x)[0][prob.free] * case30.base_mva,
+                          pf.gen_p_mw[prob.free])
+    _, g = prob.evaluate(x, pf.vm_pu * np.exp(1j * np.radians(pf.va_deg)))
+    named = dict(zip(prob.con_names, g))
+    assert len(named) == len(g) == prob.n_con
+    base, ext = case30.base_mva, case30.external_bus_ids
+    want = {}
+    for gen, p, q in zip(case30.generators, pf.gen_p_mw, pf.gen_q_mvar):
+        if gen.is_slack:
+            want[f"slack gen {gen.id} P max"] = (p - gen.p_max_mw) / base
+            want[f"slack gen {gen.id} P min"] = (gen.p_min_mw - p) / base
+        want[f"gen {gen.id} Q max"] = (q - gen.q_max_mvar) / base
+        want[f"gen {gen.id} Q min"] = (gen.q_min_mvar - q) / base
+    for b in case30.buses:
+        if b.bus_kind == BusKind.PQ:
+            want[f"bus {ext[b.id]} Vm max"] = pf.vm_pu[b.id] - b.vm_max
+            want[f"bus {ext[b.id]} Vm min"] = b.vm_min - pf.vm_pu[b.id]
+    for lid, sf, st in line_loadings_mva(case30, pf.vm_pu, pf.va_deg):
+        ln = case30.lines[lid]
+        if ln.rate_mva > 0:
+            span = f"line {lid} ({ext[ln.from_bus]}-{ext[ln.to_bus]})"
+            want[f"{span} from-end rating"] = (sf - ln.rate_mva) / base
+            want[f"{span} to-end rating"] = (st - ln.rate_mva) / base
+    assert named.keys() == want.keys()
+    for name, value in want.items():
+        assert named[name] == pytest.approx(value, abs=1e-9), name
