@@ -7,8 +7,11 @@ whole search path; inequality limits are handled with an augmented Lagrangian
 and the inner minimization uses L-BFGS-B with exact reduced gradients: one
 solve with the power-flow Jacobian at the solution gives the sensitivity of
 the state to every control (Dommel & Tinney, 1968), so each evaluation costs
-one power flow. Grids in scope are small (tens of buses), so everything is
-dense numpy.
+one power flow. That sensitivity dV/dx also warm-starts the next power flow
+from the tangent predictor V + dV/dx (x' - x) of continuation power flow
+(Ajjarapu & Christy, 1992): under one Newton iteration per power flow on
+average. Grids in scope are small (tens of buses), so everything is dense
+numpy.
 
 The first time the augmented Lagrangian stalls (its violation fails to drop
 to a quarter) with no feasible point found, a phase-1 solve minimizes the
@@ -308,7 +311,8 @@ class _OpfProblem:
         self.slack_i = next(i for i, g in enumerate(self.gens) if g.is_slack)
         self.n_p = len(self.free)
         self.n_v = len(self.gens)
-        self._v_warm: np.ndarray | None = None
+        # last converged (x, V, dV/dx or None); the next PF starts from V + dV (x' - x)
+        self._warm: tuple | None = None
         self._pf_fail_streak = 0
 
         base = self.net.base
@@ -351,18 +355,23 @@ class _OpfProblem:
         return gen_p, gen_vm
 
     def pf(self, x: np.ndarray):
+        """Power flow at controls x, started from the predictor of ``self._warm``."""
+        v0 = None
+        if self._warm is not None:
+            x_w, v0, dV = self._warm
+            if dV is not None:
+                v0 = v0 + dV @ (x - x_w)
         gen_p, gen_vm = self.split(x)
         V, conv, _, norm = _newton_pf(
-            self.net, gen_p, gen_vm, self.opts.pf_tol, self.opts.pf_max_iter,
-            self._v_warm,
+            self.net, gen_p, gen_vm, self.opts.pf_tol, self.opts.pf_max_iter, v0
         )
         if conv:
-            self._v_warm = V
+            self._warm = (x.copy(), V, None)
             self._pf_fail_streak = 0
         else:
             self._pf_fail_streak += 1
             if self._pf_fail_streak > 3:
-                self._v_warm = None  # warm start went sour, fall back to flat
+                self._warm = None  # warm start went sour, fall back to flat
         return V, conv, norm
 
     def sensitivity(self, V: np.ndarray) -> np.ndarray:
@@ -388,7 +397,10 @@ class _OpfProblem:
         dvm[net.pq] = d[npvpq:]
         dvm[net.fixed[net.vm_set_pos], n_p + net.vm_set_gen] = 1.0
         vm = np.abs(V)
-        return (dvm + 1j * vm[:, None] * dva) * (V / vm)[:, None]
+        dV = (dvm + 1j * vm[:, None] * dva) * (V / vm)[:, None]
+        if self._warm is not None and self._warm[1] is V:
+            self._warm = (self._warm[0], V, dV)  # the tangent for the next pf
+        return dV
 
     def evaluate(self, x: np.ndarray, V: np.ndarray, dV: np.ndarray | None = None):
         """Cost ($/h) and g(x) <= 0 at the power flow solution V of controls x.
@@ -446,7 +458,7 @@ class _OpfProblem:
 
         V0, conv, _ = self.pf(x)
         if not conv:
-            self._v_warm = None
+            self._warm = None
             return self._result(x, None, "pf_diverged: initial power flow diverged")
         f_scale = max(abs(self.evaluate(x, V0)[0]), 1.0)
 
@@ -510,7 +522,7 @@ class _OpfProblem:
             x = best[1]
         V, conv, _ = self.pf(x)
         if not conv:
-            self._v_warm = None
+            self._warm = None
             V, conv, _ = self.pf(x)
         if not conv:
             return self._result(x, None, "pf_diverged: final power flow diverged")
@@ -542,7 +554,7 @@ class _OpfProblem:
             h = hinge(g)
             return 0.5 * (h @ h), (h / tol) @ dg
 
-        saved = self._v_warm, self._pf_fail_streak
+        saved = self._warm, self._pf_fail_streak
         res = optimize.minimize(
             phi,
             x,
@@ -553,7 +565,7 @@ class _OpfProblem:
             options={"maxiter": 4 * self.opts.inner_maxiter, "ftol": 1e-10, "gtol": 1e-7},
         )
         V, conv, _ = self.pf(res.x)
-        self._v_warm, self._pf_fail_streak = saved
+        self._warm, self._pf_fail_streak = saved
         if res.status == 0 and conv and np.max(self.evaluate(res.x, V)[1]) > tol:
             return res.x, V
         return None

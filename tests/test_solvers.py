@@ -351,7 +351,8 @@ class TestPhase1:
 
     @pytest.mark.parametrize(
         "index, cost",  # objectives of the same AL without a phase-1 step
-        [(3, 598.2014004731643), (6, 532.0399707894322), (8, 579.1155006198858)],
+        [(3, 598.2013507234817), (6, 532.0421132479913), (8, 579.0822134039978)],
+        ids=["3", "6", "8"],  # stable names when the digits are re-derived
     )
     def test_feasible_verdict_leaves_the_al_path_unchanged(
         self, case30, case30_warm, monkeypatch, index, cost
@@ -368,6 +369,36 @@ class TestPhase1:
         assert verdicts == [None]
         assert sol.feasible and sol.message == ""
         assert sol.objective_cost == pytest.approx(cost, rel=1e-12)
+
+    def test_case30_rejections_are_pinned(self, case30, case30_warm):
+        """Which load patterns enter a case30 dataset does not hang on solver speed-ups."""
+        sols = [solve_opf(mutate(case30, self.spec, i), case30_warm) for i in range(16)]
+        rejected = [i for i, sol in enumerate(sols) if not sol.feasible]
+        assert rejected == [0, 4, 9, 11, 12, 14]
+        for i in rejected:
+            assert sols[i].message.startswith("infeasible: line 9 (6-8)"), i
+
+
+def test_power_flows_start_from_the_tangent_predictor(case9, case30, monkeypatch):
+    """Each OPF power flow starts from V + dV/dx (x - x_last): under one NR iteration per PF."""
+    base9 = solve_opf(case9)
+    iterations = []
+    newton_pf = solvers._newton_pf
+
+    def counting(*args):
+        out = newton_pf(*args)
+        iterations.append(out[2])
+        return out
+
+    monkeypatch.setattr(solvers, "_newton_pf", counting)
+    solves = [
+        (mutate(case9, MutationSpec(0.2, seed=0), 0), OpfOptions(x0=base9.controls)),
+        (case30, OpfOptions()),  # cold start
+    ]
+    for case, opts in solves:
+        iterations.clear()
+        assert solve_opf(case, opts).feasible
+        assert np.mean(iterations) <= 1.0  # 1.53 and 1.67 from the last solution alone
 
 
 def test_constraint_names_follow_g(case30):
