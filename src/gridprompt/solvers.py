@@ -1,25 +1,25 @@
 """Ground-truth solvers: Newton-Raphson AC power flow and AC optimal power flow.
 
-The OPF works in the reduced space of control variables (non-slack generator
-active power and generator-bus voltage setpoints). Every objective/constraint
-evaluation runs an inner power flow, so the AC physics holds exactly along the
-whole search path; inequality limits are handled with an augmented Lagrangian
-and the inner minimization uses L-BFGS-B with exact reduced gradients: one
-solve with the power-flow Jacobian at the solution gives the sensitivity of
-the state to every control (Dommel & Tinney, 1968), so each evaluation costs
-one power flow. That sensitivity dV/dx also warm-starts the next power flow
-from the tangent predictor V + dV/dx (x' - x) of continuation power flow
-(Ajjarapu & Christy, 1992): under one Newton iteration per power flow on
-average. Grids in scope are small (tens of buses), so everything is dense
-numpy.
+The OPF is solved in the full space of bus voltages (angle, magnitude) and
+machine outputs (P, Q) by one dense primal-dual interior-point Newton loop,
+MATPOWER's MIPS (Wang, Murillo-Sanchez, Zimmerman & Thomas, IEEE TPWRS 2007),
+with exact first and second derivatives from the complex-matrix formulas of
+Zimmerman, MATPOWER Technical Note 2 (2010). Equalities are the P and Q
+balance at every bus, the slack angle and the shared-bus reactive split;
+inequalities are the squared line flows under their squared ratings and the
+variable bounds. Grids in scope are small (tens of buses), so everything is
+dense numpy.
 
-The first time the augmented Lagrangian stalls (its violation fails to drop
-to a quarter) with no feasible point found, a phase-1 solve minimizes the
-constraint violation alone; if that converges above tolerance, the draw is
-rejected there as locally infeasible instead of after ``max_outer`` outer
-iterations. An infeasible solution's message starts with its termination
-reason (``infeasible``, ``max_outer`` or ``pf_diverged``) and names the worst
-constraint, e.g. ``infeasible: line 9 (6-8) from-end rating over by 1.94e-02 pu``.
+A solve that does not converge is followed by the same loop on the elastic
+problem min sum(s) subject to g(x) <= E s, s >= 0, with one slack per rated
+line and one per soft-bounded quantity (slack P, every Q, PQ-bus |V|); a
+converged minimum above ``constraint_tol`` rejects the draw as locally
+infeasible. Every answer is checked by an independent power flow at its
+controls (non-slack P, machine |V|), which gives ``max_violation_pu`` and
+names the worst constraint. An infeasible solution's message starts with its
+termination reason (``infeasible``, ``max_outer``, ``stalled`` or
+``pf_diverged``), e.g. ``infeasible: line 9 (6-8) from-end rating over by
+1.94e-02 pu``.
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ class OpfSolution:
     objective_cost: float                        # $/h
     feasible: bool
     max_violation_pu: float
-    controls: np.ndarray = field(compare=False)  # warm-start vector for related cases
+    controls: np.ndarray = field(compare=False)  # full-space x, the warm start of related cases
     message: str = ""
 
 
@@ -62,13 +62,10 @@ class OpfSolution:
 class OpfOptions:
     pf_tol: float = 1e-8
     pf_max_iter: int = 50
-    optimality_tol: float = 1e-4     # relative cost
+    optimality_tol: float = 1e-6     # scaled KKT conditions of the interior-point loop
     constraint_tol: float = 1e-4     # per-unit
-    penalty_growth: float = 10.0
-    max_outer: int = 20
-    mu0: float = 10.0
-    inner_maxiter: int = 120
-    x0: np.ndarray | None = field(default=None, compare=False)  # warm-start controls
+    max_outer: int = 50              # interior-point iterations per solve
+    x0: np.ndarray | None = field(default=None, compare=False)  # OpfSolution.controls
 
 
 class _Network:
@@ -85,7 +82,6 @@ class _Network:
         self.pq = np.array([i for i, k in enumerate(kinds) if k == BusKind.PQ], int)
         self.pvpq = np.concatenate([self.pv, self.pq])
         self.fixed = np.concatenate([[self.slack_bus], self.pv])  # |V| held at a setpoint
-        self.n_state = len(self.pvpq) + len(self.pq)
 
         self.p_load = np.zeros(n)
         self.q_load = np.zeros(n)
@@ -119,52 +115,72 @@ class _Network:
 
         rated = [ln for ln in case.lines if ln.rate_mva > 0]
         self.line_id = np.array([ln.id for ln in rated], dtype=int)
-        self.line_f, self.line_t, self.Yf, self.Yt = _branch_admittances(case, rated)
+        self.line_f, self.line_t, self.Ybr, self.Cbr = _branch_admittances(case, rated)
         self.rate = np.array([ln.rate_mva for ln in rated]) / self.base
+        self.eye = np.eye(n)  # C of the bus injections S = V * conj(Y V)
 
         # Flat positions of the PF Jacobian in the stacked blocks
         # (dS/dVa.real, dS/dVm.real, dS/dVa.imag, dS/dVm.imag), n*n each.
-        # Rows: P at pvpq, Q at pq. Columns: Va at pvpq, Vm at pq, then Vm at
-        # the fixed buses, which give the sensitivity to the |V| setpoints.
+        # Rows: P at pvpq, Q at pq. Columns: Va at pvpq, Vm at pq.
         nn = n * n
         rows = np.concatenate([self.pvpq * n, 2 * nn + self.pq * n])
-        cols = np.concatenate([self.pvpq, nn + self.pq, nn + self.fixed])
+        cols = np.concatenate([self.pvpq, nn + self.pq])
         self.jac_index = rows[:, None] + cols
 
 
 def _branch_admittances(case: GridCase, lines):
-    """From/to bus indices and the pi-model matrices giving each end's current.
+    """From/to bus indices and the pi-model matrices Y, C of the line-end powers.
 
-    Row k of ``Yf @ V`` is the current entering ``lines[k]`` at its from bus
-    (off-nominal tap on that side), row k of ``Yt @ V`` at its to bus.
+    Row k of ``(C @ V) * conj(Y @ V)`` is the power entering ``lines[k]`` at
+    its from bus (off-nominal tap on that side), row nl + k at its to bus.
     """
     f = np.array([ln.from_bus for ln in lines], dtype=int)
     t = np.array([ln.to_bus for ln in lines], dtype=int)
     ys = 1.0 / np.array([complex(ln.r_pu, ln.x_pu) for ln in lines])
     bc = 0.5j * np.array([ln.b_pu for ln in lines])
     tap = np.array([ln.tap_ratio for ln in lines])
-    k = np.arange(len(lines))
-    Yf = np.zeros((len(lines), case.n_bus), dtype=complex)
-    Yt = np.zeros((len(lines), case.n_bus), dtype=complex)
-    Yf[k, f] = (ys + bc) / (tap * tap)
-    Yf[k, t] = -ys / tap
-    Yt[k, f] = -ys / tap
-    Yt[k, t] = ys + bc
-    return f, t, Yf, Yt
+    nl, k = len(lines), np.arange(len(lines))
+    Y = np.zeros((2 * nl, case.n_bus), dtype=complex)
+    Y[k, f] = (ys + bc) / (tap * tap)
+    Y[k, t] = Y[nl + k, f] = -ys / tap
+    Y[nl + k, t] = ys + bc
+    C = np.zeros((2 * nl, case.n_bus))
+    C[np.arange(2 * nl), np.concatenate([f, t])] = 1.0
+    return f, t, Y, C
+
+
+def _ds_dv(Y: np.ndarray, C: np.ndarray, V: np.ndarray):
+    """dS/dVa and dS/dVm of S = (C V) * conj(Y V), in polar form.
+
+    MATPOWER's dSbr_dV; with C = I and Y the bus admittance it is dSbus_dV.
+    """
+    Vnorm = V / np.abs(V)
+    CV = C @ V
+    conj_i = np.conj(Y @ V)[:, None]
+    dS_dVa = 1j * (conj_i * C * V - CV[:, None] * np.conj(Y * V))
+    dS_dVm = CV[:, None] * np.conj(Y * Vnorm) + conj_i * C * Vnorm
+    return dS_dVa, dS_dVm
+
+
+def _d2s_dv2(Y: np.ndarray, C: np.ndarray, V: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Hessian of lam @ S in (Va, Vm), S = (C V) * conj(Y V), lam complex.
+
+    MATPOWER's d2Sbr_dV2; it is linear in lam, so Re of it at lam = lamP - j lamQ
+    is the Hessian of lamP @ S.real + lamQ @ S.imag.
+    """
+    A = np.conj(Y).T @ (lam[:, None] * C)
+    B = np.conj(V)[:, None] * A * V
+    D = np.diag((A @ V) * np.conj(V))
+    E = np.diag((A.T @ np.conj(V)) * V)
+    F = B + B.T
+    inv_vm = 1.0 / np.abs(V)
+    H_va = 1j * inv_vm[:, None] * (B - B.T - D + E)
+    return np.block([[F - D - E, H_va.T], [H_va, inv_vm[:, None] * F * inv_vm]])
 
 
 def _jacobian(net: _Network, V: np.ndarray) -> np.ndarray:
-    """PF Jacobian at V plus the |V| columns of the fixed buses (``net.jac_index``).
-
-    MATPOWER's dSbus_dV in polar form, with broadcasting in place of diag().
-    """
-    Ibus = net.Y @ V
-    Vnorm = V / np.abs(V)
-    diag = np.arange(len(V))
-    dS_dVa = -1j * V[:, None] * np.conj(net.Y * V)
-    dS_dVa[diag, diag] += 1j * V * np.conj(Ibus)
-    dS_dVm = V[:, None] * np.conj(net.Y * Vnorm)
-    dS_dVm[diag, diag] += np.conj(Ibus) * Vnorm
+    """PF Jacobian at V: P at pvpq and Q at pq against Va at pvpq and Vm at pq."""
+    dS_dVa, dS_dVm = _ds_dv(net.Y, net.eye, V)
     blocks = np.stack([dS_dVa.real, dS_dVm.real, dS_dVa.imag, dS_dVm.imag])
     return blocks.take(net.jac_index)
 
@@ -207,7 +223,7 @@ def _newton_pf(
     F = mismatch(V)
     norm = np.max(np.abs(F)) if F.size else 0.0
     while norm > tol and it < max_iter:
-        J = _jacobian(net, V)[:, : net.n_state]
+        J = _jacobian(net, V)
         try:
             dx = np.linalg.solve(J, F)
         except np.linalg.LinAlgError as exc:
@@ -285,348 +301,318 @@ def generation_cost(case: GridCase, gen_p_mw: np.ndarray) -> float:
     return total
 
 
-def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows a[0], b[0], a[1], b[1], ... (the constraint order)."""
-    out = np.empty((2 * len(a),) + a.shape[1:], dtype=a.dtype)
-    out[0::2] = a
-    out[1::2] = b
-    return out
+def _mips(fun, x0, hess, maxiter, tol, **_):
+    """MATPOWER's primal-dual interior-point loop (MIPS), dense, as a minimize method.
 
+    Minimizes f subject to h(x) = 0 and g(x) <= 0, where ``fun(x)`` returns
+    (f, df, h, dh, g, dg) and ``hess(x, lam, mu)`` the Hessian of
+    f + lam @ h + mu @ g. Converged (status 0) when the feasibility,
+    stationarity, complementarity and cost-change conditions, each scaled as
+    in MIPS, are all under ``tol``; status 1 is the iteration cap, 2 a step
+    that collapsed (stalled).
+    """
+    def norm(v):
+        return np.max(np.abs(v), initial=0.0)
 
-def _dabs(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """Rows d|z_k|/dx = Re(conj(z_k) dz_k/dx) / |z_k|, 0 where z_k = 0."""
-    mag = np.abs(z)
-    return (np.conj(z)[:, None] * dz).real / np.where(mag > 0, mag, 1.0)[:, None]
+    x = np.array(x0, dtype=float)
+    f, df, h, dh, g, dg = fun(x)
+    lam, mu = np.zeros(len(h)), np.ones(len(g))
+    z = np.maximum(1.0, -g)  # g + z = 0, z > 0
+    gamma, f_prev, nit, nfev, step = 1.0, f, 0, 1, (1.0, 1.0)
+    while True:
+        lx = df + dh.T @ lam + dg.T @ mu
+        kkt = max(
+            max(norm(h), np.max(g, initial=0.0)) / (1.0 + max(norm(x), norm(z))),
+            norm(lx) / (1.0 + max(norm(lam), norm(mu))),
+            (z @ mu) / (1.0 + norm(x)),
+            abs(f - f_prev) / (1.0 + abs(f_prev)),
+        )
+        if kkt < tol:
+            status = 0
+            break
+        if nit == maxiter:
+            status = 1
+            break
+        if min(step) < 1e-8 or not np.isfinite(x).all() or not 1e-16 < gamma < 1e16:
+            status = 2
+            break
+        nit += 1
+        zinv = 1.0 / z
+        m = hess(x, lam, mu) + dg.T @ ((mu * zinv)[:, None] * dg)
+        rhs = np.concatenate([lx + dg.T @ (zinv * (mu * g + gamma)), h])
+        k = np.block([[m, dh.T], [dh, np.zeros((len(h), len(h)))]])
+        try:
+            d = np.linalg.solve(k, -rhs)
+        except np.linalg.LinAlgError:
+            status = 2
+            break
+        dx, dlam = d[: len(x)], d[len(x):]
+        dz = -g - z - dg @ dx
+        dmu = -mu + zinv * (gamma - mu * dz)
+        step = (
+            min(1.0, 0.99995 * np.min(z[dz < 0] / -dz[dz < 0], initial=np.inf)),
+            min(1.0, 0.99995 * np.min(mu[dmu < 0] / -dmu[dmu < 0], initial=np.inf)),
+        )
+        x, z = x + step[0] * dx, z + step[0] * dz
+        lam, mu = lam + step[1] * dlam, mu + step[1] * dmu
+        gamma = 0.1 * (z @ mu) / len(z)
+        f_prev = f
+        f, df, h, dh, g, dg = fun(x)
+        nfev += 1
+    return optimize.OptimizeResult(
+        x=x, fun=f, nit=nit, nfev=nfev, status=status, success=status == 0,
+        message=("converged", "max_outer", "stalled")[status],
+    )
 
 
 class _OpfProblem:
-    """Reduced-space OPF: controls are non-slack gen P (pu) and gen bus Vm."""
+    """Full-space OPF over x = (Va, Vm, Pg, Qg), per unit, angles in radians.
+
+    h(x) = 0: P balance and Q balance at every bus, the slack angle, then the
+    reactive split of every machine but the last on its bus. g(x) <= 0: the
+    squared line flows under their squared ratings (from ends, then to ends),
+    then each finite upper bound and each finite lower bound, in x order.
+    """
+
+    COST_SCALE = 1e-4  # $/h to the interior-point objective, as in MATPOWER
 
     def __init__(self, case: GridCase, opts: OpfOptions):
         self.case = case
         self.opts = opts
-        self.net = _Network(case)
-        self.gens = case.generators
-        self.free = np.array([i for i, g in enumerate(self.gens) if not g.is_slack], int)
-        self.slack_i = next(i for i, g in enumerate(self.gens) if g.is_slack)
-        self.n_p = len(self.free)
-        self.n_v = len(self.gens)
-        # last converged (x, V, dV/dx or None); the next PF starts from V + dV (x' - x)
-        self._warm: tuple | None = None
-        self._pf_fail_streak = 0
-
-        base = self.net.base
-        lo = [self.gens[i].p_min_mw / base for i in self.free]
-        hi = [self.gens[i].p_max_mw / base for i in self.free]
-        for g in self.gens:
-            b = case.buses[g.bus]
-            lo.append(b.vm_min)
-            hi.append(b.vm_max)
-        self.bounds = optimize.Bounds(np.array(lo), np.array(hi))
-
-        sg = self.gens[self.slack_i]
-        self.slack_p_min, self.slack_p_max = sg.p_min_mw / base, sg.p_max_mw / base
-        self.q_min = np.array([g.q_min_mvar for g in self.gens]) / base
-        self.q_max = np.array([g.q_max_mvar for g in self.gens]) / base
-        self.cost_c2 = np.array([g.cost_c2 for g in self.gens])
-        self.cost_c1 = np.array([g.cost_c1 for g in self.gens])
-        # a name per entry of g, in evaluate's order; bus numbers as in the source file
+        net = self.net = _Network(case)
+        self.gens = gens = case.generators
+        n, ng, nl = case.n_bus, len(gens), len(net.rate)
         ext = case.external_bus_ids
+        machines = np.bincount(net.gen_bus, minlength=n)
+        for b in net.pv[machines[net.pv] == 0]:
+            raise SolverError(f"PV bus {ext[b]} has no machine to hold its voltage")
+        for b in net.pq[machines[net.pq] > 0]:
+            raise SolverError(f"PQ bus {ext[b]} has a machine")
+        self.free = np.flatnonzero(~net.gen_is_slack)
+        self.slack_i = int(np.flatnonzero(net.gen_is_slack)[0])
+        self.nx, self.ip, self.iq = 2 * n + 2 * ng, 2 * n, 2 * n + ng  # Pg, Qg start at ip, iq
+
+        base = net.base
+        self.cg = np.zeros((n, ng))
+        self.cg[net.gen_bus, np.arange(ng)] = 1.0
+        # every machine but the last on its bus takes its q_weight share of the bus's Q
+        last = {g.bus: i for i, g in enumerate(gens)}
+        split = [i for i, g in enumerate(gens) if last[g.bus] != i]
+        self.a_eq = np.zeros((1 + len(split), self.nx))
+        self.a_eq[0, net.slack_bus] = 1.0
+        self.a_eq[1:, self.iq:] = (np.eye(ng) - net.q_weight[:, None] * (self.cg.T @ self.cg))[split]
+
+        p_min, p_max, q_min, q_max = np.array(
+            [[g.p_min_mw, g.p_max_mw, g.q_min_mvar, g.q_max_mvar] for g in gens]
+        ).T / base
+        self.lb = np.concatenate([np.full(n, -np.inf), net.vm_min, p_min, q_min])
+        self.ub = np.concatenate([np.full(n, np.inf), net.vm_max, p_max, q_max])
+        bounded = [np.flatnonzero(np.isfinite(self.ub)), np.flatnonzero(np.isfinite(self.lb))]
+        eye = np.eye(self.nx)
+        self.a_bound = np.vstack([eye[bounded[0]], -eye[bounded[1]]])
+        self.b_bound = np.concatenate([self.ub[bounded[0]], -self.lb[bounded[1]]])
+        self.rate2 = np.tile(net.rate**2, 2)
+        # elastic slacks: one per rated line (both ends), one per quantity the
+        # reduced g bounds (slack P, every Q, PQ-bus |V|; both limits)
+        soft = np.concatenate([[self.ip + self.slack_i], self.iq + np.arange(ng), n + net.pq])
+        column = np.full(self.nx, -1)
+        column[soft] = nl + np.arange(len(soft))
+        column = np.concatenate([np.tile(np.arange(nl), 2), column[np.concatenate(bounded)]])
+        self.E = np.zeros((len(column), nl + len(soft)))
+        self.E[np.flatnonzero(column >= 0), column[column >= 0]] = 1.0
+
+        self.cost_c2 = np.array([g.cost_c2 for g in gens]) * base * base
+        self.cost_c1 = np.array([g.cost_c1 for g in gens]) * base
+        self.cost_c0 = sum(g.cost_c0 for g in gens)
+        sg = gens[self.slack_i]
+        self.slack_p_min, self.slack_p_max = p_min[self.slack_i], p_max[self.slack_i]
+        self.q_min, self.q_max = q_min, q_max
+        # a name per entry of the reduced g (evaluate's order); bus numbers as in the source file
         self.con_names = [f"slack gen {sg.id} P {lim}" for lim in ("max", "min")]
-        self.con_names += [f"gen {g.id} Q {lim}" for g in self.gens for lim in ("max", "min")]
-        self.con_names += [f"bus {ext[b]} Vm {lim}" for b in self.net.pq for lim in ("max", "min")]
+        self.con_names += [f"gen {g.id} Q {lim}" for g in gens for lim in ("max", "min")]
+        self.con_names += [f"bus {ext[b]} Vm {lim}" for b in net.pq for lim in ("max", "min")]
         self.con_names += [
             f"line {i} ({ext[f]}-{ext[t]}) {end}-end rating"
-            for i, f, t in zip(self.net.line_id, self.net.line_f, self.net.line_t)
+            for i, f, t in zip(net.line_id, net.line_f, net.line_t)
             for end in ("from", "to")
         ]
         self.n_con = len(self.con_names)
 
-    def x0(self) -> np.ndarray:
-        p = [self.gens[i].p_mw / self.net.base for i in self.free]
-        vm = [g.vm_setpoint_pu for g in self.gens]
-        x = np.array(p + vm)
-        return np.clip(x, self.bounds.lb, self.bounds.ub)
+    def voltages(self, x: np.ndarray) -> np.ndarray:
+        n = self.case.n_bus
+        return x[n : 2 * n] * np.exp(1j * x[:n])
 
-    def split(self, x: np.ndarray):
-        gen_p = np.zeros(len(self.gens))
-        gen_p[self.free] = x[: self.n_p]
-        gen_vm = x[self.n_p :]
-        return gen_p, gen_vm
+    def controls(self, x: np.ndarray):
+        """Non-slack P (slack entry 0) and |V| per machine: what the reduced PF takes."""
+        gen_p = x[self.ip : self.iq].copy()
+        gen_p[self.slack_i] = 0.0
+        return gen_p, x[self.case.n_bus : self.ip][self.net.gen_bus]
 
-    def pf(self, x: np.ndarray):
-        """Power flow at controls x, started from the predictor of ``self._warm``."""
-        v0 = None
-        if self._warm is not None:
-            x_w, v0, dV = self._warm
-            if dV is not None:
-                v0 = v0 + dV @ (x - x_w)
-        gen_p, gen_vm = self.split(x)
-        V, conv, _, norm = _newton_pf(
-            self.net, gen_p, gen_vm, self.opts.pf_tol, self.opts.pf_max_iter, v0
-        )
-        if conv:
-            self._warm = (x.copy(), V, None)
-            self._pf_fail_streak = 0
+    def fun(self, x: np.ndarray):
+        """Scaled cost, h, g and their Jacobians at x: the interior-point callback."""
+        net, n = self.net, self.case.n_bus
+        V, pg, qg = self.voltages(x), x[self.ip : self.iq], x[self.iq :]
+        f = self.COST_SCALE * (((self.cost_c2 * pg + self.cost_c1) @ pg) + self.cost_c0)
+        df = np.zeros(self.nx)
+        df[self.ip : self.iq] = self.COST_SCALE * (2.0 * self.cost_c2 * pg + self.cost_c1)
+
+        S = V * np.conj(net.Y @ V) + net.p_load + 1j * net.q_load - self.cg @ (pg + 1j * qg)
+        dS_dVa, dS_dVm = _ds_dv(net.Y, net.eye, V)
+        zero = np.zeros_like(self.cg)
+        h = np.concatenate([S.real, S.imag, self.a_eq @ x])
+        dh = np.vstack([
+            np.hstack([dS_dVa.real, dS_dVm.real, -self.cg, zero]),
+            np.hstack([dS_dVa.imag, dS_dVm.imag, zero, -self.cg]),
+            self.a_eq,
+        ])
+
+        Sbr = (net.Cbr @ V) * np.conj(net.Ybr @ V)
+        dflow = 2.0 * (np.conj(Sbr)[:, None] * np.hstack(_ds_dv(net.Ybr, net.Cbr, V))).real
+        g = np.concatenate([(Sbr * np.conj(Sbr)).real - self.rate2, self.a_bound @ x - self.b_bound])
+        dg = np.vstack([np.pad(dflow, ((0, 0), (0, 2 * len(pg)))), self.a_bound])
+        return f, df, h, dh, g, dg
+
+    def hess(self, x: np.ndarray, lam: np.ndarray, mu: np.ndarray, cost: float = 1.0):
+        """Hessian of cost * f + lam @ h + mu @ g (h and g as in ``fun``)."""
+        net, n = self.net, self.case.n_bus
+        V = self.voltages(x)
+        H = np.zeros((self.nx, self.nx))
+        p = np.arange(self.ip, self.iq)
+        H[p, p] = cost * self.COST_SCALE * 2.0 * self.cost_c2
+        mu_br = mu[: len(self.rate2)]
+        Sbr = (net.Cbr @ V) * np.conj(net.Ybr @ V)
+        dSbr = np.hstack(_ds_dv(net.Ybr, net.Cbr, V))
+        H[: 2 * n, : 2 * n] = (
+            _d2s_dv2(net.Y, net.eye, V, lam[:n] - 1j * lam[n : 2 * n])
+            + 2.0 * _d2s_dv2(net.Ybr, net.Cbr, V, np.conj(Sbr) * mu_br)
+            + 2.0 * dSbr.T @ (mu_br[:, None] * np.conj(dSbr))
+        ).real
+        return H
+
+    def start(self) -> np.ndarray | None:
+        """A power flow at the warm-start controls (or the case's setpoints), as x."""
+        net, opts = self.net, self.opts
+        if opts.x0 is None:
+            gen_p = np.array([g.p_mw for g in self.gens]) / net.base
+            gen_vm, v0 = np.array([g.vm_setpoint_pu for g in self.gens]), None
         else:
-            self._pf_fail_streak += 1
-            if self._pf_fail_streak > 3:
-                self._warm = None  # warm start went sour, fall back to flat
-        return V, conv, norm
+            (gen_p, gen_vm), v0 = self.controls(opts.x0), self.voltages(opts.x0)
+        gen_p = np.clip(gen_p, self.lb[self.ip : self.iq], self.ub[self.ip : self.iq])
+        gen_vm = np.clip(gen_vm, net.vm_min[net.gen_bus], net.vm_max[net.gen_bus])
+        V, conv, _, _ = _newton_pf(net, gen_p, gen_vm, opts.pf_tol, opts.pf_max_iter, v0)
+        if not conv:
+            return None
+        S = V * np.conj(net.Y @ V)
+        gen_p[self.slack_i] = _slack_p_pu(net, S, gen_p)
+        return np.concatenate([np.angle(V), np.abs(V), gen_p, _gen_q_pu(net, S)])
 
-    def sensitivity(self, V: np.ndarray) -> np.ndarray:
-        """dV/dx at a power flow solution V (reduced gradient, Dommel & Tinney 1968).
+    def elastic(self, x: np.ndarray, options: dict):
+        """min sum(s) subject to h = 0, g <= E s, s >= 0, from x: the reject verdict."""
+        nx, ns = self.nx, self.E.shape[1]
+        g = self.fun(x)[4]
+        s = np.max(self.E * np.maximum(g, 0.0)[:, None], axis=0, initial=0.0)
 
-        Differentiating the mismatch spec(x) - S(state, |V_fixed|(x)) = 0 gives
-        J dstate/dx = dspec/dx - J_fixed d|V_fixed|/dx: one solve with the PF
-        Jacobian and one right-hand side per control.
+        unit = 1.0 / self.opts.constraint_tol  # the objective in units of the verdict's scale
+
+        def fun(y):
+            _, _, h, dh, g, dg = self.fun(y[:nx])
+            return (
+                unit * y[nx:].sum(), np.concatenate([np.zeros(nx), np.full(ns, unit)]),
+                h, np.pad(dh, ((0, 0), (0, ns))),
+                np.concatenate([g - self.E @ y[nx:], -y[nx:]]),
+                np.block([[dg, -self.E], [np.zeros((ns, nx)), -np.eye(ns)]]),
+            )
+
+        def hess(y, lam, mu):
+            return np.pad(self.hess(y[:nx], lam, mu, cost=0.0), (0, ns))
+
+        return optimize.minimize(
+            fun, np.concatenate([x, s]), method=_mips, hess=hess, options=options
+        )
+
+    def evaluate(self, gen_p: np.ndarray, V: np.ndarray):
+        """Cost ($/h) and the reduced g <= 0 of the power flow V at dispatch gen_p.
+
+        Every g entry is in per-unit so one tolerance fits all; ``con_names``
+        names them.
         """
         net = self.net
-        ns, npvpq, n_p = net.n_state, len(net.pvpq), self.n_p
-        J = _jacobian(net, V)
-        rhs = np.zeros((ns, len(self.bounds.lb)))
-        rhs[:npvpq, :n_p] = net.gen_p_inc[np.ix_(net.pvpq, self.free)]
-        rhs[:, n_p + net.vm_set_gen] = -J[:, ns + net.vm_set_pos]
-        try:
-            d = np.linalg.solve(J[:, :ns], rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular power-flow Jacobian at the solution") from exc
-        dva = np.zeros((len(V), rhs.shape[1]))
-        dvm = np.zeros_like(dva)
-        dva[net.pvpq] = d[:npvpq]
-        dvm[net.pq] = d[npvpq:]
-        dvm[net.fixed[net.vm_set_pos], n_p + net.vm_set_gen] = 1.0
-        vm = np.abs(V)
-        dV = (dvm + 1j * vm[:, None] * dva) * (V / vm)[:, None]
-        if self._warm is not None and self._warm[1] is V:
-            self._warm = (self._warm[0], V, dV)  # the tangent for the next pf
-        return dV
-
-    def evaluate(self, x: np.ndarray, V: np.ndarray, dV: np.ndarray | None = None):
-        """Cost ($/h) and g(x) <= 0 at the power flow solution V of controls x.
-
-        Every g entry is in per-unit so one tolerance fits all. Given
-        ``dV = sensitivity(V)``, also returns d(cost)/dx and dg/dx.
-        """
-        net = self.net
-        gen_p, _ = self.split(x)
-        Ibus = net.Y @ V
-        S = V * np.conj(Ibus)
+        S = V * np.conj(net.Y @ V)
         sp = _slack_p_pu(net, S, gen_p)
         q = _gen_q_pu(net, S)
         vm = np.abs(V[net.pq])
-        If, It = net.Yf @ V, net.Yt @ V
-        sf, st = V[net.line_f] * np.conj(If), V[net.line_t] * np.conj(It)
-
+        sf, st = np.split(np.abs((net.Cbr @ V) * np.conj(net.Ybr @ V)), 2)
         p_mw = gen_p * net.base
         p_mw[self.slack_i] = sp * net.base
-        cost = generation_cost(self.case, p_mw)
         # pairs (upper, lower) for slack P, each machine's Q and each PQ-bus
         # |V|, then (from end, to end) for each rated line
-        g = _interleave(
+        g = np.stack([
             np.concatenate([[sp - self.slack_p_max], q - self.q_max,
-                            vm - net.vm_max[net.pq], np.abs(sf) - net.rate]),
+                            vm - net.vm_max[net.pq], sf - net.rate]),
             np.concatenate([[self.slack_p_min - sp], self.q_min - q,
-                            net.vm_min[net.pq] - vm, np.abs(st) - net.rate]),
-        )
-        if dV is None:
-            return cost, g
-
-        dS = np.conj(Ibus)[:, None] * dV + V[:, None] * np.conj(net.Y @ dV)
-        dsp = dS.real[net.slack_bus].copy()  # a view of dS otherwise
-        dsp[: self.n_p] -= net.gen_p_inc[net.slack_bus, self.free]
-        dq = net.q_weight[:, None] * dS.imag[net.gen_bus]
-        dvm = _dabs(V[net.pq], dV[net.pq])
-        dsf = _dabs(sf, np.conj(If)[:, None] * dV[net.line_f]
-                    + V[net.line_f, None] * np.conj(net.Yf @ dV))
-        dst = _dabs(st, np.conj(It)[:, None] * dV[net.line_t]
-                    + V[net.line_t, None] * np.conj(net.Yt @ dV))
-
-        marginal = (2.0 * self.cost_c2 * p_mw + self.cost_c1) * net.base  # $/h per pu
-        dcost = marginal[self.slack_i] * dsp
-        dcost[: self.n_p] += marginal[self.free]
-        dg = _interleave(
-            np.concatenate([dsp[None], dq, dvm, dsf]),
-            np.concatenate([-dsp[None], -dq, -dvm, dst]),
-        )
-        return cost, g, dcost, dg
+                            net.vm_min[net.pq] - vm, st - net.rate]),
+        ], axis=1).ravel()
+        return generation_cost(self.case, p_mw), g
 
     def solve(self) -> OpfSolution:
-        opts = self.opts
-        x = opts.x0.copy() if opts.x0 is not None else self.x0()
-        x = np.clip(x, self.bounds.lb, self.bounds.ub)
+        x = self.start()
+        if x is None:
+            return self._result(None, "pf_diverged: initial power flow diverged")
+        options = {"maxiter": self.opts.max_outer, "tol": self.opts.optimality_tol}
+        res = optimize.minimize(self.fun, x, method=_mips, hess=self.hess, options=options)
+        if res.success:
+            return self._result(res.x, "converged")
+        verdict = self.elastic(x, options)
+        if verdict.success:
+            sol = self._result(verdict.x[: self.nx], "infeasible")
+            if sol.max_violation_pu > self.opts.constraint_tol:
+                return sol
+        return self._result(res.x, res.message)
 
-        V0, conv, _ = self.pf(x)
-        if not conv:
-            self._warm = None
-            return self._result(x, None, "pf_diverged: initial power flow diverged")
-        f_scale = max(abs(self.evaluate(x, V0)[0]), 1.0)
+    def _result(self, x, reason: str) -> OpfSolution:
+        """The solution at x, checked by an independent power flow at its controls.
 
-        lam = np.zeros(self.n_con)
-        mu = opts.mu0
-        prev_cost = None
-        prev_viol = np.inf
-        best = (np.inf, x.copy())
-
-        def auglag(xv: np.ndarray) -> tuple[float, np.ndarray]:
-            V, conv, norm = self.pf(xv)
-            if not conv:  # no gradient without a PF solution; the line search backs off on f
-                return 1e3 * (1.0 + norm), np.zeros_like(xv)
-            cost, gv, dcost, dg = self.evaluate(xv, V, self.sensitivity(V))
-            t = np.maximum(0.0, lam + mu * gv)
-            f = cost / f_scale + (np.sum(t * t) - np.sum(lam * lam)) / (2.0 * mu)
-            return f, dcost / f_scale + t @ dg
-
-        reason = "max_outer"
-        phase1_done = False
-        for outer in range(opts.max_outer):
-            res = optimize.minimize(
-                auglag,
-                x,
-                method="L-BFGS-B",
-                jac=True,
-                bounds=self.bounds,
-                options={"maxiter": opts.inner_maxiter, "ftol": 1e-10, "gtol": 1e-7},
-            )
-            x = res.x
-            V, conv, _ = self.pf(x)
-            if not conv:
-                reason = "pf_diverged"
-                break
-            cost, gv = self.evaluate(x, V)
-            viol = float(np.max(gv)) if gv.size else 0.0
-
-            if viol <= opts.constraint_tol and cost < best[0]:
-                best = (cost, x.copy())
-            done = (
-                viol <= opts.constraint_tol
-                and prev_cost is not None
-                and abs(cost - prev_cost) <= opts.optimality_tol * max(abs(cost), 1.0)
-            )
-            if done:
-                reason = "converged"
-                break
-            lam = np.maximum(0.0, lam + mu * gv)
-            if viol > max(opts.constraint_tol, 0.25 * prev_viol):
-                # the AL stalled: once, and only while no feasible point is
-                # known, ask whether any nearby point is feasible at all
-                if not phase1_done and best[0] == np.inf:
-                    phase1_done = True
-                    certificate = self._phase1(x, gv)
-                    if certificate is not None:
-                        return self._result(*certificate, "infeasible")
-                mu *= opts.penalty_growth
-            prev_cost, prev_viol = cost, viol
-
-        if best[0] < np.inf:
-            x = best[1]
-        V, conv, _ = self.pf(x)
-        if not conv:
-            self._warm = None
-            V, conv, _ = self.pf(x)
-        if not conv:
-            return self._result(x, None, "pf_diverged: final power flow diverged")
-        return self._result(x, V, reason)
-
-    def _phase1(self, x: np.ndarray, gv: np.ndarray):
-        """Feasibility restoration from the AL iterate x, whose constraints are gv.
-
-        Minimizes the violation alone, phi = 1/2 ||max(0, g - tol/2) / tol||^2
-        (Waechter & Biegler, Math. Prog. 2006, sec. 3.3). phi is 0 inside the
-        tolerance, so L-BFGS-B stops by itself once it finds a feasible point.
-        Returns (x, V) where it converged with g still above tolerance, a local
-        certificate of infeasibility; None when the verdict is feasible or
-        inconclusive. The AL's PF warm-start state is left as it was.
+        Feasible only when the interior-point loop converged and the power
+        flow meets every limit; otherwise the message is the termination
+        reason, then the worst constraint by name.
         """
-        tol = self.opts.constraint_tol
-
-        def hinge(g):
-            return np.maximum(0.0, g - 0.5 * tol) / tol
-
-        h0 = hinge(gv)
-        above = 1.0 + 0.5 * (h0 @ h0)  # phi never rises above its start value
-
-        def phi(xv: np.ndarray) -> tuple[float, np.ndarray]:
-            V, conv, norm = self.pf(xv)
-            if not conv:  # as in auglag: no gradient, the line search backs off on f
-                return above + norm, np.zeros_like(xv)
-            _, g, _, dg = self.evaluate(xv, V, self.sensitivity(V))
-            h = hinge(g)
-            return 0.5 * (h @ h), (h / tol) @ dg
-
-        saved = self._warm, self._pf_fail_streak
-        res = optimize.minimize(
-            phi,
-            x,
-            method="L-BFGS-B",
-            jac=True,
-            bounds=self.bounds,
-            # converged verdicts on case30 took 91-275 iterations
-            options={"maxiter": 4 * self.opts.inner_maxiter, "ftol": 1e-10, "gtol": 1e-7},
-        )
-        V, conv, _ = self.pf(res.x)
-        self._warm, self._pf_fail_streak = saved
-        if res.status == 0 and conv and np.max(self.evaluate(res.x, V)[1]) > tol:
-            return res.x, V
-        return None
-
-    def _result(self, x, V, reason: str) -> OpfSolution:
-        """The solution at controls x with power flow V (None: it diverged).
-
-        An infeasible solution's message is the termination reason, then the
-        worst constraint by name; a feasible one's is empty unless the loop
-        stopped before the cost settled.
-        """
-        net = self.net
-        if V is None:
+        net, opts = self.net, self.opts
+        if x is not None:
+            gen_p, gen_vm = self.controls(x)
+            V, conv, _, _ = _newton_pf(
+                net, gen_p, gen_vm, opts.pf_tol, opts.pf_max_iter, self.voltages(x)
+            )
+        if x is None or not conv:
             return OpfSolution(
                 gen=(), slack=(self.gens[self.slack_i].id, float("nan"), float("nan")),
                 bus=(), objective_cost=float("nan"), feasible=False,
-                max_violation_pu=float("inf"), controls=x, message=reason,
+                max_violation_pu=float("inf"), controls=x,
+                message=reason if x is None else "pf_diverged: final power flow diverged",
             )
-        gen_p, _ = self.split(x)
         S = V * np.conj(net.Y @ V)
         p_mw = gen_p * net.base
         p_mw[self.slack_i] = _slack_p_pu(net, S, gen_p) * net.base
         q_mvar = _gen_q_pu(net, S) * net.base
-        cost, gv = self.evaluate(x, V)
+        cost, gv = self.evaluate(gen_p, V)
         worst = int(np.argmax(gv))  # g always holds the slack P pair
         viol = float(gv[worst])
-        feasible = viol <= self.opts.constraint_tol
-        if feasible:
-            message = "" if reason == "converged" else reason
-        else:
-            message = f"{reason}: {self.con_names[worst]} over by {viol:.2e} pu"
-        gen = tuple(
-            (self.gens[i].id, float(p_mw[i]), float(q_mvar[i])) for i in self.free
-        )
-        slack = (
-            self.gens[self.slack_i].id,
-            float(p_mw[self.slack_i]),
-            float(q_mvar[self.slack_i]),
-        )
+        feasible = reason == "converged" and viol <= opts.constraint_tol
+        message = "" if feasible else f"{reason}: {self.con_names[worst]} over by {viol:.2e} pu"
+        gen = tuple((self.gens[i].id, float(p_mw[i]), float(q_mvar[i])) for i in self.free)
+        si = self.slack_i
+        slack = (self.gens[si].id, float(p_mw[si]), float(q_mvar[si]))
         bus = tuple(
             (b.id, float(np.abs(V[b.id])), float(np.degrees(np.angle(V[b.id]))))
             for b in self.case.buses
         )
-        return OpfSolution(
-            gen=gen,
-            slack=slack,
-            bus=bus,
-            objective_cost=cost,
-            feasible=feasible,
-            max_violation_pu=viol,
-            controls=x.copy(),
-            message=message,
-        )
+        return OpfSolution(gen, slack, bus, cost, feasible, viol, x.copy(), message)
 
 
 def line_loadings_mva(case: GridCase, vm_pu, va_deg) -> list[tuple[int, float, float]]:
     """Apparent power at both ends of every line, for limit reporting."""
     V = np.asarray(vm_pu) * np.exp(1j * np.radians(np.asarray(va_deg)))
-    f, t, Yf, Yt = _branch_admittances(case, case.lines)
-    sf = np.abs(V[f] * np.conj(Yf @ V)) * case.base_mva
-    st = np.abs(V[t] * np.conj(Yt @ V)) * case.base_mva
+    _, _, Y, C = _branch_admittances(case, case.lines)
+    sf, st = np.split(np.abs((C @ V) * np.conj(Y @ V)) * case.base_mva, 2)
     return [(ln.id, float(a), float(b)) for ln, a, b in zip(case.lines, sf, st)]
 
 
