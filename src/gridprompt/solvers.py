@@ -10,6 +10,9 @@ inequalities are the squared line flows under their squared ratings and the
 variable bounds. Grids in scope are small (tens of buses), so everything is
 dense numpy.
 
+The model is built once per grid and shared by its draws; each iteration
+fills the derivatives and the Newton system in place.
+
 A solve that does not converge is followed by the same loop on the elastic
 problem min sum(s) subject to g(x) <= E s, s >= 0, with one slack per rated
 line and one per soft-bounded quantity (slack P, every Q, PQ-bus |V|); a
@@ -23,7 +26,9 @@ termination reason (``infeasible``, ``max_outer``, ``stalled`` or
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+import functools
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import optimize
@@ -47,6 +52,14 @@ class PfSolution:
 
 
 @dataclass(frozen=True)
+class SolveStats:
+    """One interior-point solve: Newton iterations, evaluations, termination reason."""
+    iterations: int
+    evaluations: int
+    reason: str  # converged, max_outer or stalled
+
+
+@dataclass(frozen=True)
 class OpfSolution:
     gen: tuple[tuple[int, float, float], ...]    # (id, p_mw, q_mvar), non-slack
     slack: tuple[int, float, float]              # (id, p_mw, q_mvar)
@@ -56,6 +69,7 @@ class OpfSolution:
     max_violation_pu: float
     controls: np.ndarray = field(compare=False)  # full-space x, the warm start of related cases
     message: str = ""
+    stats: tuple[SolveStats, ...] = field(default=(), compare=False)  # OPF, elastic if run
 
 
 @dataclass(frozen=True)
@@ -69,10 +83,9 @@ class OpfOptions:
 
 
 class _Network:
-    """Precomputed per-unit arrays for one GridCase."""
+    """Precomputed per-unit arrays for one grid; ``at_loads`` adds a draw's loads."""
 
     def __init__(self, case: GridCase):
-        self.case = case
         n = case.n_bus
         self.Y = admittance_matrix(case)
         self.base = case.base_mva
@@ -82,12 +95,6 @@ class _Network:
         self.pq = np.array([i for i, k in enumerate(kinds) if k == BusKind.PQ], int)
         self.pvpq = np.concatenate([self.pv, self.pq])
         self.fixed = np.concatenate([[self.slack_bus], self.pv])  # |V| held at a setpoint
-
-        self.p_load = np.zeros(n)
-        self.q_load = np.zeros(n)
-        for ld in case.loads:
-            self.p_load[ld.bus] += ld.p_mw / self.base
-            self.q_load[ld.bus] += ld.q_mvar / self.base
 
         gens = case.generators
         self.gen_bus = np.array([g.bus for g in gens], dtype=int)
@@ -119,13 +126,19 @@ class _Network:
         self.rate = np.array([ln.rate_mva for ln in rated]) / self.base
         self.eye = np.eye(n)  # C of the bus injections S = V * conj(Y V)
 
-        # Flat positions of the PF Jacobian in the stacked blocks
-        # (dS/dVa.real, dS/dVm.real, dS/dVa.imag, dS/dVm.imag), n*n each.
-        # Rows: P at pvpq, Q at pq. Columns: Va at pvpq, Vm at pq.
-        nn = n * n
-        rows = np.concatenate([self.pvpq * n, 2 * nn + self.pq * n])
-        cols = np.concatenate([self.pvpq, nn + self.pq])
-        self.jac_index = rows[:, None] + cols
+        # Flat positions of the PF Jacobian (rows P at pvpq, Q at pq; columns
+        # Va at pvpq, Vm at pq) in np.stack([dS.real, dS.imag]), dS = _ds_dv
+        rc = np.concatenate([self.pvpq, n + self.pq])
+        self.jac_index = 2 * n * rc[:, None] + rc
+
+    def at_loads(self, case: GridCase) -> "_Network":
+        """A copy with case's per-unit bus loads, sharing every other array."""
+        net = copy.copy(self)
+        net.p_load, net.q_load = np.zeros(case.n_bus), np.zeros(case.n_bus)
+        for ld in case.loads:
+            net.p_load[ld.bus] += ld.p_mw / self.base
+            net.q_load[ld.bus] += ld.q_mvar / self.base
+        return net
 
 
 def _branch_admittances(case: GridCase, lines):
@@ -149,17 +162,19 @@ def _branch_admittances(case: GridCase, lines):
     return f, t, Y, C
 
 
-def _ds_dv(Y: np.ndarray, C: np.ndarray, V: np.ndarray):
-    """dS/dVa and dS/dVm of S = (C V) * conj(Y V), in polar form.
+def _ds_dv(Y: np.ndarray, C: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """[dS/dVa, dS/dVm] of S = (C V) * conj(Y V), in polar form, side by side.
 
     MATPOWER's dSbr_dV; with C = I and Y the bus admittance it is dSbus_dV.
     """
+    n = len(V)
     Vnorm = V / np.abs(V)
     CV = C @ V
     conj_i = np.conj(Y @ V)[:, None]
-    dS_dVa = 1j * (conj_i * C * V - CV[:, None] * np.conj(Y * V))
-    dS_dVm = CV[:, None] * np.conj(Y * Vnorm) + conj_i * C * Vnorm
-    return dS_dVa, dS_dVm
+    dS = np.empty((len(Y), 2 * n), dtype=complex)
+    dS[:, :n] = 1j * (conj_i * C * V - CV[:, None] * np.conj(Y * V))
+    dS[:, n:] = CV[:, None] * np.conj(Y * Vnorm) + conj_i * C * Vnorm
+    return dS
 
 
 def _d2s_dv2(Y: np.ndarray, C: np.ndarray, V: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -168,21 +183,21 @@ def _d2s_dv2(Y: np.ndarray, C: np.ndarray, V: np.ndarray, lam: np.ndarray) -> np
     MATPOWER's d2Sbr_dV2; it is linear in lam, so Re of it at lam = lamP - j lamQ
     is the Hessian of lamP @ S.real + lamQ @ S.imag.
     """
+    n, i = len(V), np.arange(len(V))
     A = np.conj(Y).T @ (lam[:, None] * C)
     B = np.conj(V)[:, None] * A * V
-    D = np.diag((A @ V) * np.conj(V))
-    E = np.diag((A.T @ np.conj(V)) * V)
+    d = (A @ V) * np.conj(V)
+    e = (A.T @ np.conj(V)) * V
     F = B + B.T
     inv_vm = 1.0 / np.abs(V)
-    H_va = 1j * inv_vm[:, None] * (B - B.T - D + E)
-    return np.block([[F - D - E, H_va.T], [H_va, inv_vm[:, None] * F * inv_vm]])
-
-
-def _jacobian(net: _Network, V: np.ndarray) -> np.ndarray:
-    """PF Jacobian at V: P at pvpq and Q at pq against Va at pvpq and Vm at pq."""
-    dS_dVa, dS_dVm = _ds_dv(net.Y, net.eye, V)
-    blocks = np.stack([dS_dVa.real, dS_dVm.real, dS_dVa.imag, dS_dVm.imag])
-    return blocks.take(net.jac_index)
+    G = B - B.T
+    G[i, i] = G[i, i] - d + e
+    H = np.empty((2 * n, 2 * n), dtype=complex)
+    H[:n, :n], H[n:, n:] = F, inv_vm[:, None] * F * inv_vm
+    H[i, i] = F[i, i] - d - e
+    H[n:, :n] = 1j * inv_vm[:, None] * G
+    H[:n, n:] = H[n:, :n].T
+    return H
 
 
 def _newton_pf(
@@ -194,7 +209,7 @@ def _newton_pf(
     v0: np.ndarray | None = None,
 ):
     """Core NR loop; returns (V complex, converged, iterations, max_mismatch)."""
-    n = net.case.n_bus
+    n = len(net.Y)
     vm_fixed = np.ones(len(net.fixed))
     vm_fixed[net.vm_set_pos] = gen_vm[net.vm_set_gen]
 
@@ -223,7 +238,8 @@ def _newton_pf(
     F = mismatch(V)
     norm = np.max(np.abs(F)) if F.size else 0.0
     while norm > tol and it < max_iter:
-        J = _jacobian(net, V)
+        dS = _ds_dv(net.Y, net.eye, V)
+        J = np.stack([dS.real, dS.imag]).take(net.jac_index)
         try:
             dx = np.linalg.solve(J, F)
         except np.linalg.LinAlgError as exc:
@@ -259,7 +275,6 @@ def solve_pf(
     gen_p_mw: np.ndarray | None = None,
     gen_vm_pu: np.ndarray | None = None,
     v0: np.ndarray | None = None,
-    net: "_Network | None" = None,
 ) -> PfSolution:
     """Newton-Raphson power flow from a flat start (or warm start ``v0``).
 
@@ -267,8 +282,7 @@ def solve_pf(
     (used by the OPF loop). Non-convergence is reported in the result, not
     raised; a singular Jacobian raises SolverError.
     """
-    if net is None:
-        net = _Network(case)
+    net = _Network(case).at_loads(case)
     gen_p = np.array(
         [g.p_mw for g in case.generators] if gen_p_mw is None else gen_p_mw, float
     ) / net.base
@@ -312,17 +326,19 @@ def _mips(fun, x0, hess, maxiter, tol, **_):
     that collapsed (stalled).
     """
     def norm(v):
-        return np.max(np.abs(v), initial=0.0)
+        return np.abs(v).max(initial=0.0)
 
     x = np.array(x0, dtype=float)
     f, df, h, dh, g, dg = fun(x)
+    nx = len(x)
+    k, rhs = np.zeros((nx + len(h), nx + len(h))), np.empty(nx + len(h))
     lam, mu = np.zeros(len(h)), np.ones(len(g))
     z = np.maximum(1.0, -g)  # g + z = 0, z > 0
     gamma, f_prev, nit, nfev, step = 1.0, f, 0, 1, (1.0, 1.0)
     while True:
         lx = df + dh.T @ lam + dg.T @ mu
         kkt = max(
-            max(norm(h), np.max(g, initial=0.0)) / (1.0 + max(norm(x), norm(z))),
+            max(norm(h), g.max(initial=0.0)) / (1.0 + max(norm(x), norm(z))),
             norm(lx) / (1.0 + max(norm(lam), norm(mu))),
             (z @ mu) / (1.0 + norm(x)),
             abs(f - f_prev) / (1.0 + abs(f_prev)),
@@ -338,20 +354,20 @@ def _mips(fun, x0, hess, maxiter, tol, **_):
             break
         nit += 1
         zinv = 1.0 / z
-        m = hess(x, lam, mu) + dg.T @ ((mu * zinv)[:, None] * dg)
-        rhs = np.concatenate([lx + dg.T @ (zinv * (mu * g + gamma)), h])
-        k = np.block([[m, dh.T], [dh, np.zeros((len(h), len(h)))]])
+        np.add(hess(x, lam, mu), dg.T @ ((mu * zinv)[:, None] * dg), out=k[:nx, :nx])
+        k[:nx, nx:], k[nx:, :nx] = dh.T, dh
+        rhs[:nx], rhs[nx:] = lx + dg.T @ (zinv * (mu * g + gamma)), h
         try:
             d = np.linalg.solve(k, -rhs)
         except np.linalg.LinAlgError:
             status = 2
             break
-        dx, dlam = d[: len(x)], d[len(x):]
+        dx, dlam = d[:nx], d[nx:]
         dz = -g - z - dg @ dx
         dmu = -mu + zinv * (gamma - mu * dz)
         step = (
-            min(1.0, 0.99995 * np.min(z[dz < 0] / -dz[dz < 0], initial=np.inf)),
-            min(1.0, 0.99995 * np.min(mu[dmu < 0] / -dmu[dmu < 0], initial=np.inf)),
+            min(1.0, 0.99995 * (z[dz < 0] / -dz[dz < 0]).min(initial=np.inf)),
+            min(1.0, 0.99995 * (mu[dmu < 0] / -dmu[dmu < 0]).min(initial=np.inf)),
         )
         x, z = x + step[0] * dx, z + step[0] * dz
         lam, mu = lam + step[1] * dlam, mu + step[1] * dmu
@@ -375,11 +391,12 @@ class _OpfProblem:
     """
 
     COST_SCALE = 1e-4  # $/h to the interior-point objective, as in MATPOWER
+    _at = (None,)  # (x bytes, Sbr, dSbr) of the last iterate; depends on the grid alone
 
     def __init__(self, case: GridCase, opts: OpfOptions):
         self.case = case
         self.opts = opts
-        net = self.net = _Network(case)
+        net = self.net = _Network(case).at_loads(case)
         self.gens = gens = case.generators
         n, ng, nl = case.n_bus, len(gens), len(net.rate)
         ext = case.external_bus_ids
@@ -420,6 +437,10 @@ class _OpfProblem:
         column = np.concatenate([np.tile(np.arange(nl), 2), column[np.concatenate(bounded)]])
         self.E = np.zeros((len(column), nl + len(soft)))
         self.E[np.flatnonzero(column >= 0), column[column >= 0]] = 1.0
+        # fun's dh and dg with their constant blocks set; fun fills copies
+        self.dh0 = np.vstack([np.zeros((2 * n, self.nx)), self.a_eq])
+        self.dh0[:n, self.ip : self.iq] = self.dh0[n : 2 * n, self.iq :] = -self.cg
+        self.dg0 = np.vstack([np.zeros((2 * nl, self.nx)), self.a_bound])
 
         self.cost_c2 = np.array([g.cost_c2 for g in gens]) * base * base
         self.cost_c1 = np.array([g.cost_c1 for g in gens]) * base
@@ -437,6 +458,12 @@ class _OpfProblem:
             for end in ("from", "to")
         ]
         self.n_con = len(self.con_names)
+
+    def for_draw(self, case: GridCase, opts: OpfOptions) -> "_OpfProblem":
+        """This grid's problem at case's loads and opts; every other array is shared."""
+        prob = copy.copy(self)
+        prob.case, prob.opts, prob.net = case, opts, self.net.at_loads(case)
+        return prob
 
     def voltages(self, x: np.ndarray) -> np.ndarray:
         n = self.case.n_bus
@@ -457,20 +484,23 @@ class _OpfProblem:
         df[self.ip : self.iq] = self.COST_SCALE * (2.0 * self.cost_c2 * pg + self.cost_c1)
 
         S = V * np.conj(net.Y @ V) + net.p_load + 1j * net.q_load - self.cg @ (pg + 1j * qg)
-        dS_dVa, dS_dVm = _ds_dv(net.Y, net.eye, V)
-        zero = np.zeros_like(self.cg)
+        dS = _ds_dv(net.Y, net.eye, V)
         h = np.concatenate([S.real, S.imag, self.a_eq @ x])
-        dh = np.vstack([
-            np.hstack([dS_dVa.real, dS_dVm.real, -self.cg, zero]),
-            np.hstack([dS_dVa.imag, dS_dVm.imag, zero, -self.cg]),
-            self.a_eq,
-        ])
+        dh = self.dh0.copy()
+        dh[:n, : 2 * n], dh[n : 2 * n, : 2 * n] = dS.real, dS.imag
 
-        Sbr = (net.Cbr @ V) * np.conj(net.Ybr @ V)
-        dflow = 2.0 * (np.conj(Sbr)[:, None] * np.hstack(_ds_dv(net.Ybr, net.Cbr, V))).real
+        Sbr, dSbr = self._branch(x, V)
         g = np.concatenate([(Sbr * np.conj(Sbr)).real - self.rate2, self.a_bound @ x - self.b_bound])
-        dg = np.vstack([np.pad(dflow, ((0, 0), (0, 2 * len(pg)))), self.a_bound])
+        dg = self.dg0.copy()
+        dg[: len(Sbr), : 2 * n] = 2.0 * (np.conj(Sbr)[:, None] * dSbr).real
         return f, df, h, dh, g, dg
+
+    def _branch(self, x: np.ndarray, V: np.ndarray):
+        """Line-end powers Sbr and dSbr at x, computed once per iterate for fun and hess."""
+        if self._at[0] != x.tobytes():
+            Sbr = (self.net.Cbr @ V) * np.conj(self.net.Ybr @ V)
+            self._at = (x.tobytes(), Sbr, _ds_dv(self.net.Ybr, self.net.Cbr, V))
+        return self._at[1:]
 
     def hess(self, x: np.ndarray, lam: np.ndarray, mu: np.ndarray, cost: float = 1.0):
         """Hessian of cost * f + lam @ h + mu @ g (h and g as in ``fun``)."""
@@ -480,8 +510,7 @@ class _OpfProblem:
         p = np.arange(self.ip, self.iq)
         H[p, p] = cost * self.COST_SCALE * 2.0 * self.cost_c2
         mu_br = mu[: len(self.rate2)]
-        Sbr = (net.Cbr @ V) * np.conj(net.Ybr @ V)
-        dSbr = np.hstack(_ds_dv(net.Ybr, net.Cbr, V))
+        Sbr, dSbr = self._branch(x, V)
         H[: 2 * n, : 2 * n] = (
             _d2s_dv2(net.Y, net.eye, V, lam[:n] - 1j * lam[n : 2 * n])
             + 2.0 * _d2s_dv2(net.Ybr, net.Cbr, V, np.conj(Sbr) * mu_br)
@@ -513,18 +542,22 @@ class _OpfProblem:
         s = np.max(self.E * np.maximum(g, 0.0)[:, None], axis=0, initial=0.0)
 
         unit = 1.0 / self.opts.constraint_tol  # the objective in units of the verdict's scale
+        df = np.concatenate([np.zeros(nx), np.full(ns, unit)])
+        # padded dh, dg and Hessian with their constant blocks set; fun and hess fill copies
+        dh_pad, H_pad = np.zeros((len(self.dh0), nx + ns)), np.zeros((nx + ns, nx + ns))
+        dg_pad = np.block([[np.zeros((len(g), nx)), -self.E], [np.zeros((ns, nx)), -np.eye(ns)]])
 
         def fun(y):
             _, _, h, dh, g, dg = self.fun(y[:nx])
-            return (
-                unit * y[nx:].sum(), np.concatenate([np.zeros(nx), np.full(ns, unit)]),
-                h, np.pad(dh, ((0, 0), (0, ns))),
-                np.concatenate([g - self.E @ y[nx:], -y[nx:]]),
-                np.block([[dg, -self.E], [np.zeros((ns, nx)), -np.eye(ns)]]),
-            )
+            dh_y, dg_y = dh_pad.copy(), dg_pad.copy()
+            dh_y[:, :nx], dg_y[: len(g), :nx] = dh, dg
+            g_y = np.concatenate([g - self.E @ y[nx:], -y[nx:]])
+            return unit * y[nx:].sum(), df, h, dh_y, g_y, dg_y
 
         def hess(y, lam, mu):
-            return np.pad(self.hess(y[:nx], lam, mu, cost=0.0), (0, ns))
+            H = H_pad.copy()
+            H[:nx, :nx] = self.hess(y[:nx], lam, mu, cost=0.0)
+            return H
 
         return optimize.minimize(
             fun, np.concatenate([x, s]), method=_mips, hess=hess, options=options
@@ -557,19 +590,21 @@ class _OpfProblem:
     def solve(self) -> OpfSolution:
         x = self.start()
         if x is None:
-            return self._result(None, "pf_diverged: initial power flow diverged")
+            return self._result(None, "pf_diverged: initial power flow diverged", ())
         options = {"maxiter": self.opts.max_outer, "tol": self.opts.optimality_tol}
         res = optimize.minimize(self.fun, x, method=_mips, hess=self.hess, options=options)
+        stats = (SolveStats(res.nit, res.nfev, res.message),)
         if res.success:
-            return self._result(res.x, "converged")
+            return self._result(res.x, "converged", stats)
         verdict = self.elastic(x, options)
+        stats += (SolveStats(verdict.nit, verdict.nfev, verdict.message),)
         if verdict.success:
-            sol = self._result(verdict.x[: self.nx], "infeasible")
+            sol = self._result(verdict.x[: self.nx], "infeasible", stats)
             if sol.max_violation_pu > self.opts.constraint_tol:
                 return sol
-        return self._result(res.x, res.message)
+        return self._result(res.x, res.message, stats)
 
-    def _result(self, x, reason: str) -> OpfSolution:
+    def _result(self, x, reason: str, stats: tuple[SolveStats, ...]) -> OpfSolution:
         """The solution at x, checked by an independent power flow at its controls.
 
         Feasible only when the interior-point loop converged and the power
@@ -588,6 +623,7 @@ class _OpfProblem:
                 bus=(), objective_cost=float("nan"), feasible=False,
                 max_violation_pu=float("inf"), controls=x,
                 message=reason if x is None else "pf_diverged: final power flow diverged",
+                stats=stats,
             )
         S = V * np.conj(net.Y @ V)
         p_mw = gen_p * net.base
@@ -605,7 +641,7 @@ class _OpfProblem:
             (b.id, float(np.abs(V[b.id])), float(np.degrees(np.angle(V[b.id]))))
             for b in self.case.buses
         )
-        return OpfSolution(gen, slack, bus, cost, feasible, viol, x.copy(), message)
+        return OpfSolution(gen, slack, bus, cost, feasible, viol, x.copy(), message, stats)
 
 
 def line_loadings_mva(case: GridCase, vm_pu, va_deg) -> list[tuple[int, float, float]]:
@@ -624,4 +660,14 @@ def solve_opf(case: GridCase, opts: OpfOptions | None = None) -> OpfSolution:
     """
     if not case.generators:
         raise SolverError("case has no generators")
-    return _OpfProblem(case, opts or OpfOptions()).solve()
+    grid = {f.name: getattr(case, f.name) for f in fields(case) if f.name not in ("loads", "name")}
+    return _grid_problem(**grid).for_draw(case, opts or OpfOptions()).solve()
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_problem(**grid) -> _OpfProblem:
+    """The zero-load problem of one grid, kept for the grid's next draw; nothing writes it.
+
+    ``grid`` is every GridCase field but ``loads`` and ``name``: ``external_bus_ids`` too.
+    """
+    return _OpfProblem(GridCase(name="", loads=(), **grid), OpfOptions())

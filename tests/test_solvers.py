@@ -8,6 +8,7 @@ from gridprompt.grid_model import BusKind, admittance_matrix
 from gridprompt.scenario_gen import MutationSpec, mutate
 from gridprompt.solvers import (
     OpfOptions,
+    SolveStats,
     _OpfProblem,
     generation_cost,
     line_loadings_mva,
@@ -322,6 +323,30 @@ def test_full_space_derivatives_match_central_differences(case_name, request):
     assert np.max(np.abs(hess - fd_hess)) <= 1e-6 * np.max(np.abs(fd_hess))
 
 
+@pytest.mark.parametrize("case_name", ["case9", "case30", "case9_shared_buses"])
+def test_derivatives_follow_the_iterate_and_own_their_arrays(case_name, request):
+    """hess(x1) after fun(x2) is the Hessian at x1, and no call rewrites an earlier result."""
+    case = request.getfixturevalue(case_name)
+    prob = _OpfProblem(case, OpfOptions())
+    rng = np.random.default_rng(1)
+    x1, x2 = prob.start() + 0.01 * rng.standard_normal((2, prob.nx))
+    first = prob.fun(x1)
+    lam = rng.standard_normal(len(first[2]))
+    mu = rng.uniform(0.0, 1.0, len(first[4]))
+    second = prob.fun(x2)
+    hess = prob.hess(x1, lam, mu)
+    kept = [np.copy(a) for a in (*first, *second, hess)]
+    fresh = _OpfProblem(case, OpfOptions())
+    assert np.array_equal(hess, fresh.hess(x1, lam, mu))
+    for got, want in zip(first, fresh.fun(x1)):
+        assert np.array_equal(got, want)
+    prob.hess(x2, lam, mu)
+    prob.fun(x1)
+    prob.elastic(x1, {"maxiter": 2, "tol": 1e-6})
+    for got, want in zip((*first, *second, hess), kept):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("case_name", ["case9", "case30"])
 def test_objective_matches_the_independent_reference(case_name, request):
     """The base objective agrees with scripts/make_reference.py to 1e-6 relative."""
@@ -337,13 +362,68 @@ def test_grids_the_full_space_model_would_change_are_refused(case9):
     no_machine = dataclasses.replace(case9, buses=tuple(
         dataclasses.replace(b, bus_kind=BusKind.PV) if b.id == pq else b for b in case9.buses
     ))
-    with pytest.raises(solvers.SolverError, match="PV bus .* has no machine"):
-        solve_opf(no_machine)
     on_pq_bus = dataclasses.replace(case9, generators=case9.generators + (
         dataclasses.replace(case9.generators[1], id=3, bus=pq),
     ))
-    with pytest.raises(solvers.SolverError, match="PQ bus .* has a machine"):
-        solve_opf(on_pq_bus)
+    for _ in range(2):  # every time, whatever grid was solved before
+        solve_opf(case9)
+        with pytest.raises(solvers.SolverError, match="PV bus .* has no machine"):
+            solve_opf(no_machine)
+        with pytest.raises(solvers.SolverError, match="PQ bus .* has a machine"):
+            solve_opf(on_pq_bus)
+
+
+def test_grid_memo_keys_on_everything_but_the_loads(case9):
+    """A solve after another grid's equals a solve that starts with the memo empty.
+
+    The key holds external_bus_ids, which GridCase equality ignores but con_names shows.
+    """
+    def first_solve(case, opts=None):
+        solvers._grid_problem.cache_clear()
+        return solve_opf(case, opts)
+
+    def with_line(case, lid, **kw):
+        lines = tuple(dataclasses.replace(ln, **kw) if ln.id == lid else ln for ln in case.lines)
+        return dataclasses.replace(case, lines=lines)
+
+    gens = case9.generators
+    stranded = with_line(case9, 0, rate_mva=5.0)  # the slack machine's only line
+    variants = [
+        (case9, with_line(case9, 6, rate_mva=120.0)),
+        (case9, dataclasses.replace(case9, generators=gens[:2] + (
+            dataclasses.replace(gens[2], q_max_mvar=-30.0),))),
+        (stranded, dataclasses.replace(
+            stranded, external_bus_ids=tuple(10 + i for i in case9.external_bus_ids))),
+    ]
+    for before, case in variants:
+        want = first_solve(case)
+        solve_opf(before)
+        got = solve_opf(case)
+        assert got == want  # message included
+        assert got != solve_opf(before)  # the changed field shows in the answer
+    assert solve_opf(variants[2][1]).message.startswith("infeasible: line 0 (11-14)")
+
+    base = first_solve(case9)
+    draw = mutate(case9, MutationSpec(0.2, seed=0), 3)
+    after = solve_opf(draw, OpfOptions(x0=base.controls))
+    first = first_solve(draw, OpfOptions(x0=base.controls))
+    assert after.objective_cost == first.objective_cost
+    assert np.array_equal(after.controls, first.controls)
+
+    # draws share the memo's arrays, so no solve may write them
+    shared = solvers._grid_problem(**{
+        f.name: getattr(case9, f.name)
+        for f in dataclasses.fields(case9) if f.name not in ("loads", "name")
+    })
+    for a in (*vars(shared).values(), *vars(shared.net).values()):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    heavy = case9.with_loads(tuple(
+        dataclasses.replace(ld, p_mw=2.2 * ld.p_mw, q_mvar=2.2 * ld.q_mvar) for ld in case9.loads
+    ))
+    assert len(solve_opf(heavy).stats) == 2  # the elastic solve ran too
+    assert solve_opf(draw, OpfOptions(x0=base.controls)) == after
+    solvers._grid_problem.cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -373,6 +453,7 @@ class TestPhase1:
         assert sol.message.startswith("infeasible: line 9 (6-8) from-end rating over by")
         assert sol.max_violation_pu > case30_warm.constraint_tol
         assert len(calls) < 5  # max_outer is 20
+        assert [s.reason for s in sol.stats] == ["stalled", "converged"]  # OPF, elastic
 
     def test_rejected_violation_does_not_depend_on_the_start(self, case30, case30_warm):
         """A rejected draw reports the elastic minimum, the same from a cold start."""
@@ -415,9 +496,11 @@ def test_interior_point_iterations_are_bounded(case9, case30, monkeypatch):
     ]
     for case, opts, cap in solves:
         results.clear()
-        assert solve_opf(case, opts).feasible
+        sol = solve_opf(case, opts)
+        assert sol.feasible
         assert len(results) == 1 and results[0].success
         assert results[0].nit <= cap
+        assert sol.stats == (SolveStats(results[0].nit, results[0].nfev, "converged"),)
 
 
 def test_constraint_names_follow_g(case30):
