@@ -3,7 +3,7 @@
 A solved dataset is a directory:
 
     manifest.json            run parameters, per-entry metadata, rejections
-    scenarios/{i}.m          mutated MATPOWER case
+    scenarios/{i}.m          mutated MATPOWER case (read only when needed)
     embeddings/{i}.json      grid embedding text (graph or table form)
     solutions/{i}.json       rounded solution text shown to the LLM
     truth/{i}.json           full-precision solver output
@@ -12,21 +12,27 @@ A solved dataset is a directory:
 Scenario indices that fail the OPF are recorded under rejected/ and further
 indices are drawn until n feasible entries exist, so entry count is exact and
 a rerun with the same seed reproduces the directory byte for byte.
+
+Loading reads the manifest, embeddings, solutions and truth of every entry but
+no scenario file: an entry's ``case`` is parsed from ``scenarios/{i}.m`` the
+first time it is used. ``bench`` uses it for each trial's query entry only
+(its ``base_mva``); ``export-ft`` and the oracle's ``truth_map`` never do.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .embedding import EmbeddingFormat, embed_grid, encode_solution
-from .grid_model import GridCase, to_hetero
+from .grid_model import GridCase, GridError, to_hetero
 from .llm_protocol import (
     EXAMPLE_INPUT_PREFIX,
     EXAMPLE_OUTPUT_PREFIX,
     SYSTEM_PROMPT,
 )
-from .matpower_io import parse_matpower, write_matpower
+from .matpower_io import MatpowerParseError, parse_matpower, write_matpower
 from .scenario_gen import MutationSpec, mutate
 from .solvers import OpfOptions, OpfSolution, solve_opf
 
@@ -53,11 +59,25 @@ class FinetuneConfig:
 
 @dataclass(frozen=True)
 class SolvedEntry:
+    """One solved scenario; ``case`` is ``parsed`` if given, else read from
+    ``scenario_path`` on first use (``build_solved_dataset`` passes it)."""
     index: int
-    case: GridCase
     grid_text: str
     solution_text: str
     solution: OpfSolution
+    scenario_path: Path
+    parsed: InitVar[GridCase | None] = None
+
+    def __post_init__(self, parsed):
+        if parsed is not None:
+            self.__dict__["case"] = parsed  # the cached_property's slot
+
+    @cached_property
+    def case(self) -> GridCase:
+        try:
+            return parse_matpower(self.scenario_path.read_text())
+        except (MatpowerParseError, GridError) as exc:
+            raise DatasetError(f"{self.scenario_path}: {exc}") from exc
 
 
 @dataclass
@@ -159,7 +179,8 @@ def build_solved_dataset(
 
         grid_text = embed_grid(to_hetero(scenario), fmt)
         solution_text = encode_solution(solution, fmt.decimals)
-        (root / "scenarios" / f"{index}.m").write_text(write_matpower(scenario))
+        scenario_path = root / "scenarios" / f"{index}.m"
+        scenario_path.write_text(write_matpower(scenario))
         (root / "embeddings" / f"{index}.json").write_text(grid_text)
         (root / "solutions" / f"{index}.json").write_text(solution_text)
         (root / "truth" / f"{index}.json").write_text(
@@ -172,7 +193,9 @@ def build_solved_dataset(
                 "max_violation_pu": solution.max_violation_pu,
             }
         )
-        entries.append(SolvedEntry(index, scenario, grid_text, solution_text, solution))
+        entries.append(
+            SolvedEntry(index, grid_text, solution_text, solution, scenario_path, scenario)
+        )
         index += 1
 
     manifest = {
@@ -194,21 +217,25 @@ def build_solved_dataset(
 
 
 def load_solved_dataset(root: str | Path) -> SolvedDataset:
+    """Read a dataset directory; no scenario file is opened (see ``SolvedEntry``)."""
     root = Path(root)
     try:
         manifest = json.loads((root / "manifest.json").read_text())
     except FileNotFoundError:
         raise DatasetError(f"{root} is not a dataset directory (no manifest.json)") from None
+    embeddings, solutions, truth, scenarios = (
+        root / sub for sub in ("embeddings", "solutions", "truth", "scenarios")
+    )
     entries = []
     for meta in manifest["entries"]:
         i = meta["index"]
         entries.append(
             SolvedEntry(
                 index=i,
-                case=parse_matpower((root / "scenarios" / f"{i}.m").read_text()),
-                grid_text=(root / "embeddings" / f"{i}.json").read_text(),
-                solution_text=(root / "solutions" / f"{i}.json").read_text(),
-                solution=_truth_from_doc(json.loads((root / "truth" / f"{i}.json").read_text())),
+                grid_text=(embeddings / f"{i}.json").read_text(),
+                solution_text=(solutions / f"{i}.json").read_text(),
+                solution=_truth_from_doc(json.loads((truth / f"{i}.json").read_text())),
+                scenario_path=scenarios / f"{i}.m",
             )
         )
     return SolvedDataset(root=root, entries=entries, rejected=list(manifest["rejected"]))

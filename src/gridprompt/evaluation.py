@@ -93,8 +93,9 @@ class BenchmarkTrial:
 def make_trials(entries, trials: int, context_size: int, seed: int) -> list[BenchmarkTrial]:
     """Partition solved entries into disjoint per-trial context + query sets.
 
-    ``entries`` is a sequence of objects with .grid_text, .solution_text and
-    .solution (ground truth); the split is a seeded permutation so runs are
+    ``entries`` is a sequence of objects with .grid_text, .solution_text,
+    .solution (ground truth) and .case, of which only each query's
+    .case.base_mva is read; the split is a seeded permutation so runs are
     reproducible from (dataset, seed) alone.
     """
     need = trials * (context_size + 1)
@@ -174,8 +175,8 @@ def run_benchmark(
 ) -> tuple[EvalReport, list[TrialRecord]]:
     """Run all trials (possibly concurrently) and aggregate.
 
-    The per-trial log is written in trial order through a single writer, so
-    the file bytes are deterministic regardless of completion order.
+    The per-trial log is written fresh, in trial order through a single
+    writer, so the file bytes are deterministic regardless of completion order.
     """
     plan = make_trials(entries, trials, context_size, seed)
     if concurrency > 1:
@@ -186,7 +187,7 @@ def run_benchmark(
     records.sort(key=lambda r: r.trial_id)
 
     if log_path is not None:
-        with open(log_path, "a") as fh:
+        with open(log_path, "w") as fh:
             for r in records:
                 fh.write(json.dumps({"schema": LOG_SCHEMA, **asdict(r)}, sort_keys=True) + "\n")
 

@@ -124,10 +124,9 @@ class _Network:
         self.line_id = np.array([ln.id for ln in rated], dtype=int)
         self.line_f, self.line_t, self.Ybr, self.Cbr = _branch_admittances(case, rated)
         self.rate = np.array([ln.rate_mva for ln in rated]) / self.base
-        self.eye = np.eye(n)  # C of the bus injections S = V * conj(Y V)
 
         # Flat positions of the PF Jacobian (rows P at pvpq, Q at pq; columns
-        # Va at pvpq, Vm at pq) in np.stack([dS.real, dS.imag]), dS = _ds_dv
+        # Va at pvpq, Vm at pq) in np.stack([dS.real, dS.imag]), dS = _dsbus_dv
         rc = np.concatenate([self.pvpq, n + self.pq])
         self.jac_index = 2 * n * rc[:, None] + rc
 
@@ -165,7 +164,7 @@ def _branch_admittances(case: GridCase, lines):
 def _ds_dv(Y: np.ndarray, C: np.ndarray, V: np.ndarray) -> np.ndarray:
     """[dS/dVa, dS/dVm] of S = (C V) * conj(Y V), in polar form, side by side.
 
-    MATPOWER's dSbr_dV; with C = I and Y the bus admittance it is dSbus_dV.
+    MATPOWER's dSbr_dV; ``_dsbus_dv`` is the case C = I.
     """
     n = len(V)
     Vnorm = V / np.abs(V)
@@ -174,6 +173,20 @@ def _ds_dv(Y: np.ndarray, C: np.ndarray, V: np.ndarray) -> np.ndarray:
     dS = np.empty((len(Y), 2 * n), dtype=complex)
     dS[:, :n] = 1j * (conj_i * C * V - CV[:, None] * np.conj(Y * V))
     dS[:, n:] = CV[:, None] * np.conj(Y * Vnorm) + conj_i * C * Vnorm
+    return dS
+
+
+def _dsbus_dv(Y: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``_ds_dv(Y, I, V)``, MATPOWER's dSbus_dV: the same bits but for the sign
+    of some zeros, with the conj(Y V) terms added along the diagonal."""
+    n, i = len(V), np.arange(len(V))
+    Vnorm = V / np.abs(V)
+    conj_i = np.conj(Y @ V)
+    dS = np.empty((n, 2 * n), dtype=complex)
+    dS[:, :n] = -1j * (V[:, None] * np.conj(Y * V))
+    dS[i, i] += 1j * (conj_i * V)
+    dS[:, n:] = V[:, None] * np.conj(Y * Vnorm)
+    dS[i, n + i] += conj_i * Vnorm
     return dS
 
 
@@ -238,7 +251,7 @@ def _newton_pf(
     F = mismatch(V)
     norm = np.max(np.abs(F)) if F.size else 0.0
     while norm > tol and it < max_iter:
-        dS = _ds_dv(net.Y, net.eye, V)
+        dS = _dsbus_dv(net.Y, V)
         J = np.stack([dS.real, dS.imag]).take(net.jac_index)
         try:
             dx = np.linalg.solve(J, F)
@@ -484,7 +497,7 @@ class _OpfProblem:
         df[self.ip : self.iq] = self.COST_SCALE * (2.0 * self.cost_c2 * pg + self.cost_c1)
 
         S = V * np.conj(net.Y @ V) + net.p_load + 1j * net.q_load - self.cg @ (pg + 1j * qg)
-        dS = _ds_dv(net.Y, net.eye, V)
+        dS = _dsbus_dv(net.Y, V)
         h = np.concatenate([S.real, S.imag, self.a_eq @ x])
         dh = self.dh0.copy()
         dh[:n, : 2 * n], dh[n : 2 * n, : 2 * n] = dS.real, dS.imag
@@ -512,7 +525,9 @@ class _OpfProblem:
         mu_br = mu[: len(self.rate2)]
         Sbr, dSbr = self._branch(x, V)
         H[: 2 * n, : 2 * n] = (
-            _d2s_dv2(net.Y, net.eye, V, lam[:n] - 1j * lam[n : 2 * n])
+            # the identity, not a diagonal form: BLAS rounds conj(Y).T @ diag(lam)
+            # differently from a broadcast product, and the iterates would move
+            _d2s_dv2(net.Y, np.eye(n), V, lam[:n] - 1j * lam[n : 2 * n])
             + 2.0 * _d2s_dv2(net.Ybr, net.Cbr, V, np.conj(Sbr) * mu_br)
             + 2.0 * dSbr.T @ (mu_br[:, None] * np.conj(dSbr))
         ).real

@@ -4,6 +4,7 @@ import pytest
 
 from gridprompt.cli import main
 from gridprompt.embedding import parse_solution_doc
+from gridprompt.evaluation import reaggregate_log
 
 from conftest import CASES_DIR
 
@@ -87,6 +88,20 @@ class TestGenBench:
         assert report["mean_mse_gen"] <= 1e-12
         assert (tmp_path / "trials.jsonl").exists()
         assert (tmp_path / "report.json").exists()
+
+    def test_bench_rerun_rewrites_the_trial_log(self, capsys, dataset_dir, tmp_path):
+        for seed in ("1", "2"):
+            code, out, err = run_cli(
+                capsys, "bench", str(dataset_dir), "--replay", "oracle", "--trials", "3",
+                "--context", "3", "--seed", seed, "--out", str(tmp_path),
+            )
+            assert code == 0
+        log = tmp_path / "trials.jsonl"
+        assert len(log.read_text().splitlines()) == 3
+        report_text = (tmp_path / "report.json").read_text()
+        again = reaggregate_log(log, json.loads(report_text)["config"])
+        assert again.to_json() + "\n" == report_text
+        assert json.loads(report_text)["config"]["seed"] == 2
 
     def test_bench_corrupt_exits_2(self, capsys, dataset_dir, tmp_path):
         code, out, err = run_cli(

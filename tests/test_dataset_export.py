@@ -1,9 +1,12 @@
 import dataclasses
 import filecmp
 import json
+import re
+import shutil
 
 import pytest
 
+from gridprompt import dataset_export
 from gridprompt.dataset_export import (
     DatasetError,
     FinetuneConfig,
@@ -12,8 +15,8 @@ from gridprompt.dataset_export import (
     load_solved_dataset,
 )
 from gridprompt.embedding import EmbeddingFormat, parse_solution_doc
-from gridprompt.evaluation import score
-from gridprompt.llm_protocol import SYSTEM_PROMPT
+from gridprompt.evaluation import make_trials, run_benchmark, score
+from gridprompt.llm_protocol import SYSTEM_PROMPT, replay_backend
 from gridprompt.scenario_gen import MutationSpec
 
 
@@ -57,7 +60,14 @@ class TestBuildSolvedDataset:
         for x, y in zip(dataset9.entries, again.entries):
             assert x.grid_text == y.grid_text
             assert x.solution_text == y.solution_text
-            assert x.solution.gen == y.solution.gen
+            assert x.solution == y.solution
+
+    def test_loaded_case_is_parsed_on_first_use(self, dataset9):
+        again = load_solved_dataset(dataset9.root)
+        for x, y in zip(dataset9.entries, again.entries):
+            assert "case" not in vars(y)
+            assert y.case == x.case
+            assert y.case is y.case
 
     def test_solutions_are_feasible(self, dataset9):
         for e in dataset9.entries:
@@ -126,3 +136,71 @@ class TestExportFinetune:
             FinetuneConfig(rank=0)
         with pytest.raises(ValueError):
             FinetuneConfig(alpha=0)
+
+
+@pytest.fixture
+def dataset9_copy(dataset9, tmp_path):
+    root = tmp_path / "ds"
+    shutil.copytree(dataset9.root, root)
+    return root
+
+
+@pytest.fixture
+def count_parses(monkeypatch):
+    parsed = []
+    real = dataset_export.parse_matpower
+
+    def counting(text):
+        parsed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(dataset_export, "parse_matpower", counting)
+    return parsed
+
+
+class TestLazyScenarios:
+    def test_load_and_export_read_no_scenario(self, dataset9_copy, count_parses):
+        shutil.rmtree(dataset9_copy / "scenarios")
+        ds = load_solved_dataset(dataset9_copy)
+        assert len(ds.truth_map()) == len(ds)
+        path = export_finetune_jsonl(ds)
+        assert len(path.read_text().splitlines()) == len(ds)
+        assert count_parses == []
+        with pytest.raises(FileNotFoundError):
+            ds.entries[0].case
+
+    def test_bench_parses_one_scenario_per_trial(self, dataset9_copy, count_parses, case9):
+        trials, context, seed = 3, 4, 2
+        first = load_solved_dataset(dataset9_copy)
+        queries = {t.query_text for t in make_trials(first.entries, trials, context, seed)}
+        for e in first.entries:
+            if e.grid_text not in queries:
+                (dataset9_copy / "scenarios" / f"{e.index}.m").unlink()
+        assert len(list((dataset9_copy / "scenarios").iterdir())) == trials
+        del count_parses[:]
+
+        ds = load_solved_dataset(dataset9_copy)
+        assert count_parses == []
+        plan = make_trials(ds.entries, trials, context, seed)
+        assert len(count_parses) == trials
+        assert [t.base_mva for t in plan] == [case9.base_mva] * trials
+        make_trials(ds.entries, trials, context, seed)
+        assert len(count_parses) == trials  # cached on the entries
+
+        fresh = load_solved_dataset(dataset9_copy)
+        report, records = run_benchmark(
+            fresh.entries, replay_backend("oracle", fresh.truth_map()),
+            trials=trials, context_size=context, seed=seed, concurrency=1,
+        )
+        assert len(count_parses) == 2 * trials
+        assert report.valid_fraction == 1.0
+        assert report.mean_mse_gen <= 1e-12
+
+    def test_malformed_query_scenario_named_on_first_use(self, dataset9_copy):
+        ds = load_solved_dataset(dataset9_copy)
+        query = make_trials(ds.entries, 1, 4, seed=0)[0].query_text
+        bad = next(e for e in ds.entries if e.grid_text == query)
+        bad.scenario_path.write_text("function mpc = broken\nmpc.version = '2';\n")
+        ds = load_solved_dataset(dataset9_copy)
+        with pytest.raises(DatasetError, match=re.escape(str(bad.scenario_path))):
+            make_trials(ds.entries, 1, 4, seed=0)

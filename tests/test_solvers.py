@@ -323,6 +323,17 @@ def test_full_space_derivatives_match_central_differences(case_name, request):
     assert np.max(np.abs(hess - fd_hess)) <= 1e-6 * np.max(np.abs(fd_hess))
 
 
+@pytest.mark.parametrize("case_name", ["case9", "case30"])
+def test_bus_injection_derivatives_equal_the_identity_form(case_name, request):
+    """The diagonal dSbus_dV is the C = I branch form, bit for bit."""
+    Y = admittance_matrix(request.getfixturevalue(case_name))
+    n = len(Y)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        V = rng.uniform(0.9, 1.1, n) * np.exp(1j * rng.uniform(-0.5, 0.5, n))
+        assert np.array_equal(solvers._dsbus_dv(Y, V), solvers._ds_dv(Y, np.eye(n), V))
+
+
 @pytest.mark.parametrize("case_name", ["case9", "case30", "case9_shared_buses"])
 def test_derivatives_follow_the_iterate_and_own_their_arrays(case_name, request):
     """hess(x1) after fun(x2) is the Hessian at x1, and no call rewrites an earlier result."""
