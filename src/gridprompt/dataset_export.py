@@ -129,12 +129,11 @@ def build_solved_dataset(
     n: int,
     fmt: EmbeddingFormat,
     out_dir: str | Path,
-    opf_options: OpfOptions | None = None,
-    max_draws_factor: int = 3,
 ) -> SolvedDataset:
     """Generate n feasible solved scenarios under out_dir (created fresh)."""
-    base_opts = opf_options or OpfOptions()
-    base_solution = solve_opf(case, base_opts)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    base_solution = solve_opf(case)
     if not base_solution.feasible:
         raise DatasetError(
             f"base case OPF is infeasible ({base_solution.message}); "
@@ -145,16 +144,13 @@ def build_solved_dataset(
     for sub in ("scenarios", "embeddings", "solutions", "truth", "rejected"):
         (root / sub).mkdir(parents=True, exist_ok=True)
 
-    # warm-start every mutated solve from the base optimum
-    opts_fields = asdict(base_opts)
-    opts_fields["x0"] = base_solution.controls
-    warm_opts = OpfOptions(**opts_fields)
+    warm_opts = OpfOptions(x0=base_solution.controls)  # every draw starts at the base optimum
 
     entries: list[SolvedEntry] = []
     rejected: list[int] = []
     manifest_entries = []
     index = 0
-    max_draws = max(n * max_draws_factor, n + 10)
+    max_draws = max(n * 3, n + 10)
     while len(entries) < n:
         if index >= max_draws:
             raise DatasetError(
@@ -162,18 +158,11 @@ def build_solved_dataset(
             )
         scenario = mutate(case, spec, index)
         solution = solve_opf(scenario, warm_opts)
+        verdict = {"index": index, "max_violation_pu": solution.max_violation_pu}
         if not solution.feasible:
             rejected.append(index)
-            (root / "rejected" / f"{index}.json").write_text(
-                json.dumps(
-                    {
-                        "index": index,
-                        "reason": solution.message,
-                        "max_violation_pu": solution.max_violation_pu,
-                    },
-                    sort_keys=True,
-                )
-            )
+            doc = {**verdict, "reason": solution.message}
+            (root / "rejected" / f"{index}.json").write_text(json.dumps(doc, sort_keys=True))
             index += 1
             continue
 
@@ -186,13 +175,7 @@ def build_solved_dataset(
         (root / "truth" / f"{index}.json").write_text(
             json.dumps(_truth_doc(solution), sort_keys=True)
         )
-        manifest_entries.append(
-            {
-                "index": index,
-                "objective_cost": solution.objective_cost,
-                "max_violation_pu": solution.max_violation_pu,
-            }
-        )
+        manifest_entries.append({**verdict, "objective_cost": solution.objective_cost})
         entries.append(
             SolvedEntry(index, grid_text, solution_text, solution, scenario_path, scenario)
         )
@@ -204,9 +187,9 @@ def build_solved_dataset(
         "n": n,
         "format": {"kind": fmt.kind, "decimals": fmt.decimals},
         "mutation": {
-            "distribution": spec.distribution,
+            "distribution": "uniform",
             "relative_halfwidth": spec.relative_halfwidth,
-            "targets": spec.targets,
+            "targets": "loads_p_and_q",
             "seed": spec.seed,
         },
         "entries": manifest_entries,

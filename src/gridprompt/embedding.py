@@ -16,6 +16,7 @@ from .grid_model import NODE_FIELDS, NODE_TYPES
 from .solvers import OpfSolution
 
 SCHEMA = "gridprompt/v1"
+_DECODER = json.JSONDecoder()
 
 
 class EmbeddingParseError(Exception):
@@ -201,34 +202,10 @@ def _first_json_object(text: str) -> dict | None:
     """First syntactically complete JSON object embedded anywhere in the text."""
     start = text.find("{")
     while start != -1:
-        depth = 0
-        in_str = False
-        escape = False
-        for pos in range(start, len(text)):
-            ch = text[pos]
-            if in_str:
-                if escape:
-                    escape = False
-                elif ch == "\\":
-                    escape = True
-                elif ch == '"':
-                    in_str = False
-                continue
-            if ch == '"':
-                in_str = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        obj = json.loads(text[start : pos + 1])
-                    except json.JSONDecodeError:
-                        break
-                    if isinstance(obj, dict):
-                        return obj
-                    break
-        start = text.find("{", start + 1)
+        try:
+            return _DECODER.raw_decode(text, start)[0]  # a value opening with { is a dict
+        except json.JSONDecodeError:
+            start = text.find("{", start + 1)
     return None
 
 

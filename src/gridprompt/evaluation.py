@@ -178,13 +178,14 @@ def run_benchmark(
     The per-trial log is written fresh, in trial order through a single
     writer, so the file bytes are deterministic regardless of completion order.
     """
+    if concurrency < 1:
+        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
     plan = make_trials(entries, trials, context_size, seed)
     if concurrency > 1:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
             records = list(pool.map(lambda t: run_trial(t, backend, max_chars), plan))
     else:
         records = [run_trial(t, backend, max_chars) for t in plan]
-    records.sort(key=lambda r: r.trial_id)
 
     if log_path is not None:
         with open(log_path, "w") as fh:

@@ -8,7 +8,7 @@ restored on write.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .grid_model import Bus, BusKind, Generator, GridCase, Line, Load
@@ -39,74 +39,50 @@ class RawCaseTables:
     gen: list[list[float]]
     branch: list[list[float]]
     gencost: list[list[float]]
-    warnings: list[str] = field(default_factory=list)
 
 
 _NUM = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-
-
-def _strip_comments(line: str) -> str:
-    pos = line.find("%")
-    return line if pos < 0 else line[:pos]
+# a matrix body is numbers separated by blanks, commas, semicolons and newlines;
+# match() stops right before the first token that is not a whole number
+_MATRIX = re.compile(rf"(?:[\s,;]*{_NUM.pattern}(?![^\s,;]))*[\s,;]*")
+# a matrix runs to its closing bracket (kept, so a missing one shows), a scalar to ; or EOL
+_ASSIGN = re.compile(r"mpc\.(\w+)\s*=\s*(\[[^\]]*\]?|[^;\n]*)")
 
 
 def parse_raw_tables(text: str) -> RawCaseTables:
     """Tokenize the case file into named numeric tables."""
-    name = "case"
+    text = re.sub(r"%.*", "", text)
     m = re.search(r"function\s+\w+\s*=\s*(\w+)", text)
-    if m:
-        name = m.group(1)
-
+    name = m.group(1) if m else "case"
     base_mva = None
     tables: dict[str, list[list[float]]] = {}
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        raw = _strip_comments(lines[i])
-        m = re.search(r"mpc\.(\w+)\s*=\s*(.*)", raw)
-        if not m:
-            i += 1
-            continue
-        key, rest = m.group(1), m.group(2).strip()
+    for m in _ASSIGN.finditer(text):
+        key, value = m.group(1), m.group(2).strip()
+        line = text.count("\n", 0, m.start()) + 1
         if key == "baseMVA":
-            num = _NUM.search(rest)
-            if not num:
-                raise MatpowerParseError(f"line {i + 1}: baseMVA is not numeric")
-            base_mva = float(num.group(0))
-            i += 1
-            continue
-        if key == "version":
-            ver = re.search(r"'(\d+)'", rest)
+            if not _NUM.fullmatch(value):
+                raise MatpowerParseError(f"line {line}: baseMVA is not numeric")
+            base_mva = float(value)
+        elif key == "version":
+            ver = re.search(r"'(\d+)'", value)
             if ver and ver.group(1) != "2":
                 raise UnsupportedFeatureError(
-                    f"line {i + 1}: only case format version 2 is supported"
+                    f"line {line}: only case format version 2 is supported"
                 )
-            i += 1
-            continue
-        if not rest.startswith("["):
-            i += 1  # scalar/string field we do not use
-            continue
-        # collect the matrix body up to the closing bracket
-        body = rest[1:]
-        start = i
-        while "]" not in body:
-            i += 1
-            if i >= len(lines):
-                raise MatpowerParseError(f"line {start + 1}: unterminated matrix {key}")
-            body += "\n" + _strip_comments(lines[i])
-        body = body[: body.index("]")]
-        rows = []
-        for j, row_text in enumerate(re.split(r"[;\n]", body)):
-            if not row_text.strip():
-                continue
-            try:
-                rows.append([float(tok) for tok in _NUM.findall(row_text)])
-            except ValueError:
-                raise MatpowerParseError(
-                    f"line {start + j + 1}: malformed row in {key}"
-                ) from None
-        tables[key] = rows
-        i += 1
+        elif value.startswith("["):
+            if not value.endswith("]"):
+                raise MatpowerParseError(f"line {line}: unterminated matrix {key}")
+            body = value[1:-1]
+            end = _MATRIX.match(body).end()
+            if end < len(body):
+                bad = re.match(r"[^\s,;]+", body[end:]).group()
+                at = line + body.count("\n", 0, end)
+                raise MatpowerParseError(f"line {at}: {bad!r} in mpc.{key} is not a number")
+            tables[key] = [
+                [float(tok) for tok in toks]
+                for row in re.split(r"[;\n]", body)
+                if (toks := row.replace(",", " ").split())
+            ]
 
     if base_mva is None:
         raise MatpowerParseError("missing mpc.baseMVA")
@@ -119,14 +95,7 @@ def parse_raw_tables(text: str) -> RawCaseTables:
                     f"mpc.{req} row {j + 1}: expected >= {min_cols} columns, "
                     f"got {len(row)}"
                 )
-    return RawCaseTables(
-        name=name,
-        base_mva=base_mva,
-        bus=tables["bus"],
-        gen=tables["gen"],
-        branch=tables["branch"],
-        gencost=tables["gencost"],
-    )
+    return RawCaseTables(name, base_mva, *(tables[k] for k in ("bus", "gen", "branch", "gencost")))
 
 
 def _gencost_coeffs(row: list[float], gen_idx: int) -> tuple[float, float, float]:
@@ -184,7 +153,6 @@ def raw_to_case(raw: RawCaseTables) -> GridCase:
     gens = []
     for i, r in enumerate(raw.gen):
         if int(r[GEN_STATUS]) <= 0:
-            raw.warnings.append(f"generator {i} out of service; dropped")
             continue
         bus_i = ext_to_int.get(int(r[GEN_BUS]))
         if bus_i is None:
@@ -210,7 +178,6 @@ def raw_to_case(raw: RawCaseTables) -> GridCase:
     lines = []
     for i, r in enumerate(raw.branch):
         if int(r[BR_STATUS]) <= 0:
-            raw.warnings.append(f"branch {i} out of service; dropped")
             continue
         f = ext_to_int.get(int(r[F_BUS]))
         t = ext_to_int.get(int(r[T_BUS]))

@@ -20,18 +20,12 @@ _FIELD_CODE = {"p_mw": 0, "q_mvar": 1}
 class MutationSpec:
     relative_halfwidth: float = 0.20
     seed: int = 0
-    distribution: str = "uniform"
-    targets: str = "loads_p_and_q"
 
     def __post_init__(self):
         if not 0 <= self.relative_halfwidth < 1:
             raise ValueError(
                 f"relative_halfwidth must be in [0, 1), got {self.relative_halfwidth}"
             )
-        if self.distribution != "uniform":
-            raise ValueError(f"unsupported distribution {self.distribution!r}")
-        if self.targets != "loads_p_and_q":
-            raise ValueError(f"unsupported mutation target {self.targets!r}")
 
 
 def _draw(spec: MutationSpec, index: int, load_id: int, field: str) -> float:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import copy
 import functools
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 from scipy import optimize
@@ -74,10 +75,10 @@ class OpfSolution:
 
 @dataclass(frozen=True)
 class OpfOptions:
-    pf_tol: float = 1e-8
-    pf_max_iter: int = 50
-    optimality_tol: float = 1e-6     # scaled KKT conditions of the interior-point loop
-    constraint_tol: float = 1e-4     # per-unit
+    pf_tol: ClassVar[float] = 1e-8
+    pf_max_iter: ClassVar[int] = 50
+    optimality_tol: ClassVar[float] = 1e-6  # scaled KKT conditions of the interior-point loop
+    constraint_tol: ClassVar[float] = 1e-4  # per-unit
     max_outer: int = 50              # interior-point iterations per solve
     x0: np.ndarray | None = field(default=None, compare=False)  # OpfSolution.controls
 
@@ -291,9 +292,9 @@ def solve_pf(
 ) -> PfSolution:
     """Newton-Raphson power flow from a flat start (or warm start ``v0``).
 
-    ``gen_p_mw`` / ``gen_vm_pu`` override the case's generator setpoints
-    (used by the OPF loop). Non-convergence is reported in the result, not
-    raised; a singular Jacobian raises SolverError.
+    ``gen_p_mw`` / ``gen_vm_pu`` override the case's generator setpoints, e.g.
+    to check a predicted dispatch. Non-convergence is reported in the result,
+    not raised; a singular Jacobian raises SolverError.
     """
     net = _Network(case).at_loads(case)
     gen_p = np.array(

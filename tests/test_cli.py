@@ -77,6 +77,14 @@ class TestGenBench:
                  for i in range(3)}
         assert len(texts) == 1  # identical but for the case name
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_gen_refuses_non_positive_n(self, capsys, tmp_path, n):
+        out = tmp_path / "empty"
+        code, stdout, err = run_cli(capsys, "gen", CASE9, "--n", n, "--out", str(out))
+        assert code == 1
+        assert stdout == "" and f"n must be >= 1, got {n}" in err
+        assert not out.exists()
+
     def test_bench_oracle(self, capsys, dataset_dir, tmp_path):
         code, out, err = run_cli(
             capsys, "bench", str(dataset_dir), "--replay", "oracle",
@@ -110,6 +118,18 @@ class TestGenBench:
         )
         assert code == 2
         assert json.loads(out)["valid_fraction"] == 0.0
+
+    @pytest.mark.parametrize("concurrency", ["0", "-3"])
+    def test_bench_refuses_non_positive_concurrency(
+        self, capsys, dataset_dir, tmp_path, concurrency
+    ):
+        code, out, err = run_cli(
+            capsys, "bench", str(dataset_dir), "--replay", "oracle", "--trials", "3",
+            "--context", "3", "--concurrency", concurrency, "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert out == "" and f"concurrency must be >= 1, got {concurrency}" in err
+        assert not (tmp_path / "trials.jsonl").exists()
 
     def test_bench_requires_backend_choice(self, capsys, dataset_dir):
         code, out, err = run_cli(capsys, "bench", str(dataset_dir))

@@ -211,8 +211,16 @@ class TestSolutionDoc:
 
     def test_nested_braces_and_strings_survive_extraction(self):
         inner = '{"gen":[{"id":0,"p_mw":1,"q_mvar":2}],"slack":[{"id":1,"p_mw":3,"q_mvar":4}],"bus":[{"id":0,"vm_pu":1.0,"va_deg":0.0}],"note":"curly } inside"}'
-        doc = parse_solution_doc("blah {not json} then " + inner + " tail")
-        assert doc.slack[0] == (1, 3.0, 4.0)
+        quoted = inner.replace("curly } inside", 'a } and an escaped \\" inside')
+        for text in (
+            "blah {not json} then " + inner + " tail",
+            "an unclosed { before " + inner,
+            "a stray } before " + inner + " }",
+            "{'single': 'quotes'} then " + inner,
+            "prose " + quoted + " tail",
+        ):
+            doc = parse_solution_doc(text)
+            assert doc.slack[0] == (1, 3.0, 4.0), text
 
     def test_prose_without_json_is_invalid(self):
         with pytest.raises(InvalidResponse, match="no JSON object"):

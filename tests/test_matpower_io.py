@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from conftest import CASES_DIR
 from gridprompt.grid_model import BusKind
 from gridprompt.matpower_io import (
     MatpowerParseError,
@@ -29,6 +32,8 @@ mpc.gencost = [
     2 0 0 3 0.1 10 0;
 ];
 """
+
+CASE9_TEXT = (CASES_DIR / "case9.m").read_text()
 
 
 class TestParse:
@@ -93,6 +98,26 @@ class TestParse:
         case = parse_matpower(text)
         assert len(case.lines) == 2
         assert case.lines[1].x_pu == 0.2
+
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("0.11", "0.1x1", 53),  # first gencost c2, never to be split into 0.1 and 1
+            ("0.11", "Inf", 53),
+            ("0.11", "NaN", 53),
+            ("mpc.baseMVA = 100;", "mpc.baseMVA = 1e2x;", 10),
+        ],
+    )
+    def test_non_numeric_token_refused_with_its_line(self, old, new, line):
+        text = CASE9_TEXT.replace(old, new, 1)
+        assert text != CASE9_TEXT
+        with pytest.raises(MatpowerParseError, match=rf"^line {line}: "):
+            parse_matpower(text)
+
+    def test_comma_separated_rows(self, case9):
+        text = re.sub(r"(?<=\d)\t(?=[-\d.])", ", ", CASE9_TEXT)
+        assert text.count(",") > 100
+        assert parse_matpower(text) == case9
 
     def test_comments_ignored(self):
         text = MINI_CASE.replace("mpc.baseMVA = 100;", "mpc.baseMVA = 100; % comment")
