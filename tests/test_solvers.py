@@ -489,6 +489,51 @@ class TestPhase1:
         for i in rejected:
             assert sols[i].message.startswith("infeasible: line 9 (6-8)"), i
 
+    def test_condensed_elastic_step_equals_the_padded_system(
+        self, case30, case30_warm, monkeypatch
+    ):
+        """The first elastic Newton step, slacks eliminated, against the full (x, s) system."""
+        prob = _OpfProblem(mutate(case30, self.spec, 0), case30_warm)
+        x = prob.start()
+        shapes = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: shapes.append(a.shape) or solve(a, b))
+        got = prob.elastic(x, {"maxiter": 1, "tol": 1e-6})
+        monkeypatch.undo()
+
+        nx, ns, col = prob.nx, prob.n_slack, prob.slack_col
+        _, _, h, dh, g, dg = prob.fun(x)
+        E = np.zeros((len(g), ns))
+        E[np.flatnonzero(col >= 0), col[col >= 0]] = 1.0
+        s = np.max(E * np.maximum(g, 0.0)[:, None], axis=0)
+        g_y = np.concatenate([g - E @ s, -s])
+        dg_y = np.block([[dg, -E], [np.zeros((ns, nx)), -np.eye(ns)]])
+        dh_y = np.hstack([dh, np.zeros((len(h), ns))])
+        df_y = np.concatenate([np.zeros(nx), np.full(ns, 1.0 / prob.opts.constraint_tol)])
+        lam, mu, z, gamma = np.zeros(len(h)), np.ones(len(g_y)), np.maximum(1.0, -g_y), 1.0
+        H = np.zeros((nx + ns, nx + ns))
+        H[:nx, :nx] = prob.hess(x, lam, mu, cost=0.0)
+        K = np.block([
+            [H + dg_y.T @ ((mu / z)[:, None] * dg_y), dh_y.T],
+            [dh_y, np.zeros((len(h), len(h)))],
+        ])
+        lx = df_y + dh_y.T @ lam + dg_y.T @ mu
+        d = np.linalg.solve(K, -np.concatenate([lx + dg_y.T @ ((mu * g_y + gamma) / z), h]))
+        dy, dlam = d[: nx + ns], d[nx + ns :]
+        dz = -g_y - z - dg_y @ dy
+        dmu = -mu + (gamma - mu * dz) / z
+        primal = min(1.0, 0.99995 * np.min(z[dz < 0] / -dz[dz < 0]))
+        dual = min(1.0, 0.99995 * np.min(mu[dmu < 0] / -dmu[dmu < 0]))
+
+        assert shapes == [(nx + len(h), nx + len(h))]  # the OPF's KKT size, not nx + ns + len(h)
+        assert got.nit == 1
+        for step, want in (
+            (got.x - np.concatenate([x, s]), primal * dy),
+            (got.lam - lam, dual * dlam),
+            (got.mu - mu, dual * dmu),
+        ):
+            assert np.max(np.abs(step - want)) <= 1e-10 * np.max(np.abs(want))
+
 
 def test_interior_point_iterations_are_bounded(case9, case30, monkeypatch):
     """One interior-point solve per feasible OPF, in a few tens of Newton steps."""
