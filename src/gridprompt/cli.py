@@ -18,12 +18,12 @@ from .dataset_export import (
     export_finetune_jsonl,
     load_solved_dataset,
 )
-from .embedding import EmbeddingFormat, encode_solution
+from .embedding import EmbeddingFormat, encode_solution, encode_triples
 from .evaluation import run_benchmark
 from .llm_protocol import EndpointConfig, HttpBackend, replay_backend
 from .matpower_io import load_case
 from .scenario_gen import MutationSpec
-from .solvers import OpfSolution, solve_opf, solve_pf
+from .solvers import solve_opf, solve_pf
 
 _CONFIG_KEYS = {
     "seed", "halfwidth", "format", "decimals", "trials", "context",
@@ -60,23 +60,16 @@ def _cmd_solve(args, cfg) -> int:
         if not sol.converged:
             print("error: power flow did not converge", file=sys.stderr)
             return 2
-        doc = OpfSolution(
-            gen=tuple(
-                (g.id, float(sol.gen_p_mw[i]), float(sol.gen_q_mvar[i]))
-                for i, g in enumerate(case.generators) if not g.is_slack
-            ),
-            slack=next(
-                (g.id, float(sol.gen_p_mw[i]), float(sol.gen_q_mvar[i]))
-                for i, g in enumerate(case.generators) if g.is_slack
-            ),
-            bus=tuple(
-                (b.id, float(sol.vm_pu[b.id]), float(sol.va_deg[b.id]))
-                for b in case.buses
-            ),
-            objective_cost=0.0, feasible=True, max_violation_pu=0.0,
-            controls=sol.vm_pu,
-        )
-        print(encode_solution(doc, decimals=6))
+        machines = [
+            (g.is_slack, (g.id, float(sol.gen_p_mw[i]), float(sol.gen_q_mvar[i])))
+            for i, g in enumerate(case.generators)
+        ]
+        print(encode_triples(
+            [m for is_slack, m in machines if not is_slack],
+            next(m for is_slack, m in machines if is_slack),
+            [(b.id, float(sol.vm_pu[b.id]), float(sol.va_deg[b.id])) for b in case.buses],
+            decimals=6,
+        ))
         return 0
     sol = solve_opf(case)
     if not sol.feasible:

@@ -110,8 +110,6 @@ def _truth_doc(sol: OpfSolution) -> dict:
 
 
 def _truth_from_doc(doc: dict) -> OpfSolution:
-    import numpy as np
-
     return OpfSolution(
         gen=tuple((int(i), float(p), float(q)) for i, p, q in doc["gen"]),
         slack=(int(doc["slack"][0]), float(doc["slack"][1]), float(doc["slack"][2])),
@@ -119,7 +117,6 @@ def _truth_from_doc(doc: dict) -> OpfSolution:
         objective_cost=float(doc["objective_cost"]),
         feasible=bool(doc["feasible"]),
         max_violation_pu=float(doc["max_violation_pu"]),
-        controls=np.array([]),
     )
 
 

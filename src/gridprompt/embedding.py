@@ -177,22 +177,24 @@ def parse_grid(text: str) -> dict:
 
 
 def encode_solution(sol: OpfSolution, decimals: int = 4) -> str:
+    return encode_triples(sol.gen, sol.slack, sol.bus, decimals)
+
+
+def encode_triples(gen, slack, bus, decimals: int = 4) -> str:
+    """Solution JSON of (id, p_mw, q_mvar) per non-slack machine, the slack
+    machine's triple and (id, vm_pu, va_deg) per bus: an OPF's or a PF's."""
     doc = {
         "schema": SCHEMA,
         "gen": [
             {"id": i, "p_mw": round(p, decimals), "q_mvar": round(q, decimals)}
-            for i, p, q in sol.gen
+            for i, p, q in gen
         ],
         "slack": [
-            {
-                "id": sol.slack[0],
-                "p_mw": round(sol.slack[1], decimals),
-                "q_mvar": round(sol.slack[2], decimals),
-            }
+            {"id": slack[0], "p_mw": round(slack[1], decimals), "q_mvar": round(slack[2], decimals)}
         ],
         "bus": [
             {"id": i, "vm_pu": round(vm, decimals), "va_deg": round(va, decimals)}
-            for i, vm, va in sol.bus
+            for i, vm, va in bus
         ],
     }
     return _dumps(doc)

@@ -23,7 +23,6 @@ def _toy_truth():
         slack=(0, 71.95, 10.0),
         bus=tuple((i, 1.0, 0.0) for i in range(9)),
         objective_cost=0.0, feasible=True, max_violation_pu=0.0,
-        controls=np.array([]),
     )
 
 

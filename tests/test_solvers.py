@@ -419,7 +419,7 @@ def test_grid_memo_keys_on_everything_but_the_loads(case9):
     after = solve_opf(draw, OpfOptions(x0=base.controls))
     first = first_solve(draw, OpfOptions(x0=base.controls))
     assert after.objective_cost == first.objective_cost
-    assert np.array_equal(after.controls, first.controls)
+    assert np.array_equal(after.controls.x, first.controls.x)
 
     # draws share the memo's arrays, so no solve may write them
     shared = solvers._grid_problem(**{
@@ -465,6 +465,7 @@ class TestPhase1:
         assert sol.max_violation_pu > case30_warm.constraint_tol
         assert len(calls) < 5  # max_outer is 20
         assert [s.reason for s in sol.stats] == ["stalled", "converged"]  # OPF, elastic
+        assert sol.stats[1].kkt < OpfOptions.optimality_tol <= sol.stats[0].kkt
 
     def test_rejected_violation_does_not_depend_on_the_start(self, case30, case30_warm):
         """A rejected draw reports the elastic minimum, the same from a cold start."""
@@ -556,7 +557,24 @@ def test_interior_point_iterations_are_bounded(case9, case30, monkeypatch):
         assert sol.feasible
         assert len(results) == 1 and results[0].success
         assert results[0].nit <= cap
-        assert sol.stats == (SolveStats(results[0].nit, results[0].nfev, "converged"),)
+        assert results[0].kkt < OpfOptions.optimality_tol
+        assert sol.stats == (
+            SolveStats(results[0].nit, results[0].nfev, "converged", results[0].kkt),
+        )
+
+
+def test_warm_multipliers_shorten_draws_and_keep_their_optima(case9):
+    """Draws started from the base optimum's x and multipliers converge in a few steps,
+    to the optimum of the same draws started from x alone."""
+    base = solve_opf(case9)
+    assert base.controls.lam is not None and base.controls.mu is not None
+    primal_only = OpfOptions(x0=dataclasses.replace(base.controls, lam=None, mu=None))
+    for i in range(20):
+        draw = mutate(case9, MutationSpec(0.2, seed=0), i)
+        warm, primal = solve_opf(draw, OpfOptions(x0=base.controls)), solve_opf(draw, primal_only)
+        assert warm.feasible and primal.feasible, i
+        assert warm.stats[0].iterations <= 7 < primal.stats[0].iterations, i
+        assert warm.objective_cost == pytest.approx(primal.objective_cost, rel=1e-6), i
 
 
 def test_constraint_names_follow_g(case30):
