@@ -98,14 +98,23 @@ def parse_raw_tables(text: str) -> RawCaseTables:
     return RawCaseTables(name, base_mva, *(tables[k] for k in ("bus", "gen", "branch", "gencost")))
 
 
+def _integer(value: float, table: str, index: int, column: str) -> int:
+    """An integer column's value, refused (never truncated) if it has a fraction."""
+    if value != int(value):
+        raise MatpowerParseError(
+            f"mpc.{table} row {index + 1}: {column} must be an integer, got {value!r}"
+        )
+    return int(value)
+
+
 def _gencost_coeffs(row: list[float], gen_idx: int) -> tuple[float, float, float]:
-    model = int(row[0])
+    model = _integer(row[0], "gencost", gen_idx, "MODEL")
     if model != 2:
         raise UnsupportedFeatureError(
             f"gencost row {gen_idx + 1}: only polynomial cost model 2 is supported "
             f"(got model {model})"
         )
-    n = int(row[3])
+    n = _integer(row[3], "gencost", gen_idx, "NCOST")
     coeffs = row[4 : 4 + n]
     if len(coeffs) != n:
         raise MatpowerParseError(f"gencost row {gen_idx + 1}: expected {n} coefficients")
@@ -119,14 +128,14 @@ def _gencost_coeffs(row: list[float], gen_idx: int) -> tuple[float, float, float
 
 def raw_to_case(raw: RawCaseTables) -> GridCase:
     """Build a validated GridCase from raw tables, honoring status columns."""
-    ext_ids = [int(r[BUS_I]) for r in raw.bus]
+    ext_ids = [_integer(r[BUS_I], "bus", i, "BUS_I") for i, r in enumerate(raw.bus)]
     if len(set(ext_ids)) != len(ext_ids):
         raise MatpowerParseError("duplicate bus numbers in mpc.bus")
     ext_to_int = {e: i for i, e in enumerate(ext_ids)}
 
     buses = []
     for i, r in enumerate(raw.bus):
-        btype = int(r[BUS_TYPE])
+        btype = _integer(r[BUS_TYPE], "bus", i, "BUS_TYPE")
         if btype not in _BUS_TYPE_TO_KIND:
             raise UnsupportedFeatureError(
                 f"bus {ext_ids[i]}: unsupported bus type {btype}"
@@ -152,11 +161,12 @@ def raw_to_case(raw: RawCaseTables) -> GridCase:
         )
     gens = []
     for i, r in enumerate(raw.gen):
-        if int(r[GEN_STATUS]) <= 0:
+        if _integer(r[GEN_STATUS], "gen", i, "GEN_STATUS") <= 0:
             continue
-        bus_i = ext_to_int.get(int(r[GEN_BUS]))
+        bus_ext = _integer(r[GEN_BUS], "gen", i, "GEN_BUS")
+        bus_i = ext_to_int.get(bus_ext)
         if bus_i is None:
-            raise MatpowerParseError(f"generator {i} references unknown bus {int(r[GEN_BUS])}")
+            raise MatpowerParseError(f"generator {i} references unknown bus {bus_ext}")
         c2, c1, c0 = _gencost_coeffs(raw.gencost[i], i)
         gens.append(
             Generator(
@@ -177,10 +187,10 @@ def raw_to_case(raw: RawCaseTables) -> GridCase:
 
     lines = []
     for i, r in enumerate(raw.branch):
-        if int(r[BR_STATUS]) <= 0:
+        if _integer(r[BR_STATUS], "branch", i, "BR_STATUS") <= 0:
             continue
-        f = ext_to_int.get(int(r[F_BUS]))
-        t = ext_to_int.get(int(r[T_BUS]))
+        f = ext_to_int.get(_integer(r[F_BUS], "branch", i, "F_BUS"))
+        t = ext_to_int.get(_integer(r[T_BUS], "branch", i, "T_BUS"))
         if f is None or t is None:
             raise MatpowerParseError(f"branch {i} references an unknown bus")
         if r[SHIFT] != 0:

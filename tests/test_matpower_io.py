@@ -114,6 +114,30 @@ class TestParse:
         with pytest.raises(MatpowerParseError, match=rf"^line {line}: "):
             parse_matpower(text)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("\t2\t2\t0\t0\t", "\t2.7\t2\t0\t0\t", "mpc.bus row 2: BUS_I"),
+            ("\t2\t2\t0\t0\t", "\t2\t2.6\t0\t0\t", "mpc.bus row 2: BUS_TYPE"),
+            ("\t2\t163\t", "\t2.5\t163\t", "mpc.gen row 2: GEN_BUS"),
+            ("1.04\t100\t1\t", "1.04\t100\t0.5\t", "mpc.gen row 1: GEN_STATUS"),
+            ("\t1\t4\t0\t0.0576", "\t1.5\t4\t0\t0.0576", "mpc.branch row 1: F_BUS"),
+            ("\t1\t4\t0\t0.0576", "\t1\t4.2\t0\t0.0576", "mpc.branch row 1: T_BUS"),
+            ("0.0576\t0\t250\t250\t250\t0\t0\t1\t",
+             "0.0576\t0\t250\t250\t250\t0\t0\t0.9\t", "mpc.branch row 1: BR_STATUS"),
+            ("\t2\t1500\t0\t3\t", "\t2.2\t1500\t0\t3\t", "mpc.gencost row 1: MODEL"),
+            ("\t2\t1500\t0\t3\t", "\t2\t1500\t0\t3.4\t", "mpc.gencost row 1: NCOST"),
+        ],
+        ids=["BUS_I", "BUS_TYPE", "GEN_BUS", "GEN_STATUS", "F_BUS", "T_BUS", "BR_STATUS",
+             "MODEL", "NCOST"],
+    )
+    def test_fractional_integer_column_refused(self, old, new, message):
+        """Bus numbers, types, statuses and cost-model fields are never truncated."""
+        text = CASE9_TEXT.replace(old, new, 1)
+        assert text != CASE9_TEXT
+        with pytest.raises(MatpowerParseError, match=rf"^{re.escape(message)} must be an integer"):
+            parse_matpower(text)
+
     def test_comma_separated_rows(self, case9):
         text = re.sub(r"(?<=\d)\t(?=[-\d.])", ", ", CASE9_TEXT)
         assert text.count(",") > 100
