@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import InvalidResponse, SolutionDoc, parse_solution_doc
-from .llm_protocol import build_sequence, validate_sequence
+from .llm_protocol import ProtocolError, TransportError, build_sequence, validate_sequence
 from .solvers import OpfSolution
 
 REPORT_SCHEMA = "gridprompt/report/v1"
@@ -125,16 +125,23 @@ def run_trial(trial: BenchmarkTrial, backend, max_chars: int | None = None) -> T
     seq = build_sequence(trial.context, trial.query_text, max_chars=max_chars)
     validate_sequence(seq)
     start = time.monotonic()
-    response = backend.complete(seq)
-    latency_ms = (time.monotonic() - start) * 1000.0
+    response, reason = "", ""
     try:
-        pred = parse_solution_doc(response)
-        mse_gen, mse_slack, mse_bus = score(pred, trial.truth, trial.base_mva)
-    except (InvalidResponse, ScoringError) as exc:
+        response = backend.complete(seq)
+    except (TransportError, ProtocolError) as exc:  # fails this trial, not the run
+        reason = f"{type(exc).__name__}: {exc}"
+    latency_ms = (time.monotonic() - start) * 1000.0
+    if not reason:
+        try:
+            pred = parse_solution_doc(response)
+            mse_gen, mse_slack, mse_bus = score(pred, trial.truth, trial.base_mva)
+        except (InvalidResponse, ScoringError) as exc:
+            reason = str(exc)
+    if reason:
         return TrialRecord(
             trial_id=trial.trial_id, valid=False,
             mse_gen=None, mse_slack=None, mse_bus=None,
-            response_chars=len(response), latency_ms=latency_ms, reason=str(exc),
+            response_chars=len(response), latency_ms=latency_ms, reason=reason,
         )
     return TrialRecord(
         trial_id=trial.trial_id, valid=True,

@@ -11,7 +11,9 @@ from gridprompt.evaluation import (
     run_benchmark,
     score,
 )
-from gridprompt.llm_protocol import FixedBackend, replay_backend
+from gridprompt.llm_protocol import (
+    AuthError, FixedBackend, ProtocolError, TransportError, replay_backend,
+)
 from gridprompt.scenario_gen import MutationSpec
 from gridprompt.solvers import OpfSolution
 import numpy as np
@@ -123,6 +125,36 @@ class TestRunBenchmark:
         )
         invalid_fraction = sum(not r.valid for r in records) / len(records)
         assert report.valid_fraction + invalid_fraction == 1.0
+
+    @pytest.mark.parametrize("error", [TransportError, ProtocolError])
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_endpoint_failure_is_an_invalid_trial(self, dataset9, tmp_path, error, concurrency):
+        """An endpoint error fails its trial only: the run still logs every trial."""
+        failing = make_trials(dataset9.entries, 2, 3, seed=4)[0].query_text
+
+        class FailingOnce:
+            def complete(self, seq):
+                if seq.messages[-1].content.endswith(failing):
+                    raise error("gave up after 4 attempts (HTTP 503)")
+                return dataset9.entries[0].solution_text
+
+        log = tmp_path / "trials.jsonl"
+        report, records = run_benchmark(
+            dataset9.entries, FailingOnce(), trials=2, context_size=3, seed=4,
+            concurrency=concurrency, log_path=log,
+        )
+        assert [r.valid for r in records] == [False, True]
+        assert records[0].reason == f"{error.__name__}: gave up after 4 attempts (HTTP 503)"
+        assert len(log.read_text().splitlines()) == 2
+        assert reaggregate_log(log, report.config).to_json() == report.to_json()
+
+    def test_rejected_credentials_abort_the_run(self, dataset9, tmp_path):
+        class Unauthorized:
+            def complete(self, seq):
+                raise AuthError("endpoint rejected credentials (HTTP 401)")
+
+        with pytest.raises(AuthError):
+            run_benchmark(dataset9.entries, Unauthorized(), trials=2, context_size=3)
 
     def test_mismatched_solution_counts_invalid(self, dataset9, case30, tmp_path):
         from gridprompt.solvers import solve_opf

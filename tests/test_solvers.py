@@ -488,7 +488,8 @@ class TestPhase1:
         assert sol.message.startswith("infeasible: line 9 (6-8) from-end rating over by")
         assert sol.max_violation_pu > case30_warm.constraint_tol
         assert len(calls) < 5  # max_outer is 20
-        assert [s.reason for s in sol.stats] == ["stalled", "converged"]  # OPF, elastic
+        assert [s.reason for s in sol.stats] == ["infeasible", "converged"]  # OPF, elastic
+        assert sol.stats[0].iterations <= 5  # handed over once its steps collapsed
         assert sol.stats[1].kkt < OpfOptions.optimality_tol <= sol.stats[0].kkt
 
     def test_rejected_violation_does_not_depend_on_the_start(self, case30, case30_warm):
@@ -528,8 +529,56 @@ class TestPhase1:
         assert stranded.message.startswith("infeasible: slack gen 0 P min over by 2.50e-02 pu")
         assert stranded.max_violation_pu == pytest.approx(0.025, rel=1e-5)
         heavy = solve_opf(scaled_loads(case9, 2.2))
-        assert [s.reason for s in heavy.stats] == ["stalled", "converged"]  # OPF, elastic
+        assert [s.reason for s in heavy.stats] == ["infeasible", "converged"]  # OPF, elastic
+        assert heavy.stats[0].iterations <= 5
         assert heavy.message.startswith("infeasible: line 0 (1-4)")
+
+    def test_collapsed_steps_hand_over_only_on_rejections(self, case30, case30_warm, monkeypatch):
+        """The rejected draws ask for the verdict within a few iterations; the
+        feasible draws never run the elastic solve."""
+        calls = []
+        elastic = solvers._OpfProblem.elastic
+
+        def counting(prob, *args):
+            calls.append(prob)
+            return elastic(prob, *args)
+
+        monkeypatch.setattr(solvers._OpfProblem, "elastic", counting)
+        for i in range(16):
+            calls.clear()
+            sol = solve_opf(mutate(case30, self.spec, i), case30_warm)
+            if i in (0, 4, 9, 11, 12, 14):
+                assert sol.message.startswith("infeasible: line 9 (6-8)"), i
+                assert sol.stats[0].reason == "infeasible" and sol.stats[0].iterations <= 5, i
+                assert len(calls) == 1, i
+            else:
+                assert sol.feasible and len(sol.stats) == 1 and not calls, i
+
+    def test_a_false_alarm_resumes_to_the_same_answer(self, case9, case30, case30_warm, monkeypatch):
+        """A verdict asked for and declined leaves the loop where it was: with the
+        answer forced to False, each rejection stalls and reuses that one verdict."""
+        grids = [(mutate(case30, self.spec, i), case30_warm) for i in (0, 4, 9, 11, 12, 14)]
+        grids += [(with_line(case9, 0, rate_mva=5.0), None), (scaled_loads(case9, 2.2), None)]
+        want = [solve_opf(case, opts) for case, opts in grids]
+        mips, elastic, asked = solvers._mips, solvers._OpfProblem.elastic, []
+
+        def declining(*args, infeasible=None, **kwargs):
+            def ask():
+                asked.append(infeasible())  # the real verdict, then a False answer
+                return False
+            return mips(*args, infeasible=ask if infeasible else None, **kwargs)
+
+        monkeypatch.setattr(solvers, "_mips", declining)
+        monkeypatch.setattr(
+            solvers._OpfProblem, "elastic", lambda *a: asked.append("elastic") or elastic(*a)
+        )
+        for (case, opts), sol in zip(grids, want):
+            asked.clear()
+            got = solve_opf(case, opts)
+            assert got == sol and got.message == sol.message, sol.message
+            assert asked == ["elastic", True]  # one verdict, asked once, then reused
+            assert got.stats[0].reason == "stalled" and got.stats[1] == sol.stats[1]
+            assert got.stats[0].iterations > sol.stats[0].iterations
 
 
 def test_interior_point_iterations_are_bounded(case9, case30, monkeypatch):
