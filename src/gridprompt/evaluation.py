@@ -125,7 +125,7 @@ def run_trial(trial: BenchmarkTrial, backend, max_chars: int | None = None) -> T
     seq = build_sequence(trial.context, trial.query_text, max_chars=max_chars)
     validate_sequence(seq)
     start = time.monotonic()
-    response, reason = "", ""
+    response, reason, mse = "", "", (None, None, None)
     try:
         response = backend.complete(seq)
     except (TransportError, ProtocolError) as exc:  # fails this trial, not the run
@@ -133,21 +133,10 @@ def run_trial(trial: BenchmarkTrial, backend, max_chars: int | None = None) -> T
     latency_ms = (time.monotonic() - start) * 1000.0
     if not reason:
         try:
-            pred = parse_solution_doc(response)
-            mse_gen, mse_slack, mse_bus = score(pred, trial.truth, trial.base_mva)
+            mse = score(parse_solution_doc(response), trial.truth, trial.base_mva)
         except (InvalidResponse, ScoringError) as exc:
             reason = str(exc)
-    if reason:
-        return TrialRecord(
-            trial_id=trial.trial_id, valid=False,
-            mse_gen=None, mse_slack=None, mse_bus=None,
-            response_chars=len(response), latency_ms=latency_ms, reason=reason,
-        )
-    return TrialRecord(
-        trial_id=trial.trial_id, valid=True,
-        mse_gen=mse_gen, mse_slack=mse_slack, mse_bus=mse_bus,
-        response_chars=len(response), latency_ms=latency_ms,
-    )
+    return TrialRecord(trial.trial_id, not reason, *mse, len(response), latency_ms, reason)
 
 
 def aggregate(records: list[TrialRecord], config: dict) -> EvalReport:

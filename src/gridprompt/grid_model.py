@@ -225,23 +225,39 @@ def from_hetero(tables: dict) -> GridCase:
         raise GridError(f"node tables do not describe a grid: {exc!r}") from None
 
 
-def admittance_matrix(case: GridCase) -> np.ndarray:
-    """Complex bus admittance matrix (per-unit) from the pi line model.
+def branch_admittances(case: GridCase, lines) -> tuple[np.ndarray, ...]:
+    """From/to bus indices and the pi-model matrices Y, C of the line-end powers.
 
-    Charging susceptance is split half per end; off-nominal taps are applied
-    on the from side.
+    Row k of ``(C @ V) * conj(Y @ V)`` is the power entering ``lines[k]`` at
+    its from bus, row nl + k at its to bus. Charging susceptance is split
+    half per end; off-nominal taps are applied on the from side.
     """
-    n = case.n_bus
-    Y = np.zeros((n, n), dtype=complex)
-    for ln in case.lines:
-        if ln.r_pu == 0 and ln.x_pu == 0:
-            raise GridError(f"line {ln.id} has zero series impedance")
-        ys = 1.0 / complex(ln.r_pu, ln.x_pu)
-        bc = 1j * ln.b_pu / 2.0
-        t = ln.tap_ratio
-        f, to = ln.from_bus, ln.to_bus
-        Y[f, f] += (ys + bc) / (t * t)
-        Y[to, to] += ys + bc
-        Y[f, to] += -ys / t
-        Y[to, f] += -ys / t
-    return Y
+    z = [complex(ln.r_pu, ln.x_pu) for ln in lines]
+    if 0 in z:
+        raise GridError(f"line {lines[z.index(0)].id} has zero series impedance")
+    f = np.array([ln.from_bus for ln in lines], dtype=int)
+    t = np.array([ln.to_bus for ln in lines], dtype=int)
+    ys = np.array([1.0 / zk for zk in z], dtype=complex)  # Python's 1/z; numpy's rounds apart
+    bc = 0.5j * np.array([ln.b_pu for ln in lines])
+    tap = np.array([ln.tap_ratio for ln in lines])
+    nl, k = len(lines), np.arange(len(lines))
+    Y = np.zeros((2 * nl, case.n_bus), dtype=complex)
+    Y[k, f] = (ys + bc) / (tap * tap)
+    Y[k, t] = Y[nl + k, f] = -ys / tap
+    Y[nl + k, t] = ys + bc
+    C = np.zeros((2 * nl, case.n_bus))
+    C[np.arange(2 * nl), np.concatenate([f, t])] = 1.0
+    return f, t, Y, C
+
+
+def admittance_matrix(case: GridCase) -> np.ndarray:
+    """Complex bus admittance matrix (per-unit): C.T @ Y of ``branch_admittances``.
+
+    Each line end's row is added at its bus in line order, the order in which
+    a line-by-line stamp adds them.
+    """
+    f, t, Y, _ = branch_admittances(case, case.lines)
+    ends = np.arange(len(Y)).reshape(2, -1).T.ravel()  # from end, to end, line by line
+    Ybus = np.zeros((case.n_bus, case.n_bus), dtype=complex)
+    np.add.at(Ybus, np.concatenate([f, t])[ends], Y[ends])
+    return Ybus

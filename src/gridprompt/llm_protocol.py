@@ -225,7 +225,7 @@ class OracleBackend:
     def complete(self, seq: PromptSequence) -> str:
         query = seq.query_text
         if query not in self._truth:
-            raise KeyError("oracle has no ground truth for this query")
+            raise ProtocolError("oracle has no ground truth for this query")
         return self._truth[query]
 
 

@@ -8,7 +8,9 @@ Zimmerman, MATPOWER Technical Note 2 (2010). Equalities are the P and Q
 balance at every bus, the slack angle and the shared-bus reactive split;
 inequalities are the squared line flows under their squared ratings and the
 variable bounds. Grids in scope are small (tens of buses), so everything is
-dense numpy.
+dense numpy. The network is ``grid_model``'s pi line model: line-end powers
+from ``branch_admittances``, bus injections from ``admittance_matrix`` (its rows
+summed at their buses), whose derivatives are the line-end ones with C = I.
 
 The model is built once per grid and shared by its draws; each iteration
 fills the derivatives and the Newton system in place. A converged solve
@@ -44,7 +46,7 @@ from typing import ClassVar
 import numpy as np
 from scipy import optimize
 
-from .grid_model import BusKind, GridCase, admittance_matrix
+from .grid_model import BusKind, GridCase, admittance_matrix, branch_admittances
 
 
 class SolverError(Exception):
@@ -108,7 +110,7 @@ class _Network:
 
     def __init__(self, case: GridCase):
         n = case.n_bus
-        self.Y = admittance_matrix(case)
+        self.Y, self.eye = admittance_matrix(case), np.eye(n)  # eye: C of the bus injections
         self.base = case.base_mva
         kinds = [b.bus_kind for b in case.buses]
         self.slack_bus = kinds.index(BusKind.SLACK)
@@ -123,13 +125,14 @@ class _Network:
         self.vm_min = np.array([b.vm_min for b in case.buses])
         self.vm_max = np.array([b.vm_max for b in case.buses])
 
-        # bus <- machine incidence of active setpoints; the slack machine's
-        # output is whatever closes the balance, so its column is zero
-        self.gen_p_inc = np.zeros((n, len(gens)))
-        self.gen_p_inc[self.gen_bus, np.arange(len(gens))] = ~self.gen_is_slack
-        # fixed bus self.fixed[vm_set_pos[k]] takes the |V| setpoint of machine
-        # vm_set_gen[k] (last machine wins on shared buses); others stay at 1 pu
-        last = {g.bus: i for i, g in enumerate(gens)}
+        # bus <- machine incidence, and that of active setpoints: the slack
+        # machine's output is whatever closes the balance, so its column is zero
+        self.cg = np.zeros((n, len(gens)))
+        self.cg[self.gen_bus, np.arange(len(gens))] = 1.0
+        self.gen_p_inc = self.cg * ~self.gen_is_slack
+        # bus -> its last machine, whose |V| setpoint wins on a shared bus: fixed
+        # bus self.fixed[vm_set_pos[k]] takes that of machine vm_set_gen[k], others 1 pu
+        self.last_gen = last = {g.bus: i for i, g in enumerate(gens)}
         self.vm_set_pos = np.array([k for k, b in enumerate(self.fixed) if b in last], int)
         self.vm_set_gen = np.array([last[b] for b in self.fixed if b in last], int)
         # a bus's reactive output splits among its machines in proportion to
@@ -143,11 +146,11 @@ class _Network:
 
         rated = [ln for ln in case.lines if ln.rate_mva > 0]
         self.line_id = np.array([ln.id for ln in rated], dtype=int)
-        self.line_f, self.line_t, self.Ybr, self.Cbr = _branch_admittances(case, rated)
+        self.line_f, self.line_t, self.Ybr, self.Cbr = branch_admittances(case, rated)
         self.rate = np.array([ln.rate_mva for ln in rated]) / self.base
 
         # Flat positions of the PF Jacobian (rows P at pvpq, Q at pq; columns
-        # Va at pvpq, Vm at pq) in np.stack([dS.real, dS.imag]), dS = _dsbus_dv
+        # Va at pvpq, Vm at pq) in np.stack([dS.real, dS.imag]), dS = _ds_dv(Y, eye, V)
         rc = np.concatenate([self.pvpq, n + self.pq])
         self.jac_index = 2 * n * rc[:, None] + rc
 
@@ -161,53 +164,19 @@ class _Network:
         return net
 
 
-def _branch_admittances(case: GridCase, lines):
-    """From/to bus indices and the pi-model matrices Y, C of the line-end powers.
-
-    Row k of ``(C @ V) * conj(Y @ V)`` is the power entering ``lines[k]`` at
-    its from bus (off-nominal tap on that side), row nl + k at its to bus.
-    """
-    f = np.array([ln.from_bus for ln in lines], dtype=int)
-    t = np.array([ln.to_bus for ln in lines], dtype=int)
-    ys = 1.0 / np.array([complex(ln.r_pu, ln.x_pu) for ln in lines])
-    bc = 0.5j * np.array([ln.b_pu for ln in lines])
-    tap = np.array([ln.tap_ratio for ln in lines])
-    nl, k = len(lines), np.arange(len(lines))
-    Y = np.zeros((2 * nl, case.n_bus), dtype=complex)
-    Y[k, f] = (ys + bc) / (tap * tap)
-    Y[k, t] = Y[nl + k, f] = -ys / tap
-    Y[nl + k, t] = ys + bc
-    C = np.zeros((2 * nl, case.n_bus))
-    C[np.arange(2 * nl), np.concatenate([f, t])] = 1.0
-    return f, t, Y, C
-
-
 def _ds_dv(Y: np.ndarray, C: np.ndarray, V: np.ndarray) -> np.ndarray:
     """[dS/dVa, dS/dVm] of S = (C V) * conj(Y V), in polar form, side by side.
 
-    MATPOWER's dSbr_dV; ``_dsbus_dv`` is the case C = I.
+    MATPOWER's dSbr_dV; with C = I (``_Network.eye``) it is dSbus_dV, the
+    derivative of the bus injections V * conj(Y V).
     """
     n = len(V)
     Vnorm = V / np.abs(V)
     CV = C @ V
-    conj_i = np.conj(Y @ V)[:, None]
+    iC = np.conj(Y @ V)[:, None] * C
     dS = np.empty((len(Y), 2 * n), dtype=complex)
-    dS[:, :n] = 1j * (conj_i * C * V - CV[:, None] * np.conj(Y * V))
-    dS[:, n:] = CV[:, None] * np.conj(Y * Vnorm) + conj_i * C * Vnorm
-    return dS
-
-
-def _dsbus_dv(Y: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """``_ds_dv(Y, I, V)``, MATPOWER's dSbus_dV: the same bits but for the sign
-    of some zeros, with the conj(Y V) terms added along the diagonal."""
-    n, i = len(V), np.arange(len(V))
-    Vnorm = V / np.abs(V)
-    conj_i = np.conj(Y @ V)
-    dS = np.empty((n, 2 * n), dtype=complex)
-    dS[:, :n] = -1j * (V[:, None] * np.conj(Y * V))
-    dS[i, i] += 1j * (conj_i * V)
-    dS[:, n:] = V[:, None] * np.conj(Y * Vnorm)
-    dS[i, n + i] += conj_i * Vnorm
+    dS[:, :n] = 1j * (iC * V - CV[:, None] * np.conj(Y * V))
+    dS[:, n:] = CV[:, None] * np.conj(Y * Vnorm) + iC * Vnorm
     return dS
 
 
@@ -272,7 +241,7 @@ def _newton_pf(
     F = mismatch(V)
     norm = np.max(np.abs(F)) if F.size else 0.0
     while norm > tol and it < max_iter:
-        dS = _dsbus_dv(net.Y, V)
+        dS = _ds_dv(net.Y, net.eye, V)
         J = np.stack([dS.real, dS.imag]).take(net.jac_index)
         try:
             dx = np.linalg.solve(J, F)
@@ -291,15 +260,16 @@ def _newton_pf(
     return V, norm <= tol, it, norm
 
 
-def _slack_p_pu(net: _Network, S: np.ndarray, gen_p_pu: np.ndarray) -> float:
-    """Slack machine output: slack-bus injection S plus load, less co-located setpoints."""
-    sb = net.slack_bus
-    return S.real[sb] + net.p_load[sb] - net.gen_p_inc[sb] @ gen_p_pu
+def _machine_pq(net: _Network, V: np.ndarray, gen_p_pu: np.ndarray):
+    """Per-machine P and Q (per unit) of the power flow V at the setpoints gen_p_pu.
 
-
-def _gen_q_pu(net: _Network, S: np.ndarray) -> np.ndarray:
-    """Reactive output per machine: each bus's balance split by ``net.q_weight``."""
-    return net.q_weight * (S.imag + net.q_load)[net.gen_bus]
+    The slack machine's P closes its bus's balance, less co-located setpoints;
+    each bus's reactive balance is split among its machines by ``net.q_weight``.
+    """
+    S = V * np.conj(net.Y @ V)
+    sb, p = net.slack_bus, gen_p_pu.copy()
+    p[net.gen_is_slack] = S.real[sb] + net.p_load[sb] - net.gen_p_inc[sb] @ gen_p_pu
+    return p, net.q_weight * (S.imag + net.q_load)[net.gen_bus]
 
 
 def solve_pf(
@@ -325,16 +295,12 @@ def solve_pf(
         float,
     )
     V, converged, it, norm = _newton_pf(net, gen_p, gen_vm, tol, max_iter, v0)
-
-    S = V * np.conj(net.Y @ V)
-    p_out = gen_p * net.base
-    p_out[net.gen_is_slack] = _slack_p_pu(net, S, gen_p) * net.base
-    q_out = _gen_q_pu(net, S) * net.base
+    p, q = _machine_pq(net, V, gen_p)
     return PfSolution(
         vm_pu=np.abs(V),
         va_deg=np.degrees(np.angle(V)),
-        gen_p_mw=p_out,
-        gen_q_mvar=q_out,
+        gen_p_mw=p * net.base,
+        gen_q_mvar=q * net.base,
         converged=converged,
         iterations=it,
         max_mismatch_pu=float(norm),
@@ -486,14 +452,11 @@ class _OpfProblem:
         self.nx, self.ip, self.iq = 2 * n + 2 * ng, 2 * n, 2 * n + ng  # Pg, Qg start at ip, iq
 
         base = net.base
-        self.cg = np.zeros((n, ng))
-        self.cg[net.gen_bus, np.arange(ng)] = 1.0
         # every machine but the last on its bus takes its q_weight share of the bus's Q
-        last = {g.bus: i for i, g in enumerate(gens)}
-        split = [i for i, g in enumerate(gens) if last[g.bus] != i]
+        split = [i for i, g in enumerate(gens) if net.last_gen[g.bus] != i]
         self.a_eq = np.zeros((1 + len(split), self.nx))
         self.a_eq[0, net.slack_bus] = 1.0
-        self.a_eq[1:, self.iq:] = (np.eye(ng) - net.q_weight[:, None] * (self.cg.T @ self.cg))[split]
+        self.a_eq[1:, self.iq:] = (np.eye(ng) - net.q_weight[:, None] * (net.cg.T @ net.cg))[split]
 
         p_min, p_max, q_min, q_max = np.array(
             [[g.p_min_mw, g.p_max_mw, g.q_min_mvar, g.q_max_mvar] for g in gens]
@@ -515,7 +478,7 @@ class _OpfProblem:
         self.con_index = np.concatenate([ends, ends + 1, pair[bounded[0]], pair[bounded[1]] + 1])
         # fun's dh and dg with their constant blocks set; fun fills copies
         self.dh0 = np.vstack([np.zeros((2 * n, self.nx)), self.a_eq])
-        self.dh0[:n, self.ip : self.iq] = self.dh0[n : 2 * n, self.iq :] = -self.cg
+        self.dh0[:n, self.ip : self.iq] = self.dh0[n : 2 * n, self.iq :] = -net.cg
         self.dg0 = np.vstack([np.zeros((2 * nl, self.nx)), self.a_bound])
 
         self.cost_c2 = np.array([g.cost_c2 for g in gens]) * base * base
@@ -559,8 +522,8 @@ class _OpfProblem:
         df = np.zeros(self.nx)
         df[self.ip : self.iq] = self.COST_SCALE * (2.0 * self.cost_c2 * pg + self.cost_c1)
 
-        S = V * np.conj(net.Y @ V) + net.p_load + 1j * net.q_load - self.cg @ (pg + 1j * qg)
-        dS = _dsbus_dv(net.Y, V)
+        S = V * np.conj(net.Y @ V) + net.p_load + 1j * net.q_load - net.cg @ (pg + 1j * qg)
+        dS = _ds_dv(net.Y, net.eye, V)
         h = np.concatenate([S.real, S.imag, self.a_eq @ x])
         dh = self.dh0.copy()
         dh[:n, : 2 * n], dh[n : 2 * n, : 2 * n] = dS.real, dS.imag
@@ -590,7 +553,7 @@ class _OpfProblem:
         H[: 2 * n, : 2 * n] = (
             # the identity, not a diagonal form: BLAS rounds conj(Y).T @ diag(lam)
             # differently from a broadcast product, and the iterates would move
-            _d2s_dv2(net.Y, np.eye(n), V, lam[:n] - 1j * lam[n : 2 * n])
+            _d2s_dv2(net.Y, net.eye, V, lam[:n] - 1j * lam[n : 2 * n])
             + 2.0 * _d2s_dv2(net.Ybr, net.Cbr, V, np.conj(Sbr) * mu_br)
             + 2.0 * dSbr.T @ (mu_br[:, None] * np.conj(dSbr))
         ).real
@@ -609,9 +572,7 @@ class _OpfProblem:
         V, conv, _, _ = _newton_pf(net, gen_p, gen_vm, opts.pf_tol, opts.pf_max_iter, v0)
         if not conv:
             return None
-        S = V * np.conj(net.Y @ V)
-        gen_p[self.slack_i] = _slack_p_pu(net, S, gen_p)
-        return np.concatenate([np.angle(V), np.abs(V), gen_p, _gen_q_pu(net, S)])
+        return np.concatenate([np.angle(V), np.abs(V), *_machine_pq(net, V, gen_p)])
 
     def elastic(self, x: np.ndarray, options: dict):
         """min t subject to h = 0, the hard rows of g, every soft row over its
@@ -662,19 +623,17 @@ class _OpfProblem:
         )
 
     def evaluate(self, gen_p: np.ndarray, V: np.ndarray):
-        """Cost ($/h) and the reduced g <= 0 of the power flow V at dispatch gen_p.
+        """Cost ($/h), the reduced g <= 0, and each machine's MW and MVAr, of the
+        power flow V at dispatch gen_p.
 
         Every g entry is in per-unit so one tolerance fits all; ``con_names``
         names them.
         """
         net = self.net
-        S = V * np.conj(net.Y @ V)
-        sp = _slack_p_pu(net, S, gen_p)
-        q = _gen_q_pu(net, S)
+        p, q = _machine_pq(net, V, gen_p)
+        sp = p[self.slack_i]
         vm = np.abs(V[net.pq])
         sf, st = np.split(np.abs((net.Cbr @ V) * np.conj(net.Ybr @ V)), 2)
-        p_mw = gen_p * net.base
-        p_mw[self.slack_i] = sp * net.base
         # pairs (upper, lower) for slack P, each machine's Q and each PQ-bus
         # |V|, then (from end, to end) for each rated line
         g = np.stack([
@@ -683,7 +642,8 @@ class _OpfProblem:
             np.concatenate([[self.slack_p_min - sp], self.q_min - q,
                             net.vm_min[net.pq] - vm, st - net.rate]),
         ], axis=1).ravel()
-        return generation_cost(self.case, p_mw), g
+        p_mw = p * net.base
+        return generation_cost(self.case, p_mw), g, p_mw, q * net.base
 
     def solve(self) -> OpfSolution:
         x = self.start()
@@ -747,11 +707,7 @@ class _OpfProblem:
                 message=reason if point is None else "pf_diverged: final power flow diverged",
                 stats=stats,
             )
-        S = V * np.conj(net.Y @ V)
-        p_mw = gen_p * net.base
-        p_mw[self.slack_i] = _slack_p_pu(net, S, gen_p) * net.base
-        q_mvar = _gen_q_pu(net, S) * net.base
-        cost, gv = self.evaluate(gen_p, V)
+        cost, gv, p_mw, q_mvar = self.evaluate(gen_p, V)
         viol = float(gv.max())  # g always holds the slack P pair
         worst = int(np.argmax(gv)) if worst is None else worst
         feasible = reason == "converged" and viol <= opts.constraint_tol
@@ -769,7 +725,7 @@ class _OpfProblem:
 def line_loadings_mva(case: GridCase, vm_pu, va_deg) -> list[tuple[int, float, float]]:
     """Apparent power at both ends of every line, for limit reporting."""
     V = np.asarray(vm_pu) * np.exp(1j * np.radians(np.asarray(va_deg)))
-    _, _, Y, C = _branch_admittances(case, case.lines)
+    _, _, Y, C = branch_admittances(case, case.lines)
     sf, st = np.split(np.abs((C @ V) * np.conj(Y @ V)) * case.base_mva, 2)
     return [(ln.id, float(a), float(b)) for ln, a, b in zip(case.lines, sf, st)]
 

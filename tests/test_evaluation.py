@@ -148,6 +148,21 @@ class TestRunBenchmark:
         assert len(log.read_text().splitlines()) == 2
         assert reaggregate_log(log, report.config).to_json() == report.to_json()
 
+    def test_oracle_without_a_truth_fails_only_that_trial(self, dataset9, tmp_path):
+        """An oracle holding half the truths fails the other half's trials and logs the run."""
+        half = dict(list(dataset9.truth_map().items())[::2])
+        log = tmp_path / "trials.jsonl"
+        report, records = run_benchmark(
+            dataset9.entries, replay_backend("oracle", half), trials=2, context_size=3,
+            seed=0, log_path=log,
+        )
+        assert [r.valid for r in records] == [True, False]
+        assert records[0].mse_gen <= 1e-12
+        assert records[1].reason == "ProtocolError: oracle has no ground truth for this query"
+        assert records[1].mse_gen is None and records[1].response_chars == 0
+        assert len(log.read_text().splitlines()) == 2
+        assert reaggregate_log(log, report.config).to_json() == report.to_json()
+
     def test_rejected_credentials_abort_the_run(self, dataset9, tmp_path):
         class Unauthorized:
             def complete(self, seq):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridprompt import solvers
-from gridprompt.grid_model import BusKind, admittance_matrix
+from gridprompt.grid_model import BusKind, Line, admittance_matrix
 from gridprompt.scenario_gen import MutationSpec, mutate
 from gridprompt.solvers import (
     OpfOptions,
@@ -353,15 +353,28 @@ def test_elastic_derivatives_match_central_differences(case_name, request, monke
     assert_derivatives_match_central_differences(captured["fun"], captured["hess"], y, rng)
 
 
-@pytest.mark.parametrize("case_name", ["case9", "case30"])
-def test_bus_injection_derivatives_equal_the_identity_form(case_name, request):
-    """The diagonal dSbus_dV is the C = I branch form, bit for bit."""
-    Y = admittance_matrix(request.getfixturevalue(case_name))
-    n = len(Y)
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        V = rng.uniform(0.9, 1.1, n) * np.exp(1j * rng.uniform(-0.5, 0.5, n))
-        assert np.array_equal(solvers._dsbus_dv(Y, V), solvers._ds_dv(Y, np.eye(n), V))
+@pytest.fixture
+def two_bus_tapped():
+    """Two buses joined by a tapped, charged line and a parallel one the other way round."""
+    case = two_bus_case(r=0.01, x=0.1, b=0.04)
+    tapped = dataclasses.replace(case.lines[0], tap_ratio=0.975)
+    parallel = Line(id=1, from_bus=1, to_bus=0, r_pu=0.02, x_pu=0.15, b_pu=0.01, tap_ratio=1.02)
+    return dataclasses.replace(case, lines=(tapped, parallel))
+
+
+@pytest.mark.parametrize("case_name", ["case9", "case30", "case9_shared_buses", "two_bus_tapped"])
+def test_admittance_matrix_matches_a_per_line_stamp(case_name, request):
+    """Ybus from the vectorized line model agrees with the pi model stamped line by line."""
+    case = request.getfixturevalue(case_name)
+    want = np.zeros((case.n_bus, case.n_bus), dtype=complex)
+    for ln in case.lines:
+        ys, bc, tap = 1.0 / complex(ln.r_pu, ln.x_pu), 0.5j * ln.b_pu, ln.tap_ratio
+        f, t = ln.from_bus, ln.to_bus
+        want[f, f] += (ys + bc) / tap**2
+        want[t, t] += ys + bc
+        want[f, t] -= ys / tap
+        want[t, f] -= ys / tap
+    assert np.max(np.abs(admittance_matrix(case) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("case_name", ["case9", "case30", "case9_shared_buses"])
@@ -628,7 +641,7 @@ def test_constraint_names_follow_g(case30):
     pf = solve_pf(case30)
     gen_p, _ = prob.controls(prob.start())
     assert np.array_equal(gen_p[prob.free] * case30.base_mva, pf.gen_p_mw[prob.free])
-    _, g = prob.evaluate(gen_p, pf.vm_pu * np.exp(1j * np.radians(pf.va_deg)))
+    g = prob.evaluate(gen_p, pf.vm_pu * np.exp(1j * np.radians(pf.va_deg)))[1]
     named = dict(zip(prob.con_names, g))
     assert len(named) == len(g) == prob.n_con
     base, ext = case30.base_mva, case30.external_bus_ids
@@ -660,7 +673,7 @@ def test_relaxed_rows_of_g_index_their_names(case30):
     prob = _OpfProblem(case30, OpfOptions())
     x = prob.start()
     g = prob.fun(x)[4]
-    _, reduced = prob.evaluate(prob.controls(x)[0], prob.voltages(x))
+    reduced = prob.evaluate(prob.controls(x)[0], prob.voltages(x))[1]
     nf, soft = len(prob.rate2), prob.con_index >= 0
     over = np.concatenate([np.sqrt(g[:nf] + prob.rate2) - np.sqrt(prob.rate2), g[nf:]])
     assert sorted(prob.con_index[soft]) == list(range(prob.n_con))
