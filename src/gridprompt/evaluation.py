@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import InvalidResponse, SolutionDoc, parse_solution_doc
-from .llm_protocol import ProtocolError, TransportError, build_sequence, validate_sequence
+from .llm_protocol import (
+    ProtocolError, SequenceError, TransportError, build_sequence, validate_sequence,
+)
 from .solvers import OpfSolution
 
 REPORT_SCHEMA = "gridprompt/report/v1"
@@ -122,8 +124,11 @@ def make_trials(entries, trials: int, context_size: int, seed: int) -> list[Benc
 
 
 def run_trial(trial: BenchmarkTrial, backend, max_chars: int | None = None) -> TrialRecord:
-    seq = build_sequence(trial.context, trial.query_text, max_chars=max_chars)
-    validate_sequence(seq)
+    try:
+        seq = build_sequence(trial.context, trial.query_text, max_chars=max_chars)
+        validate_sequence(seq)
+    except SequenceError as exc:  # e.g. over the char budget: fails this trial, sends nothing
+        return TrialRecord(trial.trial_id, False, None, None, None, 0, 0.0, f"SequenceError: {exc}")
     start = time.monotonic()
     response, reason, mse = "", "", (None, None, None)
     try:

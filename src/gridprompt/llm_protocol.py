@@ -11,7 +11,7 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import requests
@@ -136,17 +136,7 @@ class EndpointConfig:
             raise ValueError("timeout_s must be > 0")
 
 
-@dataclass
-class CompletionStats:
-    retries: int = 0
-    latency_ms: float = 0.0
-
-
-def complete(
-    seq: PromptSequence,
-    cfg: EndpointConfig,
-    stats: CompletionStats | None = None,
-) -> str:
+def complete(seq: PromptSequence, cfg: EndpointConfig) -> str:
     """POST the sequence to {base_url}/chat/completions and return the reply.
 
     Retries on 429 / 5xx / timeouts with exponential backoff and jitter;
@@ -164,14 +154,11 @@ def complete(
         "max_tokens": cfg.max_output_tokens,
     }
 
-    start = time.monotonic()
     last_error = "no attempt made"
     for attempt in range(cfg.max_retries + 1):
         if attempt > 0:
             delay = cfg.backoff_base_s * (2 ** (attempt - 1))
             time.sleep(delay * (1.0 + random.random() * 0.25))
-            if stats is not None:
-                stats.retries = attempt
         try:
             resp = requests.post(url, json=payload, headers=headers, timeout=cfg.timeout_s)
         except requests.Timeout:
@@ -193,8 +180,6 @@ def complete(
             content = body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(f"malformed completion payload: {exc}") from None
-        if stats is not None:
-            stats.latency_ms = (time.monotonic() - start) * 1000.0
         return content
 
     raise TransportError(

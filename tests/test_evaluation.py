@@ -12,7 +12,7 @@ from gridprompt.evaluation import (
     score,
 )
 from gridprompt.llm_protocol import (
-    AuthError, FixedBackend, ProtocolError, TransportError, replay_backend,
+    AuthError, FixedBackend, ProtocolError, TransportError, build_sequence, replay_backend,
 )
 from gridprompt.scenario_gen import MutationSpec
 from gridprompt.solvers import OpfSolution
@@ -159,6 +159,32 @@ class TestRunBenchmark:
         assert [r.valid for r in records] == [True, False]
         assert records[0].mse_gen <= 1e-12
         assert records[1].reason == "ProtocolError: oracle has no ground truth for this query"
+        assert records[1].mse_gen is None and records[1].response_chars == 0
+        assert len(log.read_text().splitlines()) == 2
+        assert reaggregate_log(log, report.config).to_json() == report.to_json()
+
+    def test_over_budget_prompt_fails_only_that_trial(self, dataset9, tmp_path):
+        """A trial over max_chars is an invalid record, sent to no backend; the run goes on."""
+        plan = make_trials(dataset9.entries, trials=2, context_size=2, seed=0)
+        chars = [build_sequence(t.context, t.query_text).char_count() for t in plan]
+        assert chars[0] < chars[1]
+        oracle, sent = replay_backend("oracle", dataset9.truth_map()), []
+
+        class Recording:
+            def complete(self, seq):
+                sent.append(seq)
+                return oracle.complete(seq)
+
+        log = tmp_path / "trials.jsonl"
+        report, records = run_benchmark(
+            dataset9.entries, Recording(), trials=2, context_size=2, seed=0,
+            max_chars=chars[0], log_path=log,
+        )
+        assert [r.valid for r in records] == [True, False]
+        assert len(sent) == 1
+        assert records[1].reason == (
+            f"SequenceError: sequence is {chars[1]} chars, budget is {chars[0]}"
+        )
         assert records[1].mse_gen is None and records[1].response_chars == 0
         assert len(log.read_text().splitlines()) == 2
         assert reaggregate_log(log, report.config).to_json() == report.to_json()

@@ -7,7 +7,6 @@ import pytest
 
 from gridprompt.llm_protocol import (
     AuthError,
-    CompletionStats,
     EndpointConfig,
     ProtocolError,
     TransportError,
@@ -83,10 +82,8 @@ def test_success_path(mock_server):
 
 def test_429_retry_then_success(mock_server):
     MockHandler.script = ["429", "429", "ok"]
-    stats = CompletionStats()
-    out = complete(build_sequence([], "q"), cfg(mock_server), stats)
+    out = complete(build_sequence([], "q"), cfg(mock_server))
     assert out == "mock reply"
-    assert stats.retries == 2
     assert len(MockHandler.requests_seen) == 3
 
 

@@ -643,7 +643,7 @@ def test_constraint_names_follow_g(case30):
     assert np.array_equal(gen_p[prob.free] * case30.base_mva, pf.gen_p_mw[prob.free])
     g = prob.evaluate(gen_p, pf.vm_pu * np.exp(1j * np.radians(pf.va_deg)))[1]
     named = dict(zip(prob.con_names, g))
-    assert len(named) == len(g) == prob.n_con
+    assert len(named) == len(g) == len(prob.con_names)
     base, ext = case30.base_mva, case30.external_bus_ids
     want = {}
     for gen, p, q in zip(case30.generators, pf.gen_p_mw, pf.gen_q_mvar):
@@ -667,14 +667,15 @@ def test_constraint_names_follow_g(case30):
         assert named[name] == pytest.approx(value, abs=1e-9), name
 
 
-def test_relaxed_rows_of_g_index_their_names(case30):
-    """con_index maps each row the elastic verdict relaxes onto the reduced g entry
-    of the same quantity, and covers every name once."""
-    prob = _OpfProblem(case30, OpfOptions())
+@pytest.mark.parametrize("case_name", ["case30", "case9_shared_buses"])
+def test_evaluate_checks_the_soft_rows_of_g(request, case_name):
+    """At a power-flow point, evaluate's g is fun's g at its soft rows, in g's order,
+    with each line row as |S| - rate; con_names names each soft row once."""
+    prob = _OpfProblem(request.getfixturevalue(case_name), OpfOptions())
     x = prob.start()
     g = prob.fun(x)[4]
-    reduced = prob.evaluate(prob.controls(x)[0], prob.voltages(x))[1]
-    nf, soft = len(prob.rate2), prob.con_index >= 0
-    over = np.concatenate([np.sqrt(g[:nf] + prob.rate2) - np.sqrt(prob.rate2), g[nf:]])
-    assert sorted(prob.con_index[soft]) == list(range(prob.n_con))
-    assert np.max(np.abs(over[soft] - reduced[prob.con_index[soft]])) <= 1e-9
+    nf = len(prob.rate2)
+    over = np.concatenate([np.sqrt(g[:nf] + prob.rate2) - prob.rate, g[nf:]])[prob.soft]
+    checked = prob.evaluate(prob.controls(x)[0], prob.voltages(x))[1]
+    assert len(prob.con_names) == prob.soft.sum() == len(checked)
+    assert np.max(np.abs(checked - over)) <= 1e-9
