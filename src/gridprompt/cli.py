@@ -110,6 +110,7 @@ def _cmd_bench(args, cfg) -> int:
     seed = int(_opt(args, cfg, "seed", 0))
     concurrency = int(_opt(args, cfg, "concurrency", 4))
     max_chars = _opt(args, cfg, "max_chars", None)
+    max_chars = None if max_chars is None else int(max_chars)
     out = Path(_opt(args, cfg, "out", ds.root))
     out.mkdir(parents=True, exist_ok=True)
 
@@ -128,6 +129,7 @@ def _cmd_bench(args, cfg) -> int:
     config_echo = {
         "dataset": str(ds.root),
         "concurrency": concurrency,
+        "max_chars": max_chars,
         **backend_echo,
     }
     log_path = out / "trials.jsonl"

@@ -21,7 +21,7 @@ first time it is used. ``bench`` uses it for each trial's query entry only
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, asdict, dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -59,18 +59,12 @@ class FinetuneConfig:
 
 @dataclass(frozen=True)
 class SolvedEntry:
-    """One solved scenario; ``case`` is ``parsed`` if given, else read from
-    ``scenario_path`` on first use (``build_solved_dataset`` passes it)."""
+    """One solved scenario; ``case`` is read from ``scenario_path`` on first use."""
     index: int
     grid_text: str
     solution_text: str
     solution: OpfSolution
     scenario_path: Path
-    parsed: InitVar[GridCase | None] = None
-
-    def __post_init__(self, parsed):
-        if parsed is not None:
-            self.__dict__["case"] = parsed  # the cached_property's slot
 
     @cached_property
     def case(self) -> GridCase:
@@ -173,9 +167,7 @@ def build_solved_dataset(
             json.dumps(_truth_doc(solution), sort_keys=True)
         )
         manifest_entries.append({**verdict, "objective_cost": solution.objective_cost})
-        entries.append(
-            SolvedEntry(index, grid_text, solution_text, solution, scenario_path, scenario)
-        )
+        entries.append(SolvedEntry(index, grid_text, solution_text, solution, scenario_path))
         index += 1
 
     manifest = {

@@ -220,7 +220,10 @@ def _triples(doc: dict, key: str, fields: tuple[str, str]):
         if not isinstance(row, dict):
             raise InvalidResponse(f"missing or invalid values: {key!r} row")
         try:
-            rid = int(row["id"])
+            rid = row["id"]
+            if isinstance(rid, bool) or isinstance(rid, float) and not rid.is_integer():
+                raise ValueError(rid)  # int() reads 1.7 and true as 1
+            rid = int(rid)
             a = float(row[fields[0]])
             b = float(row[fields[1]])
         except (KeyError, TypeError, ValueError):

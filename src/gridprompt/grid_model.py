@@ -225,12 +225,12 @@ def from_hetero(tables: dict) -> GridCase:
         raise GridError(f"node tables do not describe a grid: {exc!r}") from None
 
 
-def branch_admittances(case: GridCase, lines) -> tuple[np.ndarray, ...]:
-    """From/to bus indices and the pi-model matrices Y, C of the line-end powers.
+def branch_admittances(case: GridCase, lines) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's bus and the pi-model matrix Y of the line-end powers.
 
-    Row k of ``(C @ V) * conj(Y @ V)`` is the power entering ``lines[k]`` at
-    its from bus, row nl + k at its to bus. Charging susceptance is split
-    half per end; off-nominal taps are applied on the from side.
+    Row k of ``V[ends] * conj(Y @ V)`` is the power entering ``lines[k]`` at
+    its from bus ``ends[k]``, row nl + k at its to bus. Charging susceptance
+    is split half per end; off-nominal taps are applied on the from side.
     """
     z = [complex(ln.r_pu, ln.x_pu) for ln in lines]
     if 0 in z:
@@ -245,19 +245,17 @@ def branch_admittances(case: GridCase, lines) -> tuple[np.ndarray, ...]:
     Y[k, f] = (ys + bc) / (tap * tap)
     Y[k, t] = Y[nl + k, f] = -ys / tap
     Y[nl + k, t] = ys + bc
-    C = np.zeros((2 * nl, case.n_bus))
-    C[np.arange(2 * nl), np.concatenate([f, t])] = 1.0
-    return f, t, Y, C
+    return np.concatenate([f, t]), Y
 
 
 def admittance_matrix(case: GridCase) -> np.ndarray:
-    """Complex bus admittance matrix (per-unit): C.T @ Y of ``branch_admittances``.
+    """Complex bus admittance matrix (per-unit): ``branch_admittances``'s rows at their buses.
 
     Each line end's row is added at its bus in line order, the order in which
     a line-by-line stamp adds them.
     """
-    f, t, Y, _ = branch_admittances(case, case.lines)
-    ends = np.arange(len(Y)).reshape(2, -1).T.ravel()  # from end, to end, line by line
+    ends, Y = branch_admittances(case, case.lines)
+    order = np.arange(len(Y)).reshape(2, -1).T.ravel()  # from end, to end, line by line
     Ybus = np.zeros((case.n_bus, case.n_bus), dtype=complex)
-    np.add.at(Ybus, np.concatenate([f, t])[ends], Y[ends])
+    np.add.at(Ybus, ends[order], Y[order])
     return Ybus

@@ -180,6 +180,8 @@ def complete(seq: PromptSequence, cfg: EndpointConfig) -> str:
             content = body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(f"malformed completion payload: {exc}") from None
+        if not isinstance(content, str):
+            raise ProtocolError(f"malformed completion payload: content is {content!r}")
         return content
 
     raise TransportError(

@@ -10,7 +10,7 @@ inequalities are the squared line flows under their squared ratings and the
 variable bounds. Grids in scope are small (tens of buses), so everything is
 dense numpy. The network is ``grid_model``'s pi line model: line-end powers
 from ``branch_admittances``, bus injections from ``admittance_matrix`` (its rows
-summed at their buses), whose derivatives are the line-end ones with C = I.
+summed at their buses), whose derivatives are the line-end ones, row k at bus k.
 
 The model is built once per grid and shared by its draws; each iteration
 fills the derivatives and the Newton system in place. A converged solve
@@ -111,7 +111,7 @@ class _Network:
 
     def __init__(self, case: GridCase):
         n = case.n_bus
-        self.Y, self.eye = admittance_matrix(case), np.eye(n)  # eye: C of the bus injections
+        self.Y = admittance_matrix(case)
         self.base = case.base_mva
         kinds = [b.bus_kind for b in case.buses]
         self.slack_bus = kinds.index(BusKind.SLACK)
@@ -147,13 +147,8 @@ class _Network:
 
         rated = [ln for ln in case.lines if ln.rate_mva > 0]
         self.line_id = np.array([ln.id for ln in rated], dtype=int)
-        self.line_f, self.line_t, self.Ybr, self.Cbr = branch_admittances(case, rated)
+        self.end_bus, self.Ybr = branch_admittances(case, rated)
         self.rate = np.array([ln.rate_mva for ln in rated]) / self.base
-
-        # Flat positions of the PF Jacobian (rows P at pvpq, Q at pq; columns
-        # Va at pvpq, Vm at pq) in np.stack([dS.real, dS.imag]), dS = _ds_dv(Y, eye, V)
-        rc = np.concatenate([self.pvpq, n + self.pq])
-        self.jac_index = 2 * n * rc[:, None] + rc
 
     def at_loads(self, case: GridCase) -> "_Network":
         """A copy with case's per-unit bus loads, sharing every other array."""
@@ -165,30 +160,34 @@ class _Network:
         return net
 
 
-def _ds_dv(Y: np.ndarray, C: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """[dS/dVa, dS/dVm] of S = (C V) * conj(Y V), in polar form, side by side.
+def _ds_dv(Y: np.ndarray, c: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """[dS/dVa, dS/dVm] of S = V[c] * conj(Y V), c each row's bus, in polar form, side by side.
 
-    MATPOWER's dSbr_dV; with C = I (``_Network.eye``) it is dSbus_dV, the
-    derivative of the bus injections V * conj(Y V).
+    MATPOWER's dSbr_dV; with c = arange(n) it is dSbus_dV, the derivative of
+    the bus injections V * conj(Y V).
     """
-    n = len(V)
+    n, k = len(V), np.arange(len(Y))
     Vnorm = V / np.abs(V)
-    CV = C @ V
-    iC = np.conj(Y @ V)[:, None] * C
+    iY = np.conj(Y @ V)
     dS = np.empty((len(Y), 2 * n), dtype=complex)
-    dS[:, :n] = 1j * (iC * V - CV[:, None] * np.conj(Y * V))
-    dS[:, n:] = CV[:, None] * np.conj(Y * Vnorm) + iC * Vnorm
+    dS[:, :n] = -1j * (V[c][:, None] * np.conj(Y * V))
+    dS[:, n:] = V[c][:, None] * np.conj(Y * Vnorm)
+    dS[k, c] += 1j * (iY * V[c])
+    dS[k, n + c] += iY * Vnorm[c]
     return dS
 
 
-def _d2s_dv2(Y: np.ndarray, C: np.ndarray, V: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Hessian of lam @ S in (Va, Vm), S = (C V) * conj(Y V), lam complex.
+def _d2s_dv2(Y: np.ndarray, c: np.ndarray, V: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Hessian of lam @ S in (Va, Vm), S = V[c] * conj(Y V), c each row's bus, lam complex.
 
     MATPOWER's d2Sbr_dV2; it is linear in lam, so Re of it at lam = lamP - j lamQ
     is the Hessian of lamP @ S.real + lamQ @ S.imag.
     """
     n, i = len(V), np.arange(len(V))
-    A = np.conj(Y).T @ (lam[:, None] * C)
+    # conj(Y).T @ lam_at by BLAS, not a broadcast: the two round apart, the iterates would move
+    lam_at = np.zeros((len(Y), n), dtype=complex)
+    lam_at[np.arange(len(Y)), c] = lam
+    A = np.conj(Y).T @ lam_at
     B = np.conj(V)[:, None] * A * V
     d = (A @ V) * np.conj(V)
     e = (A.T @ np.conj(V)) * V
@@ -214,6 +213,7 @@ def _newton_pf(
 ):
     """Core NR loop; returns (V complex, converged, iterations, max_mismatch)."""
     n = len(net.Y)
+    rc = np.concatenate([net.pvpq, n + net.pq])  # P at pvpq, Q at pq; Va at pvpq, Vm at pq
     vm_fixed = np.ones(len(net.fixed))
     vm_fixed[net.vm_set_pos] = gen_vm[net.vm_set_gen]
 
@@ -229,8 +229,7 @@ def _newton_pf(
     p_spec = net.gen_p_inc @ gen_p_pu - net.p_load
     q_spec = -net.q_load
 
-    pv, pq, pvpq = net.pv, net.pq, net.pvpq
-    npv, npq = len(pv), len(pq)
+    pq, pvpq = net.pq, net.pvpq
 
     def mismatch(V):
         S = V * np.conj(net.Y @ V)
@@ -242,8 +241,8 @@ def _newton_pf(
     F = mismatch(V)
     norm = np.max(np.abs(F)) if F.size else 0.0
     while norm > tol and it < max_iter:
-        dS = _ds_dv(net.Y, net.eye, V)
-        J = np.stack([dS.real, dS.imag]).take(net.jac_index)
+        dS = _ds_dv(net.Y, np.arange(n), V)
+        J = np.vstack([dS.real, dS.imag])[np.ix_(rc, rc)]
         try:
             dx = np.linalg.solve(J, F)
         except np.linalg.LinAlgError as exc:
@@ -251,8 +250,8 @@ def _newton_pf(
 
         va = np.angle(V)
         vm = np.abs(V)
-        va[pvpq] += dx[: npv + npq]
-        vm[pq] += dx[npv + npq :]
+        va[pvpq] += dx[: len(pvpq)]
+        vm[pq] += dx[len(pvpq) :]
         V = vm * np.exp(1j * va)
         it += 1
         F = mismatch(V)
@@ -487,7 +486,7 @@ class _OpfProblem:
         var = [f"bus {ext[b]} {v}" for v in ("Va", "Vm") for b in range(n)]
         var += [f"{'slack ' * g.is_slack}gen {g.id} P" for g in gens]
         var += [f"gen {g.id} Q" for g in gens]
-        lines = zip(net.line_id, net.line_f, net.line_t)
+        lines = zip(net.line_id, *np.split(net.end_bus, 2))
         span = [f"line {i} ({ext[f]}-{ext[t]})" for i, f, t in lines]
         names = [f"{s} {end}-end rating" for end in ("from", "to") for s in span]
         names += [f"{var[i]} max" for i in bounded[0]] + [f"{var[i]} min" for i in bounded[1]]
@@ -518,7 +517,7 @@ class _OpfProblem:
         df[self.ip : self.iq] = self.COST_SCALE * (2.0 * self.cost_c2 * pg + self.cost_c1)
 
         S = V * np.conj(net.Y @ V) + net.p_load + 1j * net.q_load - net.cg @ (pg + 1j * qg)
-        dS = _ds_dv(net.Y, net.eye, V)
+        dS = _ds_dv(net.Y, np.arange(n), V)
         h = np.concatenate([S.real, S.imag, self.a_eq @ x])
         dh = self.dh0.copy()
         dh[:n, : 2 * n], dh[n : 2 * n, : 2 * n] = dS.real, dS.imag
@@ -532,8 +531,8 @@ class _OpfProblem:
     def _branch(self, x: np.ndarray, V: np.ndarray):
         """Line-end powers Sbr and dSbr at x, computed once per iterate for fun and hess."""
         if self._at[0] != x.tobytes():
-            Sbr = (self.net.Cbr @ V) * np.conj(self.net.Ybr @ V)
-            self._at = (x.tobytes(), Sbr, _ds_dv(self.net.Ybr, self.net.Cbr, V))
+            ends, Ybr = self.net.end_bus, self.net.Ybr
+            self._at = (x.tobytes(), V[ends] * np.conj(Ybr @ V), _ds_dv(Ybr, ends, V))
         return self._at[1:]
 
     def hess(self, x: np.ndarray, lam: np.ndarray, mu: np.ndarray, cost: float = 1.0):
@@ -546,10 +545,8 @@ class _OpfProblem:
         mu_br = mu[: len(self.rate2)]
         Sbr, dSbr = self._branch(x, V)
         H[: 2 * n, : 2 * n] = (
-            # the identity, not a diagonal form: BLAS rounds conj(Y).T @ diag(lam)
-            # differently from a broadcast product, and the iterates would move
-            _d2s_dv2(net.Y, net.eye, V, lam[:n] - 1j * lam[n : 2 * n])
-            + 2.0 * _d2s_dv2(net.Ybr, net.Cbr, V, np.conj(Sbr) * mu_br)
+            _d2s_dv2(net.Y, np.arange(n), V, lam[:n] - 1j * lam[n : 2 * n])
+            + 2.0 * _d2s_dv2(net.Ybr, net.end_bus, V, np.conj(Sbr) * mu_br)
             + 2.0 * dSbr.T @ (mu_br[:, None] * np.conj(dSbr))
         ).real
         return H
@@ -629,7 +626,7 @@ class _OpfProblem:
         """
         net = self.net
         x = self._pf_point(V, gen_p)
-        flow = np.abs((net.Cbr @ V) * np.conj(net.Ybr @ V))
+        flow = np.abs(V[net.end_bus] * np.conj(net.Ybr @ V))
         g = np.concatenate([flow - self.rate, self.a_bound @ x - self.b_bound])[self.soft]
         p_mw, q_mvar = x[self.ip : self.iq] * net.base, x[self.iq :] * net.base
         return generation_cost(self.case, p_mw), g, p_mw, q_mvar
@@ -713,8 +710,8 @@ class _OpfProblem:
 def line_loadings_mva(case: GridCase, vm_pu, va_deg) -> list[tuple[int, float, float]]:
     """Apparent power at both ends of every line, for limit reporting."""
     V = np.asarray(vm_pu) * np.exp(1j * np.radians(np.asarray(va_deg)))
-    _, _, Y, C = branch_admittances(case, case.lines)
-    sf, st = np.split(np.abs((C @ V) * np.conj(Y @ V)) * case.base_mva, 2)
+    ends, Y = branch_admittances(case, case.lines)
+    sf, st = np.split(np.abs(V[ends] * np.conj(Y @ V)) * case.base_mva, 2)
     return [(ln.id, float(a), float(b)) for ln, a, b in zip(case.lines, sf, st)]
 
 

@@ -111,6 +111,20 @@ class TestGenBench:
         assert again.to_json() + "\n" == report_text
         assert json.loads(report_text)["config"]["seed"] == 2
 
+    def test_bench_report_records_the_prompt_budget(self, capsys, dataset_dir, tmp_path):
+        for budget in (None, "1000000"):
+            flags = () if budget is None else ("--max-chars", budget)
+            code, out, err = run_cli(
+                capsys, "bench", str(dataset_dir), "--replay", "oracle", "--trials", "2",
+                "--context", "3", "--out", str(tmp_path), *flags,
+            )
+            assert code == 0
+            report_text = (tmp_path / "report.json").read_text()
+            config = json.loads(report_text)["config"]
+            assert config["max_chars"] == (None if budget is None else int(budget))
+            again = reaggregate_log(tmp_path / "trials.jsonl", config)
+            assert again.to_json() + "\n" == report_text
+
     def test_bench_corrupt_exits_2(self, capsys, dataset_dir, tmp_path):
         code, out, err = run_cli(
             capsys, "bench", str(dataset_dir), "--replay", "corrupt",

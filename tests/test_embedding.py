@@ -238,6 +238,19 @@ class TestSolutionDoc:
         with pytest.raises(InvalidResponse):
             parse_solution_doc(json.dumps(doc))
 
+    @pytest.mark.parametrize("rid", [1.7, True, False, float("inf")])
+    def test_fractional_or_boolean_id_is_invalid(self, opf9, rid):
+        doc = json.loads(encode_solution(opf9))
+        doc["gen"][0]["id"] = rid
+        with pytest.raises(InvalidResponse, match="missing or invalid values"):
+            parse_solution_doc(json.dumps(doc))
+
+    @pytest.mark.parametrize("rid", [3, 3.0])
+    def test_integral_id_is_read(self, opf9, rid):
+        doc = json.loads(encode_solution(opf9))
+        doc["gen"][0]["id"] = rid
+        assert parse_solution_doc(json.dumps(doc)).gen[0][0] == 3
+
     def test_nan_is_invalid(self, opf9):
         text = encode_solution(opf9)
         bad = text.replace(text.split('"p_mw":')[1].split(",")[0], "NaN", 1)

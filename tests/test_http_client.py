@@ -107,6 +107,13 @@ def test_non_json_reply_is_protocol_error(mock_server):
         complete(build_sequence([], "q"), cfg(mock_server))
 
 
+def test_non_string_content_is_protocol_error(mock_server, monkeypatch):
+    monkeypatch.setattr(MockHandler, "reply_content", None)
+    with pytest.raises(ProtocolError, match="malformed completion payload"):
+        complete(build_sequence([], "q"), cfg(mock_server))
+    assert len(MockHandler.requests_seen) == 1
+
+
 def test_auth_header_from_environment(mock_server, monkeypatch):
     monkeypatch.setenv("GRIDPROMPT_API_KEY", "sk-test-123")
     complete(build_sequence([], "q"), cfg(mock_server))

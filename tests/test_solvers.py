@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridprompt import solvers
-from gridprompt.grid_model import BusKind, Line, admittance_matrix
+from gridprompt.grid_model import BusKind, Line, admittance_matrix, branch_admittances
 from gridprompt.scenario_gen import MutationSpec, mutate
 from gridprompt.solvers import (
     OpfOptions,
@@ -375,6 +375,54 @@ def test_admittance_matrix_matches_a_per_line_stamp(case_name, request):
         want[f, t] -= ys / tap
         want[t, f] -= ys / tap
     assert np.max(np.abs(admittance_matrix(case) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def matrix_form_ds_dv(Y, C, V):
+    """MATPOWER's dSbr_dV of S = (C V) * conj(Y V), with the dense row-to-bus incidence C."""
+    Vnorm = V / np.abs(V)
+    CV = C @ V
+    iC = np.conj(Y @ V)[:, None] * C
+    return np.hstack([
+        1j * (iC * V - CV[:, None] * np.conj(Y * V)),
+        CV[:, None] * np.conj(Y * Vnorm) + iC * Vnorm,
+    ])
+
+
+def matrix_form_d2s_dv2(Y, C, V, lam):
+    """MATPOWER's d2Sbr_dV2 of lam @ S, S = (C V) * conj(Y V), with the dense incidence C."""
+    n, i = len(V), np.arange(len(V))
+    A = np.conj(Y).T @ (lam[:, None] * C)
+    B = np.conj(V)[:, None] * A * V
+    d = (A @ V) * np.conj(V)
+    e = (A.T @ np.conj(V)) * V
+    F = B + B.T
+    inv_vm = 1.0 / np.abs(V)
+    G = B - B.T
+    G[i, i] = G[i, i] - d + e
+    H = np.empty((2 * n, 2 * n), dtype=complex)
+    H[:n, :n], H[n:, n:] = F, inv_vm[:, None] * F * inv_vm
+    H[i, i] = F[i, i] - d - e
+    H[n:, :n] = 1j * inv_vm[:, None] * G
+    H[:n, n:] = H[n:, :n].T
+    return H
+
+
+@pytest.mark.parametrize("case_name", ["case9", "case30", "case9_shared_buses"])
+def test_bus_indexed_derivatives_equal_the_incidence_matrix_form(case_name, request):
+    """_ds_dv and _d2s_dv2 with each row's bus give MATPOWER's C-matrix results bit for bit."""
+    case = request.getfixturevalue(case_name)
+    n = case.n_bus
+    ends, Ybr = branch_admittances(case, case.lines)
+    Cbr = np.zeros((len(ends), n))
+    Cbr[np.arange(len(ends)), ends] = 1.0
+    rows = [(admittance_matrix(case), np.arange(n), np.eye(n)), (Ybr, ends, Cbr)]
+    rng = np.random.default_rng(3)
+    for Y, c, C in rows:
+        for _ in range(50):
+            V = rng.uniform(0.9, 1.1, n) * np.exp(1j * rng.uniform(-0.5, 0.5, n))
+            lam = rng.standard_normal(len(Y)) + 1j * rng.standard_normal(len(Y))
+            assert np.array_equal(solvers._ds_dv(Y, c, V), matrix_form_ds_dv(Y, C, V))
+            assert np.array_equal(solvers._d2s_dv2(Y, c, V, lam), matrix_form_d2s_dv2(Y, C, V, lam))
 
 
 @pytest.mark.parametrize("case_name", ["case9", "case30", "case9_shared_buses"])
