@@ -121,9 +121,12 @@ def build_solved_dataset(
     fmt: EmbeddingFormat,
     out_dir: str | Path,
 ) -> SolvedDataset:
-    """Generate n feasible solved scenarios under out_dir (created fresh)."""
+    """Generate n feasible solved scenarios under out_dir, which must not exist or be empty."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    root = Path(out_dir)
+    if root.is_dir() and any(root.iterdir()):
+        raise FileExistsError(f"{root} is not empty; refusing to mix two datasets in it")
     base_solution = solve_opf(case)
     if not base_solution.feasible:
         raise DatasetError(
@@ -131,7 +134,6 @@ def build_solved_dataset(
             "refusing to generate a dataset from it"
         )
 
-    root = Path(out_dir)
     for sub in ("scenarios", "embeddings", "solutions", "truth", "rejected"):
         (root / sub).mkdir(parents=True, exist_ok=True)
 

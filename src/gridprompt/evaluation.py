@@ -100,6 +100,10 @@ def make_trials(entries, trials: int, context_size: int, seed: int) -> list[Benc
     .case.base_mva is read; the split is a seeded permutation so runs are
     reproducible from (dataset, seed) alone.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if context_size < 0:
+        raise ValueError(f"context_size must be >= 0, got {context_size}")
     need = trials * (context_size + 1)
     if len(entries) < need:
         raise ValueError(

@@ -6,11 +6,22 @@ MATPOWER's MIPS (Wang, Murillo-Sanchez, Zimmerman & Thomas, IEEE TPWRS 2007),
 with exact first and second derivatives from the complex-matrix formulas of
 Zimmerman, MATPOWER Technical Note 2 (2010). Equalities are the P and Q
 balance at every bus, the slack angle and the shared-bus reactive split;
-inequalities are the squared line flows under their squared ratings and the
-variable bounds. Grids in scope are small (tens of buses), so everything is
-dense numpy. The network is ``grid_model``'s pi line model: line-end powers
-from ``branch_admittances``, bus injections from ``admittance_matrix`` (its rows
+inequalities are the line flows under their ratings and the variable bounds.
+Grids in scope are small (tens of buses), so everything is dense numpy. The
+network is ``grid_model``'s pi line model: line-end powers from
+``branch_admittances``, bus injections from ``admittance_matrix`` (its rows
 summed at their buses), whose derivatives are the line-end ones, row k at bus k.
+
+The soft rows of g (each line end's rating, the bounds of slack P, every Q
+and PQ-bus |V|) are the one list of limits: ``con_names`` names them and
+each answer is checked against them. Every draw is one solve in elastic mode
+(SNOPT's, Gill, Murray & Saunders, SIAM Review 2005; Curtis, Math. Prog.
+Comp. 2012): one more variable s >= 0 lets every soft row exceed its limit by
+t = constraint_tol * s pu, and s joins the scaled cost, a penalty of
+1 / constraint_tol per pu of t. A feasible draw ends at s = 0 on the OPF
+optimum; an infeasible one at its l-infinity minimum, the smallest worst
+excess reachable near the start, with the soft row of largest multiplier
+named.
 
 The model is built once per grid and shared by its draws; each iteration
 fills the derivatives and the Newton system in place. A converged solve
@@ -19,29 +30,18 @@ multipliers of h and g); as ``OpfOptions.x0`` it starts a related draw at
 the power flow of its controls and at its multipliers, kept off zero (see
 ``_mips``), which about halves a warm draw's iterations.
 
-The soft rows of g (each line end's rating, the bounds of slack P, every Q
-and PQ-bus |V|) are the one list of limits: ``con_names`` names them, each
-answer is checked against them and the reject verdict relaxes them. That
-verdict is the same loop, from a cold start, on the elastic problem: min t
-over (x, t) subject to h = 0, t >= 0 and every soft row exceeded by at most
-t pu, the other bounds held; a converged minimum above ``constraint_tol``
-rejects the draw as locally infeasible, naming the soft row with the largest
-multiplier. The OPF loop asks for it once, when its steps collapse while its
-infeasibility stops falling, and stops there (status 3) if the draw is
-rejected; otherwise it goes on, and a solve that does not converge reuses
-that verdict (or runs it then). The verdict starts from the OPF's start
-point, not its iterate, so it does not depend on when it was asked. The
-check is an independent power flow at the answer's controls (non-slack P,
-machine |V|); its largest soft row is ``max_violation_pu``, and a failed
-solve's message names its termination reason (``infeasible``, ``max_outer``,
-``stalled`` or ``pf_diverged``) and the verdict's or the largest row, e.g.
+The check is an independent power flow at the answer's controls (non-slack
+P, machine |V|); its largest soft row is ``max_violation_pu``. A converged
+solve within ``constraint_tol`` there is feasible; any other answer's message
+names its reason (``infeasible`` for a converged one, else ``max_outer``,
+``stalled`` or ``pf_diverged``) and a soft row, e.g.
 ``infeasible: line 9 (6-8) from-end rating over by 1.45e-02 pu``.
 """
 from __future__ import annotations
 
 import copy
 import functools
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -71,7 +71,7 @@ class SolveStats:
     the scaled KKT residual of its last iterate (under ``optimality_tol`` if converged)."""
     iterations: int
     evaluations: int
-    reason: str  # converged, max_outer, stalled or infeasible (handed to the verdict)
+    reason: str  # converged, max_outer or stalled
     kkt: float
 
 
@@ -93,7 +93,7 @@ class OpfSolution:
     max_violation_pu: float
     controls: PrimalDual | None = field(default=None, compare=False)  # warm start of related cases
     message: str = ""
-    stats: tuple[SolveStats, ...] = field(default=(), compare=False)  # OPF, elastic if run
+    stats: SolveStats | None = field(default=None, compare=False)  # None if never started
 
 
 @dataclass(frozen=True)
@@ -315,19 +315,12 @@ def generation_cost(case: GridCase, gen_p_mw: np.ndarray) -> float:
     return total
 
 
-# floor of a warm start's multipliers mu and slacks z: a converged point's
+# floor of a start's multipliers mu and slacks z: a converged point's
 # inactive mu and active z are near zero, where the Newton steps would stall
 _WARM_FLOOR = 1e-4
-# step collapse, a sign of an infeasible problem (Byrd, Curtis & Nocedal, SIAM J.
-# Optim. 2010): each of the last _COLLAPSE_SPAN primal steps is under
-# _COLLAPSE_STEP and the primal infeasibility is above _COLLAPSE_FALL of its value
-# _COLLAPSE_SPAN iterations back. Picked on case30 draws 0-15 of seeds 0-5; over
-# those, case30 seeds 6-17, case9 draws 0-29 of seeds 0-19 and case9 x2.2 it
-# never fired on a draw that ends feasible.
-_COLLAPSE_SPAN, _COLLAPSE_STEP, _COLLAPSE_FALL = 3, 0.5, 0.7
 
 
-def _mips(fun, x0, hess, maxiter, tol, lam0=None, mu0=None, infeasible=None, **_):
+def _mips(fun, x0, hess, maxiter, tol, lam0, mu0, **_):
     """MATPOWER's primal-dual interior-point loop (MIPS), dense, as a minimize method.
 
     Minimizes f subject to h(x) = 0 and g(x) <= 0, where ``fun(x)`` returns
@@ -338,15 +331,10 @@ def _mips(fun, x0, hess, maxiter, tol, lam0=None, mu0=None, infeasible=None, **_
     (a step under 1e-8, a singular system, a non-finite x or barrier parameter
     out of range).
 
-    ``infeasible``, a zero-argument callable, is asked at most once, when the
-    primal steps collapse while the infeasibility stops falling (see
-    ``_COLLAPSE_SPAN``): True stops the loop with status 3 (infeasible), False
-    lets it go on from the same state.
-
-    ``lam0`` and ``mu0`` start the duals, e.g. at the multipliers of a related
+    The duals start at ``lam0`` and ``mu0``, e.g. the multipliers of a related
     problem's solution (Yildirim & Wright, SIAM J. Optim. 2002): mu and the
     slacks z = -g start no lower than ``_WARM_FLOOR``, and the barrier
-    parameter at a tenth of their mean product. Otherwise lam = 0, mu = 1.
+    parameter at a tenth of their mean product.
     """
     def norm(v):
         return np.abs(v).max(initial=0.0)
@@ -355,20 +343,13 @@ def _mips(fun, x0, hess, maxiter, tol, lam0=None, mu0=None, infeasible=None, **_
     f, df, h, dh, g, dg = fun(x)
     nx = len(x)
     k, rhs = np.zeros((nx + len(h), nx + len(h))), np.empty(nx + len(h))
-    if lam0 is None:
-        lam, mu = np.zeros(len(h)), np.ones(len(g))
-        z = np.maximum(1.0, -g)  # g + z = 0, z > 0
-        gamma = 1.0
-    else:
-        lam, mu, z = lam0, np.maximum(mu0, _WARM_FLOOR), np.maximum(-g, _WARM_FLOOR)
-        gamma = 0.1 * (z @ mu) / len(z)
+    lam, mu, z = lam0, np.maximum(mu0, _WARM_FLOOR), np.maximum(-g, _WARM_FLOOR)
+    gamma = 0.1 * (z @ mu) / len(z)
     f_prev, nit, nfev, step = f, 0, 1, (1.0, 1.0)
-    steps, infeas = [], []  # primal step lengths, primal infeasibility per iterate
     while True:
         lx = df + dh.T @ lam + dg.T @ mu
-        infeas.append(max(norm(h), g.max(initial=0.0)))
         kkt = max(
-            infeas[-1] / (1.0 + max(norm(x), norm(z))),
+            max(norm(h), g.max(initial=0.0)) / (1.0 + max(norm(x), norm(z))),
             norm(lx) / (1.0 + max(norm(lam), norm(mu))),
             (z @ mu) / (1.0 + norm(x)),
             abs(f - f_prev) / (1.0 + abs(f_prev)),
@@ -382,15 +363,6 @@ def _mips(fun, x0, hess, maxiter, tol, lam0=None, mu0=None, infeasible=None, **_
         if min(step) < 1e-8 or not np.isfinite(x).all() or not 1e-16 < gamma < 1e16:
             status = 2
             break
-        if (
-            infeasible is not None and nit >= _COLLAPSE_SPAN
-            and max(steps[-_COLLAPSE_SPAN:]) < _COLLAPSE_STEP
-            and infeas[-1] > _COLLAPSE_FALL * infeas[-1 - _COLLAPSE_SPAN]
-        ):
-            if infeasible():
-                status = 3
-                break
-            infeasible = None  # a false alarm: go on, and never ask again
         nit += 1
         zinv = 1.0 / z
         dmat, r = mu * zinv, zinv * (mu * g + gamma)
@@ -410,7 +382,6 @@ def _mips(fun, x0, hess, maxiter, tol, lam0=None, mu0=None, infeasible=None, **_
             min(1.0, 0.99995 * (mu[dmu < 0] / -dmu[dmu < 0]).min(initial=np.inf)),
         )
         x, z = x + step[0] * dx, z + step[0] * dz
-        steps.append(step[0])
         lam, mu = lam + step[1] * dlam, mu + step[1] * dmu
         gamma = 0.1 * (z @ mu) / len(z)
         f_prev = f
@@ -418,22 +389,24 @@ def _mips(fun, x0, hess, maxiter, tol, lam0=None, mu0=None, infeasible=None, **_
         nfev += 1
     return optimize.OptimizeResult(
         x=x, lam=lam, mu=mu, kkt=kkt, fun=f, nit=nit, nfev=nfev, status=status,
-        success=status == 0,
-        message=("converged", "max_outer", "stalled", "infeasible")[status],
+        success=status == 0, message=("converged", "max_outer", "stalled")[status],
     )
 
 
 class _OpfProblem:
-    """Full-space OPF over x = (Va, Vm, Pg, Qg), per unit, angles in radians.
+    """Full-space OPF in elastic mode over x = (Va, Vm, Pg, Qg, s), per unit,
+    angles in radians; every soft row of g may exceed its limit by t = ctol * s pu,
+    ctol being ``constraint_tol``, and the objective is the scaled cost plus s.
 
     h(x) = 0: P balance and Q balance at every bus, the slack angle, then the
-    reactive split of every machine but the last on its bus. g(x) <= 0: the
-    squared line flows under their squared ratings (from ends, then to ends),
-    then each finite upper bound and each finite lower bound, in x order.
+    reactive split of every machine but the last on its bus. g(x) <= 0: each
+    line end's (|S|^2 - u^2) / (2u), u = rate + t, that is |S| <= rate + t,
+    smooth where S = 0 (from ends, then to ends), then each finite upper bound
+    and each finite lower bound, in x order, a soft one less t; s >= 0 is last.
     """
 
     COST_SCALE = 1e-4  # $/h to the interior-point objective, as in MATPOWER
-    _at = (None,)  # (x bytes, Sbr, dSbr) of the last iterate; depends on the grid alone
+    _at = (None,)  # (x bytes, Sbr, dSbr, Re(conj(Sbr) dSbr)) of the last iterate; grid alone
 
     def __init__(self, case: GridCase, opts: OpfOptions):
         self.case = case
@@ -449,34 +422,36 @@ class _OpfProblem:
             raise SolverError(f"PQ bus {ext[b]} has a machine")
         self.free = np.flatnonzero(~net.gen_is_slack)
         self.slack_i = int(np.flatnonzero(net.gen_is_slack)[0])
-        self.nx, self.ip, self.iq = 2 * n + 2 * ng, 2 * n, 2 * n + ng  # Pg, Qg start at ip, iq
+        self.nx, self.ip, self.iq = 2 * n + 2 * ng + 1, 2 * n, 2 * n + ng  # Pg, Qg start at ip, iq
 
         base = net.base
         # every machine but the last on its bus takes its q_weight share of the bus's Q
         split = [i for i, g in enumerate(gens) if net.last_gen[g.bus] != i]
         self.a_eq = np.zeros((1 + len(split), self.nx))
         self.a_eq[0, net.slack_bus] = 1.0
-        self.a_eq[1:, self.iq:] = (np.eye(ng) - net.q_weight[:, None] * (net.cg.T @ net.cg))[split]
+        share = np.eye(ng) - net.q_weight[:, None] * (net.cg.T @ net.cg)
+        self.a_eq[1:, self.iq : -1] = share[split]
 
         p_min, p_max, q_min, q_max = np.array(
             [[g.p_min_mw, g.p_max_mw, g.q_min_mvar, g.q_max_mvar] for g in gens]
         ).T / base
-        self.lb = np.concatenate([np.full(n, -np.inf), net.vm_min, p_min, q_min])
-        self.ub = np.concatenate([np.full(n, np.inf), net.vm_max, p_max, q_max])
+        self.lb = np.concatenate([np.full(n, -np.inf), net.vm_min, p_min, q_min, [0.0]])
+        self.ub = np.concatenate([np.full(n, np.inf), net.vm_max, p_max, q_max, [np.inf]])
         bounded = [np.flatnonzero(np.isfinite(self.ub)), np.flatnonzero(np.isfinite(self.lb))]
         eye = np.eye(self.nx)
         self.a_bound = np.vstack([eye[bounded[0]], -eye[bounded[1]]])
         self.b_bound = np.concatenate([self.ub[bounded[0]], -self.lb[bounded[1]]])
         self.rate = np.tile(net.rate, 2)  # per row of the line ends, from ends then to ends
-        self.rate2 = self.rate**2
-        # the soft rows of g, the limits the elastic verdict relaxes: every line
-        # end and the bounds of slack P, every Q and PQ-bus |V|
+        # the soft rows of g, the limits t relaxes: every line end and the
+        # bounds of slack P, every Q and PQ-bus |V|
         soft_x = np.zeros(self.nx, bool)
         soft_x[[self.ip + self.slack_i, *(self.iq + np.arange(ng)), *(n + net.pq)]] = True
-        self.soft = np.concatenate([np.ones(2 * nl, bool), soft_x[bounded[0]], soft_x[bounded[1]]])
+        soft_bound = np.concatenate([soft_x[bounded[0]], soft_x[bounded[1]]])
+        self.a_bound[soft_bound, -1] = -opts.constraint_tol
+        self.soft = np.concatenate([np.ones(2 * nl, bool), soft_bound])
         # fun's dh and dg with their constant blocks set; fun fills copies
         self.dh0 = np.vstack([np.zeros((2 * n, self.nx)), self.a_eq])
-        self.dh0[:n, self.ip : self.iq] = self.dh0[n : 2 * n, self.iq :] = -net.cg
+        self.dh0[:n, self.ip : self.iq] = self.dh0[n : 2 * n, self.iq : -1] = -net.cg
         self.dg0 = np.vstack([np.zeros((2 * nl, self.nx)), self.a_bound])
 
         self.cost_c2 = np.array([g.cost_c2 for g in gens]) * base * base
@@ -485,7 +460,7 @@ class _OpfProblem:
         # a name per soft row of g, in g's order; bus numbers as in the source file
         var = [f"bus {ext[b]} {v}" for v in ("Va", "Vm") for b in range(n)]
         var += [f"{'slack ' * g.is_slack}gen {g.id} P" for g in gens]
-        var += [f"gen {g.id} Q" for g in gens]
+        var += [f"gen {g.id} Q" for g in gens] + ["s"]
         lines = zip(net.line_id, *np.split(net.end_bus, 2))
         span = [f"line {i} ({ext[f]}-{ext[t]})" for i, f, t in lines]
         names = [f"{s} {end}-end rating" for end in ("from", "to") for s in span]
@@ -509,12 +484,13 @@ class _OpfProblem:
         return gen_p, x[self.case.n_bus : self.ip][self.net.gen_bus]
 
     def fun(self, x: np.ndarray):
-        """Scaled cost, h, g and their Jacobians at x: the interior-point callback."""
-        net, n = self.net, self.case.n_bus
-        V, pg, qg = self.voltages(x), x[self.ip : self.iq], x[self.iq :]
-        f = self.COST_SCALE * (((self.cost_c2 * pg + self.cost_c1) @ pg) + self.cost_c0)
+        """Scaled cost plus s, h, g and their Jacobians at x: the interior-point callback."""
+        net, n, ctol = self.net, self.case.n_bus, self.opts.constraint_tol
+        V, pg, qg = self.voltages(x), x[self.ip : self.iq], x[self.iq : -1]
+        f = self.COST_SCALE * (((self.cost_c2 * pg + self.cost_c1) @ pg) + self.cost_c0) + x[-1]
         df = np.zeros(self.nx)
         df[self.ip : self.iq] = self.COST_SCALE * (2.0 * self.cost_c2 * pg + self.cost_c1)
+        df[-1] = 1.0
 
         S = V * np.conj(net.Y @ V) + net.p_load + 1j * net.q_load - net.cg @ (pg + 1j * qg)
         dS = _ds_dv(net.Y, np.arange(n), V)
@@ -522,37 +498,45 @@ class _OpfProblem:
         dh = self.dh0.copy()
         dh[:n, : 2 * n], dh[n : 2 * n, : 2 * n] = dS.real, dS.imag
 
-        Sbr, dSbr = self._branch(x, V)
-        g = np.concatenate([(Sbr * np.conj(Sbr)).real - self.rate2, self.a_bound @ x - self.b_bound])
+        Sbr, _, dflow = self._branch(x)
+        flow2, u = (Sbr * np.conj(Sbr)).real, self.rate + ctol * x[-1]
+        g = np.concatenate([(flow2 - u * u) / (2.0 * u), self.a_bound @ x - self.b_bound])
         dg = self.dg0.copy()
-        dg[: len(Sbr), : 2 * n] = 2.0 * (np.conj(Sbr)[:, None] * dSbr).real
+        dg[: len(u), : 2 * n] = dflow / u[:, None]
+        dg[: len(u), -1] = -ctol * (flow2 + u * u) / (2.0 * u * u)
         return f, df, h, dh, g, dg
 
-    def _branch(self, x: np.ndarray, V: np.ndarray):
-        """Line-end powers Sbr and dSbr at x, computed once per iterate for fun and hess."""
+    def _branch(self, x: np.ndarray):
+        """Line-end powers Sbr, dSbr and Re(conj(Sbr) dSbr), half the gradient of
+        |Sbr|^2, at x: computed once per iterate for fun and hess."""
         if self._at[0] != x.tobytes():
-            ends, Ybr = self.net.end_bus, self.net.Ybr
-            self._at = (x.tobytes(), V[ends] * np.conj(Ybr @ V), _ds_dv(Ybr, ends, V))
+            ends, Ybr, V = self.net.end_bus, self.net.Ybr, self.voltages(x)
+            Sbr, dSbr = V[ends] * np.conj(Ybr @ V), _ds_dv(Ybr, ends, V)
+            self._at = (x.tobytes(), Sbr, dSbr, (np.conj(Sbr)[:, None] * dSbr).real)
         return self._at[1:]
 
-    def hess(self, x: np.ndarray, lam: np.ndarray, mu: np.ndarray, cost: float = 1.0):
-        """Hessian of cost * f + lam @ h + mu @ g (h and g as in ``fun``)."""
-        net, n = self.net, self.case.n_bus
+    def hess(self, x: np.ndarray, lam: np.ndarray, mu: np.ndarray):
+        """Hessian of f + lam @ h + mu @ g (f, h and g as in ``fun``)."""
+        net, n, ctol = self.net, self.case.n_bus, self.opts.constraint_tol
         V = self.voltages(x)
         H = np.zeros((self.nx, self.nx))
         p = np.arange(self.ip, self.iq)
-        H[p, p] = cost * self.COST_SCALE * 2.0 * self.cost_c2
-        mu_br = mu[: len(self.rate2)]
-        Sbr, dSbr = self._branch(x, V)
+        H[p, p] = self.COST_SCALE * 2.0 * self.cost_c2
+        Sbr, dSbr, dflow = self._branch(x)
+        u = self.rate + ctol * x[-1]
+        m = mu[: len(u)] / u  # a line row is |S|^2 / (2u) - u / 2
         H[: 2 * n, : 2 * n] = (
             _d2s_dv2(net.Y, np.arange(n), V, lam[:n] - 1j * lam[n : 2 * n])
-            + 2.0 * _d2s_dv2(net.Ybr, net.end_bus, V, np.conj(Sbr) * mu_br)
-            + 2.0 * dSbr.T @ (mu_br[:, None] * np.conj(dSbr))
+            + _d2s_dv2(net.Ybr, net.end_bus, V, np.conj(Sbr) * m)
+            + dSbr.T @ (m[:, None] * np.conj(dSbr))
         ).real
+        H[-1, : 2 * n] = H[: 2 * n, -1] = -ctol * (m / u) @ dflow
+        H[-1, -1] = ctol * ctol * (m / (u * u)) @ (Sbr * np.conj(Sbr)).real
         return H
 
     def start(self) -> np.ndarray | None:
-        """A power flow at the warm-start controls (or the case's setpoints), as x."""
+        """A power flow at the warm-start controls (or the case's setpoints), as x,
+        with s at its worst soft excess (none below 0)."""
         net, opts = self.net, self.opts
         if opts.x0 is None:
             gen_p = np.array([g.p_mw for g in self.gens]) / net.base
@@ -564,117 +548,58 @@ class _OpfProblem:
         V, conv, _, _ = _newton_pf(net, gen_p, gen_vm, opts.pf_tol, opts.pf_max_iter, v0)
         if not conv:
             return None
-        return self._pf_point(V, gen_p)
+        x = self._pf_point(V, gen_p)
+        x[-1] = max(self._excess(x, V).max(), 0.0) / opts.constraint_tol
+        return x
 
     def _pf_point(self, V: np.ndarray, gen_p: np.ndarray) -> np.ndarray:
-        """x of the power flow V at dispatch gen_p: its machines' P and Q close the balance."""
-        return np.concatenate([np.angle(V), np.abs(V), *_machine_pq(self.net, V, gen_p)])
+        """x of the power flow V at dispatch gen_p, with s = 0: its machines' P and Q
+        close the balance."""
+        return np.concatenate([np.angle(V), np.abs(V), *_machine_pq(self.net, V, gen_p), [0.0]])
 
-    def elastic(self, x: np.ndarray, options: dict):
-        """min t subject to h = 0, the hard rows of g, every soft row over its
-        limit by at most t pu and t >= 0, over (x, t) from x: the reject verdict.
-
-        A line end's row is (|S|^2 - u^2) / (2u), u = rate + t: |S| <= rate + t,
-        smooth where S = 0 and convex in t. A soft bound row is g - t.
-        """
-        nx, nf, soft, rate = self.nx, len(self.rate), self.soft, self.rate
-        unit = 1.0 / self.opts.constraint_tol  # the objective in units of the verdict's scale
-        df = np.zeros(nx + 1)
-        df[nx] = unit
-        dg_t = -np.append(soft, True).astype(float)  # every soft row's and t >= 0's t column
-
-        def fun(y):
-            t, u = y[nx], rate + y[nx]
-            _, _, h, dh, g, dg = self.fun(y[:nx])
-            flow2 = g[:nf] + self.rate2
-            g_y = np.append(g - soft * t, -t)
-            g_y[:nf] = (flow2 - u * u) / (2.0 * u)
-            dg_y = np.zeros((len(g_y), nx + 1))
-            dg_y[:-1, :nx] = dg
-            dg_y[:nf, :nx] /= 2.0 * u[:, None]
-            dg_y[:, nx] = dg_t
-            dg_y[:nf, nx] = -(flow2 + u * u) / (2.0 * u * u)
-            return unit * t, df, h, np.hstack([dh, np.zeros((len(h), 1))]), g_y, dg_y
-
-        def hess(y, lam, mu):
-            x, u, m = y[:nx], rate + y[nx], mu[:nf]
-            n2 = 2 * self.case.n_bus
-            Sbr, dSbr = self._branch(x, self.voltages(x))
-            H = np.zeros((nx + 1, nx + 1))
-            H[:nx, :nx] = self.hess(x, lam, m / (2.0 * u), cost=0.0)
-            H[nx, :n2] = H[:n2, nx] = -(m / (u * u)) @ (np.conj(Sbr)[:, None] * dSbr).real
-            H[nx, nx] = m @ ((Sbr * np.conj(Sbr)).real / u**3)
-            return H
-
-        # start at the worst soft violation, and with the multipliers of the
-        # soft rows and of t >= 0 summing to unit, as they do at the minimum
-        g = self.fun(x)[4]
-        over = np.append(np.sqrt(g[:nf] + self.rate2) - rate, g[nf:])[soft]
-        lam0 = np.zeros(len(self.dh0))
-        mu0 = np.where(dg_t < 0, unit / (soft.sum() + 1), 1.0)
-        return optimize.minimize(
-            fun, np.append(x, max(over.max(), 0.0)), method=_mips, hess=hess,
-            options={**options, "lam0": lam0, "mu0": mu0},
-        )
+    def _excess(self, x: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """The soft rows of g at the power-flow point x (s = 0) of V, each a per-unit
+        excess: a line row is |S| - rate, so one tolerance fits all."""
+        flow = np.abs(V[self.net.end_bus] * np.conj(self.net.Ybr @ V))
+        return np.concatenate([flow - self.rate, self.a_bound @ x - self.b_bound])[self.soft]
 
     def evaluate(self, gen_p: np.ndarray, V: np.ndarray):
-        """Cost ($/h), the soft rows of g, and each machine's MW and MVAr, of the
-        power flow V at dispatch gen_p.
-
-        The line rows are |S| - rate, not squared, so every entry is a per-unit
-        excess and one tolerance fits all; ``con_names`` names them.
-        """
-        net = self.net
+        """Cost ($/h), the soft rows of g as ``_excess`` gives them (``con_names``
+        names them), and each machine's MW and MVAr, of the power flow V at dispatch gen_p."""
         x = self._pf_point(V, gen_p)
-        flow = np.abs(V[net.end_bus] * np.conj(net.Ybr @ V))
-        g = np.concatenate([flow - self.rate, self.a_bound @ x - self.b_bound])[self.soft]
-        p_mw, q_mvar = x[self.ip : self.iq] * net.base, x[self.iq :] * net.base
-        return generation_cost(self.case, p_mw), g, p_mw, q_mvar
+        p_mw, q_mvar = x[self.ip : self.iq] * self.net.base, x[self.iq : -1] * self.net.base
+        return generation_cost(self.case, p_mw), self._excess(x, V), p_mw, q_mvar
 
     def solve(self) -> OpfSolution:
         x = self.start()
         if x is None:
-            return self._result(None, "pf_diverged: initial power flow diverged", ())
-        options = {"maxiter": self.opts.max_outer, "tol": self.opts.optimality_tol}
+            return self._result(None, "pf_diverged: initial power flow diverged", None)
         warm = self.opts.x0
-        duals = {} if warm is None or warm.lam is None else {"lam0": warm.lam, "mu0": warm.mu}
-        verdict = functools.cache(functools.partial(self._verdict, x, options))
-        res = optimize.minimize(
-            self.fun, x, method=_mips, hess=self.hess,
-            options={**options, **duals, "infeasible": lambda: verdict()[1] is not None},
-        )
-        stats = (SolveStats(res.nit, res.nfev, res.message, res.kkt),)
-        if verdict.cache_info().currsize or not res.success:
-            elastic, rejected = verdict()
-            stats += (elastic,)
-        if res.success:
-            return self._result(PrimalDual(res.x, res.lam, res.mu), "converged", stats)
-        if rejected is not None:
-            return replace(rejected, stats=stats)
-        return self._result(PrimalDual(res.x), res.message, stats)
-
-    def _verdict(self, x: np.ndarray, options: dict) -> tuple[SolveStats, OpfSolution | None]:
-        """The elastic solve from x and, if it rejects the draw, its solution (no stats)."""
-        verdict = self.elastic(x, options)  # from a cold start: its multipliers are its own
-        stats = SolveStats(verdict.nit, verdict.nfev, verdict.message, verdict.kkt)
-        if verdict.success:
-            # several soft rows tie at the minimum; the one whose multiplier is largest is named
-            row = int(np.argmax(verdict.mu[:-1][self.soft]))
-            sol = self._result(PrimalDual(verdict.x[: self.nx]), "infeasible", (), row)
-            if sol.max_violation_pu > self.opts.constraint_tol:
-                return stats, sol
-        return stats, None
+        if warm is None or warm.lam is None:
+            lam0, mu0 = np.zeros(len(self.dh0)), np.ones(len(self.dg0))
+        else:
+            lam0, mu0 = warm.lam, warm.mu.copy()
+        # s >= 0's multiplier restarts at a cold share of s's unit cost, which at an
+        # l-infinity minimum it splits with the soft rows
+        mu0[-1] = 1.0 / (self.soft.sum() + 1)
+        res = optimize.minimize(self.fun, x, method=_mips, hess=self.hess, options={
+            "maxiter": self.opts.max_outer, "tol": self.opts.optimality_tol,
+            "lam0": lam0, "mu0": mu0,
+        })
+        point = PrimalDual(res.x, res.lam, res.mu) if res.success else PrimalDual(res.x)
+        return self._result(point, res.message, SolveStats(res.nit, res.nfev, res.message, res.kkt))
 
     def _result(
-        self, point: PrimalDual | None, reason: str, stats: tuple[SolveStats, ...],
-        worst: int | None = None,
+        self, point: PrimalDual | None, reason: str, stats: SolveStats | None
     ) -> OpfSolution:
         """The solution at point.x, checked by an independent power flow at its controls.
 
         Feasible only when the interior-point loop converged and the power
-        flow meets every limit; otherwise the message is the termination
-        reason, then by name the constraint ``worst`` (default: the most
-        violated one) and the largest violation.
+        flow meets every limit; otherwise the message is the reason, then by
+        name a soft row and the largest violation. A converged answer over its
+        limits is an l-infinity minimum, where several soft rows tie; it is
+        ``infeasible``, naming the row whose multiplier is largest. Any other
+        names its most violated row.
         """
         net, opts = self.net, self.opts
         if point is not None:
@@ -694,8 +619,10 @@ class _OpfProblem:
         cost, gv, p_mw, q_mvar = self.evaluate(gen_p, V)
         # never empty: the parser refuses Inf, so slack P's bounds are finite soft rows
         viol = float(gv.max())
-        worst = int(np.argmax(gv)) if worst is None else worst
-        feasible = reason == "converged" and viol <= opts.constraint_tol
+        converged = reason == "converged"
+        feasible = converged and viol <= opts.constraint_tol
+        worst = int(np.argmax(point.mu[self.soft] if converged else gv))
+        reason = "infeasible" if converged else reason
         message = "" if feasible else f"{reason}: {self.con_names[worst]} over by {viol:.2e} pu"
         gen = tuple((self.gens[i].id, float(p_mw[i]), float(q_mvar[i])) for i in self.free)
         si = self.slack_i

@@ -85,6 +85,18 @@ class TestGenBench:
         assert stdout == "" and f"n must be >= 1, got {n}" in err
         assert not out.exists()
 
+    def test_gen_refuses_a_directory_that_holds_files(self, capsys, tmp_path):
+        out = tmp_path / "ds"
+        out.mkdir()  # an empty directory is fine
+        code, _, _ = run_cli(capsys, "gen", CASE9, "--n", "3", "--seed", "0", "--out", str(out))
+        assert code == 0
+        first = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        code, stdout, err = run_cli(capsys, "gen", CASE9, "--n", "2", "--seed", "1",
+                                    "--out", str(out))
+        assert code == 1
+        assert stdout == "" and f"{out} is not empty" in err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == first
+
     def test_bench_oracle(self, capsys, dataset_dir, tmp_path):
         code, out, err = run_cli(
             capsys, "bench", str(dataset_dir), "--replay", "oracle",
@@ -143,6 +155,23 @@ class TestGenBench:
         )
         assert code == 1
         assert out == "" and f"concurrency must be >= 1, got {concurrency}" in err
+        assert not (tmp_path / "trials.jsonl").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--trials", "0", "trials must be >= 1, got 0"),
+        ("--trials", "-2", "trials must be >= 1, got -2"),
+        ("--context", "-1", "context_size must be >= 0, got -1"),
+    ], ids=["trials=0", "trials=-2", "context=-1"])
+    def test_bench_refuses_a_bad_trial_count_or_context(
+        self, capsys, dataset_dir, tmp_path, flag, value, message
+    ):
+        sizes = {"--trials": "3", "--context": "3", flag: value}
+        code, out, err = run_cli(
+            capsys, "bench", str(dataset_dir), "--replay", "oracle",
+            *(arg for pair in sizes.items() for arg in pair), "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert out == "" and message in err
         assert not (tmp_path / "trials.jsonl").exists()
 
     def test_bench_requires_backend_choice(self, capsys, dataset_dir):
