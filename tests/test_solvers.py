@@ -331,10 +331,20 @@ def assert_derivatives_match_central_differences(fun, hess, x, rng):
 
 @pytest.mark.parametrize("case_name", ["case9", "case30", "case9_shared_buses"])
 def test_full_space_derivatives_match_central_differences(case_name, request):
-    """dh, dg and the Hessian of f + lam h + mu g against central differences, at
-    every load x1.5 and t = 0.05 pu, so that each line row's u = rate + t is not its
-    rating. The last variable is taken in pu of t, not s = t / constraint_tol, so its
-    column and the (t, x) Hessian terms weigh as much as the others."""
+    """dh, dg and the Hessian of f + lam h + mu g against central differences."""
+    case = request.getfixturevalue(case_name)
+    prob = _OpfProblem(case, OpfOptions())
+    rng = np.random.default_rng(0)
+    x = prob.start() + 0.02 * rng.standard_normal(prob.nx)
+    assert_derivatives_match_central_differences(prob.fun, prob.hess, x, rng)
+
+
+@pytest.mark.parametrize("case_name", ["case9", "case30"])
+def test_elastic_derivatives_match_central_differences(case_name, request):
+    """The elastic s column and (s, x) Hessian terms, at every load x1.5 and t = 0.05
+    pu, so that each line row's u = rate + t is not its rating. The last variable is
+    taken in pu of t, not s = t / constraint_tol, so its column and the (t, x) Hessian
+    terms weigh as much as the others."""
     case = scaled_loads(request.getfixturevalue(case_name), 1.5)
     prob = _OpfProblem(case, OpfOptions())
     scale = np.ones(prob.nx)
