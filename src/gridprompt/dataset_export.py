@@ -13,14 +13,17 @@ Scenario indices that fail the OPF are recorded under rejected/ and further
 indices are drawn until n feasible entries exist, so entry count is exact and
 a rerun with the same seed reproduces the directory byte for byte.
 
-Loading reads the manifest, embeddings, solutions and truth of every entry but
-no scenario file: an entry's ``case`` is parsed from ``scenarios/{i}.m`` the
-first time it is used. ``bench`` uses it for each trial's query entry only
-(its ``base_mva``); ``export-ft`` and the oracle's ``truth_map`` never do.
+Loading reads the manifest, embeddings and solutions of every entry but no
+scenario or truth file: an entry's ``case`` and ``solution`` are read from
+``scenarios/{i}.m`` and ``truth/{i}.json`` the first time each is used.
+``bench`` uses both for each trial's query entry only (the truth it scores
+against and the case's ``base_mva``), and the oracle's ``truth_map`` reads a
+truth only when that query is looked up; ``export-ft`` reads neither.
 """
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -59,12 +62,15 @@ class FinetuneConfig:
 
 @dataclass(frozen=True)
 class SolvedEntry:
-    """One solved scenario; ``case`` is read from ``scenario_path`` on first use."""
+    """One solved scenario; ``case`` and ``solution`` (the full-precision truth)
+    are read from ``scenario_path`` and ``truth_path`` on first use. A malformed
+    scenario, or a missing or malformed truth, raises DatasetError naming the file.
+    """
     index: int
     grid_text: str
     solution_text: str
-    solution: OpfSolution
     scenario_path: Path
+    truth_path: Path
 
     @cached_property
     def case(self) -> GridCase:
@@ -72,6 +78,37 @@ class SolvedEntry:
             return parse_matpower(self.scenario_path.read_text())
         except (MatpowerParseError, GridError) as exc:
             raise DatasetError(f"{self.scenario_path}: {exc}") from exc
+
+    @cached_property
+    def solution(self) -> OpfSolution:
+        try:
+            return _truth_from_doc(json.loads(self.truth_path.read_text()))
+        except (OSError, ValueError, LookupError, TypeError) as exc:
+            raise DatasetError(f"{self.truth_path}: {type(exc).__name__}: {exc}") from exc
+
+
+class TruthMap(Mapping):
+    """Read-only grid embedding text -> full-precision solution text (oracle backend).
+
+    Deliberately not the rounded context text: the oracle must score a true
+    zero against the unrounded solver truth. An entry's truth is read and
+    encoded only when its grid text is looked up; ``in`` reads none.
+    """
+
+    def __init__(self, entries: list[SolvedEntry]):
+        self._entries = {e.grid_text: e for e in entries}
+
+    def __getitem__(self, grid_text: str) -> str:
+        return encode_solution(self._entries[grid_text].solution, decimals=12)
+
+    def __contains__(self, grid_text: object) -> bool:
+        return grid_text in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 @dataclass
@@ -83,13 +120,8 @@ class SolvedDataset:
     def __len__(self):
         return len(self.entries)
 
-    def truth_map(self) -> dict[str, str]:
-        """grid embedding text -> full-precision solution text (oracle backend).
-
-        Deliberately not the rounded context text: the oracle must score a
-        true zero against the unrounded solver truth.
-        """
-        return {e.grid_text: encode_solution(e.solution, decimals=12) for e in self.entries}
+    def truth_map(self) -> TruthMap:
+        return TruthMap(self.entries)
 
 
 def _truth_doc(sol: OpfSolution) -> dict:
@@ -161,15 +193,16 @@ def build_solved_dataset(
 
         grid_text = embed_grid(to_hetero(scenario), fmt)
         solution_text = encode_solution(solution, fmt.decimals)
-        scenario_path = root / "scenarios" / f"{index}.m"
-        scenario_path.write_text(write_matpower(scenario))
+        entry = SolvedEntry(
+            index, grid_text, solution_text,
+            root / "scenarios" / f"{index}.m", root / "truth" / f"{index}.json",
+        )
+        entry.scenario_path.write_text(write_matpower(scenario))
         (root / "embeddings" / f"{index}.json").write_text(grid_text)
         (root / "solutions" / f"{index}.json").write_text(solution_text)
-        (root / "truth" / f"{index}.json").write_text(
-            json.dumps(_truth_doc(solution), sort_keys=True)
-        )
+        entry.truth_path.write_text(json.dumps(_truth_doc(solution), sort_keys=True))
         manifest_entries.append({**verdict, "objective_cost": solution.objective_cost})
-        entries.append(SolvedEntry(index, grid_text, solution_text, solution, scenario_path))
+        entries.append(entry)
         index += 1
 
     manifest = {
@@ -191,7 +224,7 @@ def build_solved_dataset(
 
 
 def load_solved_dataset(root: str | Path) -> SolvedDataset:
-    """Read a dataset directory; no scenario file is opened (see ``SolvedEntry``)."""
+    """Read a dataset directory; no scenario or truth file is opened (see ``SolvedEntry``)."""
     root = Path(root)
     try:
         manifest = json.loads((root / "manifest.json").read_text())
@@ -208,8 +241,8 @@ def load_solved_dataset(root: str | Path) -> SolvedDataset:
                 index=i,
                 grid_text=(embeddings / f"{i}.json").read_text(),
                 solution_text=(solutions / f"{i}.json").read_text(),
-                solution=_truth_from_doc(json.loads((truth / f"{i}.json").read_text())),
                 scenario_path=scenarios / f"{i}.m",
+                truth_path=truth / f"{i}.json",
             )
         )
     return SolvedDataset(root=root, entries=entries, rejected=list(manifest["rejected"]))

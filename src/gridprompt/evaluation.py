@@ -96,8 +96,9 @@ def make_trials(entries, trials: int, context_size: int, seed: int) -> list[Benc
     """Partition solved entries into disjoint per-trial context + query sets.
 
     ``entries`` is a sequence of objects with .grid_text, .solution_text,
-    .solution (ground truth) and .case, of which only each query's
-    .case.base_mva is read; the split is a seeded permutation so runs are
+    .solution (ground truth) and .case; only each query's .solution and
+    .case are read, so a loaded dataset reads no other entry's truth or
+    scenario file. The split is a seeded permutation so runs are
     reproducible from (dataset, seed) alone.
     """
     if trials < 1:

@@ -11,6 +11,7 @@ import json
 import os
 import random
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +135,10 @@ class EndpointConfig:
             raise ValueError("max_retries must be >= 0")
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be > 0")
+        if not 0 <= self.backoff_base_s < float("inf"):  # NaN and inf fail time.sleep too
+            raise ValueError(f"backoff_base_s must be finite and >= 0, got {self.backoff_base_s}")
+        if self.max_output_tokens < 1:
+            raise ValueError(f"max_output_tokens must be >= 1, got {self.max_output_tokens}")
 
 
 def complete(seq: PromptSequence, cfg: EndpointConfig) -> str:
@@ -204,16 +209,20 @@ def _load_vector(grid_text: str) -> np.ndarray:
 
 
 class OracleBackend:
-    """Answers every query with its stored ground-truth solution text."""
+    """Answers every query with its stored ground-truth solution text.
 
-    def __init__(self, truth_by_grid_text: dict[str, str]):
-        self._truth = dict(truth_by_grid_text)
+    The mapping is kept as given and looked up once per query, so a lazy one
+    (``SolvedDataset.truth_map``) reads only the truths that are asked for.
+    """
+
+    def __init__(self, truth_by_grid_text: Mapping[str, str]):
+        self._truth = truth_by_grid_text
 
     def complete(self, seq: PromptSequence) -> str:
-        query = seq.query_text
-        if query not in self._truth:
-            raise ProtocolError("oracle has no ground truth for this query")
-        return self._truth[query]
+        try:
+            return self._truth[seq.query_text]
+        except KeyError:
+            raise ProtocolError("oracle has no ground truth for this query") from None
 
 
 class NearestContextBackend:
@@ -259,7 +268,7 @@ class HttpBackend:
         return complete(seq, self.cfg)
 
 
-def replay_backend(mode: str, truth_by_grid_text: dict[str, str] | None = None):
+def replay_backend(mode: str, truth_by_grid_text: Mapping[str, str] | None = None):
     """Factory for the offline backends: oracle | nearest_context | corrupt."""
     if mode == "oracle":
         if truth_by_grid_text is None:

@@ -16,7 +16,7 @@ from .grid_model import Bus, BusKind, Generator, GridCase, Line, Load
 # MATPOWER column indices
 BUS_I, BUS_TYPE, PD, QD, GS, BS, BUS_AREA, VM, VA, BASE_KV, ZONE, VMAX, VMIN = range(13)
 GEN_BUS, PG, QG, QMAX, QMIN, VG, MBASE, GEN_STATUS, PMAX, PMIN = range(10)
-F_BUS, T_BUS, BR_R, BR_X, BR_B, RATE_A, RATE_B, RATE_C, TAP, SHIFT, BR_STATUS = range(11)
+F_BUS, T_BUS, BR_R, BR_X, BR_B, RATE_A, RATE_B, RATE_C, TAP, SHIFT, BR_STATUS, ANGMIN, ANGMAX = range(13)
 
 _BUS_TYPE_TO_KIND = {1: BusKind.PQ, 2: BusKind.PV, 3: BusKind.SLACK}
 _KIND_TO_BUS_TYPE = {v: k for k, v in _BUS_TYPE_TO_KIND.items()}
@@ -195,6 +195,12 @@ def raw_to_case(raw: RawCaseTables) -> GridCase:
             raise MatpowerParseError(f"branch {i} references an unknown bus")
         if r[SHIFT] != 0:
             raise UnsupportedFeatureError(f"branch {i}: phase shifters not supported")
+        # as in MATPOWER, ANGMIN 0 or <= -360 and ANGMAX 0 or >= 360 mean "no limit"
+        if -360 < r[ANGMIN] != 0 or 0 != r[ANGMAX] < 360:
+            raise UnsupportedFeatureError(
+                f"branch {i} ({r[F_BUS]:g}-{r[T_BUS]:g}): angle-difference limits "
+                f"{r[ANGMIN]:g}..{r[ANGMAX]:g} deg not supported"
+            )
         lines.append(
             Line(
                 id=len(lines),

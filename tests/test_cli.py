@@ -3,8 +3,9 @@ import json
 import pytest
 
 from gridprompt.cli import main
+from gridprompt.dataset_export import load_solved_dataset
 from gridprompt.embedding import parse_solution_doc
-from gridprompt.evaluation import reaggregate_log
+from gridprompt.evaluation import make_trials, reaggregate_log
 
 from conftest import CASES_DIR
 
@@ -186,6 +187,55 @@ class TestGenBench:
         assert info["lines"] == 12
         assert (dataset_dir / "finetune.jsonl").exists()
         assert (dataset_dir / "finetune_config.json").exists()
+
+    def test_bench_and_export_read_only_the_query_truths(self, capsys, tmp_path):
+        """Corrupt non-query truths change no output; a corrupt query truth is named."""
+        ds = tmp_path / "ds"
+        code, _, _ = run_cli(capsys, "gen", CASE9, "--n", "12", "--seed", "11",
+                             "--format", "table", "--out", str(ds))
+        assert code == 0
+        sizes = ("--trials", "3", "--context", "3", "--seed", "5")
+
+        def outputs(tag, concurrency):
+            got = {}
+            for mode in ("nearest_context", "oracle"):
+                out = tmp_path / f"{tag}-{mode}"
+                code, _, err = run_cli(capsys, "bench", str(ds), "--replay", mode, *sizes,
+                                       "--concurrency", concurrency, "--out", str(out))
+                assert code == 0, err
+                got[mode, "trials"] = [
+                    {k: v for k, v in json.loads(line).items() if k != "latency_ms"}
+                    for line in (out / "trials.jsonl").read_text().splitlines()
+                ]
+                got[mode, "report"] = (out / "report.json").read_text().replace(
+                    f'"concurrency": {concurrency}', '"concurrency": 1')
+            assert run_cli(capsys, "export-ft", str(ds))[0] == 0
+            got["finetune"] = (ds / "finetune.jsonl").read_text()
+            return got
+
+        clean = outputs("clean", "1")
+        entries = load_solved_dataset(ds).entries
+        plan = make_trials(entries, 3, 3, seed=5)
+        queries = {t.query_text for t in plan}
+        truth = {e.grid_text: ds / "truth" / f"{e.index}.json" for e in entries}
+        for e in entries:
+            if e.grid_text not in queries:
+                if e.index % 2:
+                    truth[e.grid_text].unlink()
+                else:
+                    truth[e.grid_text].write_text('{"gen": [[0, 1.5')
+        assert len(list((ds / "truth").iterdir())) < len(entries)
+        assert outputs("corrupt-serial", "1") == clean
+        assert outputs("corrupt-threads", "4") == clean
+
+        bad = truth[plan[1].query_text]
+        bad.write_text("{not json")
+        for mode in ("nearest_context", "oracle"):
+            code, out, err = run_cli(capsys, "bench", str(ds), "--replay", mode, *sizes,
+                                     "--out", str(tmp_path / f"bad-{mode}"))
+            assert code == 1
+            assert out == "" and err.startswith("error: ") and str(bad) in err
+            assert not (tmp_path / f"bad-{mode}" / "trials.jsonl").exists()
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

@@ -14,7 +14,7 @@ from gridprompt.dataset_export import (
     export_finetune_jsonl,
     load_solved_dataset,
 )
-from gridprompt.embedding import EmbeddingFormat, parse_solution_doc
+from gridprompt.embedding import EmbeddingFormat, encode_solution, parse_solution_doc
 from gridprompt.evaluation import make_trials, run_benchmark, score
 from gridprompt.llm_protocol import SYSTEM_PROMPT, replay_backend
 from gridprompt.scenario_gen import MutationSpec
@@ -204,3 +204,57 @@ class TestLazyScenarios:
         ds = load_solved_dataset(dataset9_copy)
         with pytest.raises(DatasetError, match=re.escape(str(bad.scenario_path))):
             make_trials(ds.entries, 1, 4, seed=0)
+
+
+class TestLazyTruth:
+    def test_build_and_load_read_truth_on_first_use(self, case9, tmp_path):
+        built = build_solved_dataset(
+            case9, MutationSpec(0.2, seed=5), 2, EmbeddingFormat("table"), tmp_path / "ds",
+        )
+        loaded = load_solved_dataset(built.root)
+        for x, y in zip(built.entries, loaded.entries):
+            assert "solution" not in vars(x) and "solution" not in vars(y)
+            assert x.truth_path == y.truth_path == built.root / "truth" / f"{x.index}.json"
+            assert y.solution == x.solution and y.solution.feasible
+            assert y.solution is y.solution
+
+    def test_load_and_export_read_no_truth(self, dataset9_copy):
+        shutil.rmtree(dataset9_copy / "truth")
+        ds = load_solved_dataset(dataset9_copy)
+        truth = ds.truth_map()
+        assert len(truth) == len(ds) and list(truth) == [e.grid_text for e in ds.entries]
+        assert all(e.grid_text in truth for e in ds.entries) and "no such grid" not in truth
+        path = export_finetune_jsonl(ds)
+        assert len(path.read_text().splitlines()) == len(ds)
+        assert not any("solution" in vars(e) for e in ds.entries)
+
+    def test_truth_map_reads_only_the_entries_looked_up(self, dataset9_copy):
+        ds = load_solved_dataset(dataset9_copy)
+        truth = ds.truth_map()
+        with pytest.raises(TypeError):
+            truth["x"] = "y"  # read-only
+        with pytest.raises(KeyError):
+            truth["no such grid"]
+        picked = ds.entries[3]
+        assert truth[picked.grid_text] == encode_solution(picked.solution, decimals=12)
+        assert [e.index for e in ds.entries if "solution" in vars(e)] == [picked.index]
+        assert dict(truth.items()) == {
+            e.grid_text: encode_solution(e.solution, decimals=12) for e in ds.entries
+        }
+
+    @pytest.mark.parametrize("text", [
+        None, "", "{not json", '{"gen": []}', "[1, 2]", '{"gen": [[1, 2]], "slack": [0], "bus": []}',
+    ], ids=["missing", "empty", "not-json", "no-slack", "list", "short-rows"])
+    def test_bad_truth_named_on_first_use(self, dataset9_copy, text):
+        ds = load_solved_dataset(dataset9_copy)
+        bad = ds.entries[2]
+        if text is None:
+            bad.truth_path.unlink()
+        else:
+            bad.truth_path.write_text(text)
+        ds = load_solved_dataset(dataset9_copy)
+        with pytest.raises(DatasetError, match=re.escape(str(bad.truth_path))):
+            ds.entries[2].solution
+        with pytest.raises(DatasetError, match=re.escape(str(bad.truth_path))):
+            ds.truth_map()[bad.grid_text]
+        assert ds.entries[1].solution.feasible

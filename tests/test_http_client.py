@@ -127,3 +127,19 @@ def test_deterministic_against_fixed_mock(mock_server):
     b = complete(seq, cfg(mock_server))
     assert a == b
     assert seq.messages == before  # sequence not mutated
+
+
+@pytest.mark.parametrize("field, value", [
+    ("backoff_base_s", -0.5), ("backoff_base_s", float("nan")), ("backoff_base_s", float("inf")),
+    ("max_output_tokens", 0), ("max_output_tokens", -1),
+    ("max_retries", -1), ("timeout_s", 0.0),
+])
+def test_config_refuses_values_that_would_fail_mid_run(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        EndpointConfig(base_url="http://127.0.0.1:1", model="m", **{field: value})
+
+
+def test_zero_backoff_and_one_token_are_accepted():
+    cfg = EndpointConfig(base_url="http://127.0.0.1:1", model="m",
+                         backoff_base_s=0.0, max_output_tokens=1)
+    assert cfg.backoff_base_s == 0.0 and cfg.max_output_tokens == 1

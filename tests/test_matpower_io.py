@@ -99,6 +99,26 @@ class TestParse:
         assert len(case.lines) == 2
         assert case.lines[1].x_pu == 0.2
 
+    @pytest.mark.parametrize("angmin, angmax", [("-5", "5"), ("0", "30"), ("-30", "0"),
+                                                ("-359.9", "360")])
+    def test_finite_angle_difference_limit_refused(self, angmin, angmax):
+        text = CASE9_TEXT.replace("\t1\t-360\t360;", f"\t1\t{angmin}\t{angmax};", 1)
+        assert text != CASE9_TEXT
+        with pytest.raises(UnsupportedFeatureError,
+                           match=rf"^branch 0 \(1-4\): angle-difference limits {angmin}\.\.{angmax} "):
+            parse_matpower(text)
+
+    @pytest.mark.parametrize("angmin, angmax", [("0", "0"), ("-360", "360"), ("-400", "720"),
+                                                ("-360", "0")])
+    def test_no_limit_angle_values_parse_as_case9(self, case9, angmin, angmax):
+        text = CASE9_TEXT.replace("\t-360\t360;", f"\t{angmin}\t{angmax};")
+        assert parse_matpower(text) == case9
+
+    def test_out_of_service_branch_angle_limits_ignored(self, case9):
+        head, row, tail = CASE9_TEXT.partition("\t4\t6\t0.017")  # a line of the 4-5-6-7-8-9 ring
+        row += tail.replace("\t1\t-360\t360;", "\t0\t-5\t5;", 1)
+        assert len(parse_matpower(head + row).lines) == len(case9.lines) - 1
+
     @pytest.mark.parametrize(
         "old, new, line",
         [
