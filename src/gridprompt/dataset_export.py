@@ -226,16 +226,20 @@ def build_solved_dataset(
 def load_solved_dataset(root: str | Path) -> SolvedDataset:
     """Read a dataset directory; no scenario or truth file is opened (see ``SolvedEntry``)."""
     root = Path(root)
+    path = root / "manifest.json"
     try:
-        manifest = json.loads((root / "manifest.json").read_text())
+        manifest = json.loads(path.read_text())
+        indices = [meta["index"] for meta in manifest["entries"]]
+        rejected = list(manifest["rejected"])
     except FileNotFoundError:
         raise DatasetError(f"{root} is not a dataset directory (no manifest.json)") from None
+    except (ValueError, LookupError, TypeError) as exc:
+        raise DatasetError(f"{path}: {type(exc).__name__}: {exc}") from exc
     embeddings, solutions, truth, scenarios = (
         root / sub for sub in ("embeddings", "solutions", "truth", "scenarios")
     )
     entries = []
-    for meta in manifest["entries"]:
-        i = meta["index"]
+    for i in indices:
         entries.append(
             SolvedEntry(
                 index=i,
@@ -245,7 +249,7 @@ def load_solved_dataset(root: str | Path) -> SolvedDataset:
                 truth_path=truth / f"{i}.json",
             )
         )
-    return SolvedDataset(root=root, entries=entries, rejected=list(manifest["rejected"]))
+    return SolvedDataset(root=root, entries=entries, rejected=rejected)
 
 
 def export_finetune_jsonl(

@@ -220,17 +220,16 @@ def _triples(doc: dict, key: str, fields: tuple[str, str]):
         if not isinstance(row, dict):
             raise InvalidResponse(f"missing or invalid values: {key!r} row")
         try:
-            rid = row["id"]
-            if isinstance(rid, bool) or isinstance(rid, float) and not rid.is_integer():
-                raise ValueError(rid)  # int() reads 1.7 and true as 1
-            rid = int(rid)
-            a = float(row[fields[0]])
-            b = float(row[fields[1]])
-        except (KeyError, TypeError, ValueError):
+            rid, a, b = row["id"], row[fields[0]], row[fields[1]]
+            # parse_grid's rule: true and "1.5" are not numbers; an id is integral
+            if not all(map(_is_number, (rid, a, b))) or not float(rid).is_integer():
+                raise ValueError(row)
+            a, b = float(a), float(b)
+        except (KeyError, OverflowError, ValueError):
             raise InvalidResponse(f"missing or invalid values: {key!r} row") from None
         if not (math.isfinite(a) and math.isfinite(b)):
             raise InvalidResponse(f"missing or invalid values: non-finite in {key!r}")
-        out.append((rid, a, b))
+        out.append((int(rid), a, b))
     return tuple(out)
 
 

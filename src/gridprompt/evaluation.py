@@ -8,6 +8,7 @@ from the MSE means and reported through the valid fraction instead.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -56,7 +57,8 @@ class EvalReport:
 
 
 def _pairs_mse(pred, truth, scale_a: float, scale_b: float, what: str) -> float:
-    """Mean squared error over id-matched (a, b) value pairs."""
+    """Mean squared error over id-matched (a, b) value pairs; one past the float
+    range raises ScoringError, so a huge predicted value fails its trial alone."""
     pred_by_id = {i: (a, b) for i, a, b in pred}
     if len(pred_by_id) != len(pred):
         raise ScoringError(f"duplicate ids in predicted {what}")
@@ -65,10 +67,17 @@ def _pairs_mse(pred, truth, scale_a: float, scale_b: float, what: str) -> float:
         if i not in pred_by_id:
             raise ScoringError(f"missing or invalid values: {what} id {i}")
         pa, pb = pred_by_id.pop(i)
-        errs += [((pa - a) / scale_a) ** 2, ((pb - b) / scale_b) ** 2]
+        try:
+            errs += [((pa - a) / scale_a) ** 2, ((pb - b) / scale_b) ** 2]
+        except OverflowError:
+            errs.append(math.inf)
     if pred_by_id:
         raise ScoringError(f"missing or invalid values: unknown {what} ids {sorted(pred_by_id)}")
-    return float(np.mean(errs)) if errs else 0.0
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, refused below
+        mse = float(np.mean(errs)) if errs else 0.0
+    if not math.isfinite(mse):
+        raise ScoringError(f"{what} error is not finite")
+    return mse
 
 
 def score(

@@ -133,8 +133,8 @@ class EndpointConfig:
     def __post_init__(self):
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be > 0")
+        if not 0 < self.timeout_s < float("inf"):  # requests.post fails on NaN and inf
+            raise ValueError(f"timeout_s must be finite and > 0, got {self.timeout_s}")
         if not 0 <= self.backoff_base_s < float("inf"):  # NaN and inf fail time.sleep too
             raise ValueError(f"backoff_base_s must be finite and >= 0, got {self.backoff_base_s}")
         if self.max_output_tokens < 1:

@@ -15,7 +15,8 @@ from .grid_model import Bus, BusKind, Generator, GridCase, Line, Load
 
 # MATPOWER column indices
 BUS_I, BUS_TYPE, PD, QD, GS, BS, BUS_AREA, VM, VA, BASE_KV, ZONE, VMAX, VMIN = range(13)
-GEN_BUS, PG, QG, QMAX, QMIN, VG, MBASE, GEN_STATUS, PMAX, PMIN = range(10)
+GEN_BUS, PG, QG, QMAX, QMIN, VG, MBASE, GEN_STATUS, PMAX, PMIN, PC1, PC2 = range(12)
+QC1MIN, QC1MAX, QC2MIN, QC2MAX = range(12, 16)
 F_BUS, T_BUS, BR_R, BR_X, BR_B, RATE_A, RATE_B, RATE_C, TAP, SHIFT, BR_STATUS, ANGMIN, ANGMAX = range(13)
 
 _BUS_TYPE_TO_KIND = {1: BusKind.PQ, 2: BusKind.PV, 3: BusKind.SLACK}
@@ -83,6 +84,8 @@ def parse_raw_tables(text: str) -> RawCaseTables:
                 for row in re.split(r"[;\n]", body)
                 if (toks := row.replace(",", " ").split())
             ]
+            if key == "dcline" and tables[key]:
+                raise UnsupportedFeatureError(f"line {line}: mpc.dcline (DC lines) not supported")
 
     if base_mva is None:
         raise MatpowerParseError("missing mpc.baseMVA")
@@ -163,6 +166,9 @@ def raw_to_case(raw: RawCaseTables) -> GridCase:
     for i, r in enumerate(raw.gen):
         if _integer(r[GEN_STATUS], "gen", i, "GEN_STATUS") <= 0:
             continue
+        # MATPOWER's hasPQcap: Q limits that change between PC1 and PC2
+        if r[PC1] != r[PC2] and (r[QC1MIN] != r[QC2MIN] or r[QC1MAX] != r[QC2MAX]):
+            raise UnsupportedFeatureError(f"generator {i}: PQ capability curve not supported")
         bus_ext = _integer(r[GEN_BUS], "gen", i, "GEN_BUS")
         bus_i = ext_to_int.get(bus_ext)
         if bus_i is None:

@@ -30,8 +30,11 @@ multipliers of h and g); as ``OpfOptions.x0`` it starts a related draw at
 the power flow of its controls and at its multipliers, kept off zero (see
 ``_mips``), which about halves a warm draw's iterations.
 
-The check is an independent power flow at the answer's controls (non-slack
-P, machine |V|); its largest soft row is ``max_violation_pu``. A converged
+The start and the check of a solve share one method, ``power_flow``: a power
+flow at given controls (non-slack P, machine |V|), with its x and its soft
+rows as per-unit excesses. The start runs it at the warm start's controls (or
+the case's setpoints) clipped to their bounds, the check at the answer's own
+controls; the check's largest soft row is ``max_violation_pu``. A converged
 solve within ``constraint_tol`` there is feasible; any other answer's message
 names its reason (``infeasible`` for a converged one, else ``max_outer``,
 ``stalled`` or ``pf_diverged``) and a soft row, e.g.
@@ -545,30 +548,25 @@ class _OpfProblem:
             (gen_p, gen_vm), v0 = self.controls(opts.x0.x), self.voltages(opts.x0.x)
         gen_p = np.clip(gen_p, self.lb[self.ip : self.iq], self.ub[self.ip : self.iq])
         gen_vm = np.clip(gen_vm, net.vm_min[net.gen_bus], net.vm_max[net.gen_bus])
+        pf = self.power_flow(gen_p, gen_vm, v0)
+        if pf is None:
+            return None
+        _, x, excess = pf
+        x[-1] = max(excess.max(), 0.0) / opts.constraint_tol
+        return x
+
+    def power_flow(self, gen_p: np.ndarray, gen_vm: np.ndarray, v0: np.ndarray | None):
+        """The power flow at controls (gen_p, gen_vm) from v0, None if it diverges:
+        its voltages V, its x with s = 0 (the machines' P and Q close the balance)
+        and the soft rows of g there (``con_names`` names them), each a per-unit
+        excess: a line row is |S| - rate, so one tolerance fits all."""
+        net, opts = self.net, self.opts
         V, conv, _, _ = _newton_pf(net, gen_p, gen_vm, opts.pf_tol, opts.pf_max_iter, v0)
         if not conv:
             return None
-        x = self._pf_point(V, gen_p)
-        x[-1] = max(self._excess(x, V).max(), 0.0) / opts.constraint_tol
-        return x
-
-    def _pf_point(self, V: np.ndarray, gen_p: np.ndarray) -> np.ndarray:
-        """x of the power flow V at dispatch gen_p, with s = 0: its machines' P and Q
-        close the balance."""
-        return np.concatenate([np.angle(V), np.abs(V), *_machine_pq(self.net, V, gen_p), [0.0]])
-
-    def _excess(self, x: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """The soft rows of g at the power-flow point x (s = 0) of V, each a per-unit
-        excess: a line row is |S| - rate, so one tolerance fits all."""
-        flow = np.abs(V[self.net.end_bus] * np.conj(self.net.Ybr @ V))
-        return np.concatenate([flow - self.rate, self.a_bound @ x - self.b_bound])[self.soft]
-
-    def evaluate(self, gen_p: np.ndarray, V: np.ndarray):
-        """Cost ($/h), the soft rows of g as ``_excess`` gives them (``con_names``
-        names them), and each machine's MW and MVAr, of the power flow V at dispatch gen_p."""
-        x = self._pf_point(V, gen_p)
-        p_mw, q_mvar = x[self.ip : self.iq] * self.net.base, x[self.iq : -1] * self.net.base
-        return generation_cost(self.case, p_mw), self._excess(x, V), p_mw, q_mvar
+        x = np.concatenate([np.angle(V), np.abs(V), *_machine_pq(net, V, gen_p), [0.0]])
+        flow = np.abs(V[net.end_bus] * np.conj(net.Ybr @ V))
+        return V, x, np.concatenate([flow - self.rate, self.a_bound @ x - self.b_bound])[self.soft]
 
     def solve(self) -> OpfSolution:
         x = self.start()
@@ -601,14 +599,9 @@ class _OpfProblem:
         ``infeasible``, naming the row whose multiplier is largest. Any other
         names its most violated row.
         """
-        net, opts = self.net, self.opts
         if point is not None:
-            x = point.x
-            gen_p, gen_vm = self.controls(x)
-            V, conv, _, _ = _newton_pf(
-                net, gen_p, gen_vm, opts.pf_tol, opts.pf_max_iter, self.voltages(x)
-            )
-        if point is None or not conv:
+            pf = self.power_flow(*self.controls(point.x), self.voltages(point.x))
+        if point is None or pf is None:
             return OpfSolution(
                 gen=(), slack=(self.gens[self.slack_i].id, float("nan"), float("nan")),
                 bus=(), objective_cost=float("nan"), feasible=False,
@@ -616,11 +609,12 @@ class _OpfProblem:
                 message=reason if point is None else "pf_diverged: final power flow diverged",
                 stats=stats,
             )
-        cost, gv, p_mw, q_mvar = self.evaluate(gen_p, V)
+        V, x, gv = pf
+        p_mw, q_mvar = x[self.ip : self.iq] * self.net.base, x[self.iq : -1] * self.net.base
         # never empty: the parser refuses Inf, so slack P's bounds are finite soft rows
         viol = float(gv.max())
         converged = reason == "converged"
-        feasible = converged and viol <= opts.constraint_tol
+        feasible = converged and viol <= self.opts.constraint_tol
         worst = int(np.argmax(point.mu[self.soft] if converged else gv))
         reason = "infeasible" if converged else reason
         message = "" if feasible else f"{reason}: {self.con_names[worst]} over by {viol:.2e} pu"
@@ -631,6 +625,7 @@ class _OpfProblem:
             (b.id, float(np.abs(V[b.id])), float(np.degrees(np.angle(V[b.id]))))
             for b in self.case.buses
         )
+        cost = generation_cost(self.case, p_mw)
         return OpfSolution(gen, slack, bus, cost, feasible, viol, point, message, stats)
 
 

@@ -206,6 +206,17 @@ class TestLazyScenarios:
             make_trials(ds.entries, 1, 4, seed=0)
 
 
+@pytest.mark.parametrize("text", [
+    "{not json", "[]", '{"rejected": []}', '{"entries": []}', '{"entries": [{}], "rejected": []}',
+    '{"entries": [], "rejected": 3}',
+], ids=["not-json", "list", "no-entries", "no-rejected", "no-index", "rejected-not-a-list"])
+def test_bad_manifest_named(dataset9_copy, text):
+    path = dataset9_copy / "manifest.json"
+    path.write_text(text)
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: "):
+        load_solved_dataset(dataset9_copy)
+
+
 class TestLazyTruth:
     def test_build_and_load_read_truth_on_first_use(self, case9, tmp_path):
         built = build_solved_dataset(

@@ -233,10 +233,14 @@ class TestSolutionDoc:
             parse_solution_doc(json.dumps(doc))
 
     def test_non_numeric_value_is_invalid(self, opf9):
-        doc = json.loads(encode_solution(opf9))
-        doc["gen"][0]["p_mw"] = "about ninety"
-        with pytest.raises(InvalidResponse):
-            parse_solution_doc(json.dumps(doc))
+        """parse_grid's number rule: a boolean or a string is no number, an id no
+        string; an integer past the float range is refused too."""
+        for field, value in [("p_mw", "about ninety"), ("p_mw", True), ("p_mw", "1.5"),
+                             ("q_mvar", None), ("p_mw", 10**400), ("id", "3")]:
+            doc = json.loads(encode_solution(opf9))
+            doc["gen"][0][field] = value
+            with pytest.raises(InvalidResponse, match="missing or invalid values"):
+                parse_solution_doc(json.dumps(doc))
 
     @pytest.mark.parametrize("rid", [1.7, True, False, float("inf")])
     def test_fractional_or_boolean_id_is_invalid(self, opf9, rid):

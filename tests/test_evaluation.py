@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gridprompt.embedding import EmbeddingFormat, SolutionDoc
+from gridprompt.embedding import EmbeddingFormat, SolutionDoc, encode_solution
 from gridprompt.dataset_export import build_solved_dataset
 from gridprompt.evaluation import (
     ScoringError,
@@ -207,6 +207,25 @@ class TestRunBenchmark:
         )
         assert report.valid_fraction == 0.0
         assert "missing or invalid values" in records[0].reason
+
+    @pytest.mark.parametrize("table, field, value, rows", [
+        ("gen", "p_mw", 1e200, 1),  # its square is past the float range
+        ("bus", "vm_pu", 1.3e154, 2),  # each square fits, their sum does not
+    ])
+    def test_out_of_range_reply_fails_only_its_trial(
+        self, dataset9, tmp_path, table, field, value, rows
+    ):
+        doc = json.loads(encode_solution(dataset9.entries[0].solution))
+        for row in doc[table][:rows]:
+            row[field] = value
+        log = tmp_path / "trials.jsonl"
+        report, records = run_benchmark(
+            dataset9.entries, FixedBackend(json.dumps(doc)), trials=2, context_size=2,
+            log_path=log,
+        )
+        assert [r.reason for r in records] == [f"{table} error is not finite"] * 2
+        assert report.valid_fraction == 0.0 and "Infinity" not in report.to_json()
+        assert len(log.read_text().splitlines()) == 2
 
     def test_sizing_error_before_any_request(self, dataset9):
         class Exploding:

@@ -132,7 +132,8 @@ def test_deterministic_against_fixed_mock(mock_server):
 @pytest.mark.parametrize("field, value", [
     ("backoff_base_s", -0.5), ("backoff_base_s", float("nan")), ("backoff_base_s", float("inf")),
     ("max_output_tokens", 0), ("max_output_tokens", -1),
-    ("max_retries", -1), ("timeout_s", 0.0),
+    ("max_retries", -1), ("timeout_s", 0.0), ("timeout_s", float("nan")),
+    ("timeout_s", float("inf")),
 ])
 def test_config_refuses_values_that_would_fail_mid_run(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):

@@ -36,6 +36,15 @@ mpc.gencost = [
 CASE9_TEXT = (CASES_DIR / "case9.m").read_text()
 
 
+def case9_with_curve(curve: str, status: str = "1") -> str:
+    """case9 with its second machine's status and PC1 PC2 QC1MIN QC1MAX QC2MIN QC2MAX
+    (columns 8 and 11-16) set."""
+    text = CASE9_TEXT.replace("1.025\t100\t1\t300\t10\t0\t0\t0\t0\t0\t0",
+                              f"1.025\t100\t{status}\t300\t10\t" + curve.replace(" ", "\t"), 1)
+    assert text != CASE9_TEXT
+    return text
+
+
 class TestParse:
     def test_case9_counts(self, case9):
         assert case9.base_mva == 100
@@ -118,6 +127,27 @@ class TestParse:
         head, row, tail = CASE9_TEXT.partition("\t4\t6\t0.017")  # a line of the 4-5-6-7-8-9 ring
         row += tail.replace("\t1\t-360\t360;", "\t0\t-5\t5;", 1)
         assert len(parse_matpower(head + row).lines) == len(case9.lines) - 1
+
+    def test_dc_lines_refused(self, case9):
+        dcline = "mpc.dcline = [\n\t4\t5\t1\t10\t8.9\t0\t0\t1.01\t1\t1\t10\t-10\t10;\n];\n"
+        with pytest.raises(UnsupportedFeatureError, match=r"^line 57: mpc\.dcline "):
+            parse_matpower(CASE9_TEXT + dcline)
+        assert parse_matpower(CASE9_TEXT + "mpc.dcline = [];\n") == case9
+
+    @pytest.mark.parametrize("curve", ["0 300 -300 300 -200 200", "10 200 -100 100 -100 90",
+                                       "10 200 -90 100 -100 100"])
+    def test_pq_capability_curve_refused(self, curve):
+        with pytest.raises(UnsupportedFeatureError, match="^generator 1: PQ capability curve"):
+            parse_matpower(case9_with_curve(curve))
+
+    # equal PC1 and PC2, or Q limits equal at both: no curve, as in MATPOWER's hasPQcap
+    @pytest.mark.parametrize("curve", ["50 50 -300 300 -200 200", "10 200 -100 100 -100 100"])
+    def test_no_capability_curve_values_parse_as_case9(self, case9, curve):
+        assert parse_matpower(case9_with_curve(curve)) == case9
+
+    def test_out_of_service_generator_curve_ignored(self, case9):
+        text = case9_with_curve("0 300 -300 300 -200 200", status="0")
+        assert len(parse_matpower(text).generators) == len(case9.generators) - 1
 
     @pytest.mark.parametrize(
         "old, new, line",

@@ -661,9 +661,9 @@ def test_constraint_names_follow_g(case30):
     """Each name labels the g entry of its quantity, computed here from a plain PF."""
     prob = _OpfProblem(case30, OpfOptions())
     pf = solve_pf(case30)
-    gen_p, _ = prob.controls(prob.start())
+    gen_p, gen_vm = prob.controls(prob.start())
     assert np.array_equal(gen_p[prob.free] * case30.base_mva, pf.gen_p_mw[prob.free])
-    g = prob.evaluate(gen_p, pf.vm_pu * np.exp(1j * np.radians(pf.va_deg)))[1]
+    g = prob.power_flow(gen_p, gen_vm, pf.vm_pu * np.exp(1j * np.radians(pf.va_deg)))[2]
     named = dict(zip(prob.con_names, g))
     assert len(named) == len(g) == len(prob.con_names)
     base, ext = case30.base_mva, case30.external_bus_ids
@@ -691,7 +691,7 @@ def test_constraint_names_follow_g(case30):
 
 @pytest.mark.parametrize("case_name", ["case30", "case9_shared_buses"])
 def test_evaluate_checks_the_soft_rows_of_g(request, case_name):
-    """At a power-flow point with s = 0, evaluate's g is fun's g at its soft rows, in
+    """At a power-flow point with s = 0, power_flow's g is fun's g at its soft rows, in
     g's order, with each line row as |S| - rate; con_names names each soft row once."""
     prob = _OpfProblem(request.getfixturevalue(case_name), OpfOptions())
     x = prob.start()
@@ -700,6 +700,6 @@ def test_evaluate_checks_the_soft_rows_of_g(request, case_name):
     nf, rate = len(prob.rate), prob.rate
     # fun's line row is (|S|^2 - rate^2) / (2 rate) at s = 0
     over = np.concatenate([np.sqrt(2.0 * rate * g[:nf] + rate**2) - rate, g[nf:]])[prob.soft]
-    checked = prob.evaluate(prob.controls(x)[0], prob.voltages(x))[1]
+    checked = prob.power_flow(*prob.controls(x), prob.voltages(x))[2]
     assert len(prob.con_names) == prob.soft.sum() == len(checked)
     assert np.max(np.abs(checked - over)) <= 1e-9
