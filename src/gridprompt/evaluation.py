@@ -165,7 +165,11 @@ def aggregate(records: list[TrialRecord], config: dict) -> EvalReport:
     def mean(attr):
         if not valid:
             return None
-        return float(np.mean([getattr(r, attr) for r in valid]))
+        values = np.array([getattr(r, attr) for r in valid])
+        with np.errstate(over="ignore"):
+            m = np.mean(values)
+        # a sum of finite MSEs can overflow, their mean cannot: over the largest, each is <= 1
+        return float(m if np.isfinite(m) else values.max() * np.mean(values / values.max()))
 
     return EvalReport(
         n_trials=n,

@@ -108,6 +108,8 @@ class GridCase:
 
 def validate_case(case: GridCase) -> None:
     """Raise GridError if any structural invariant is broken."""
+    if not 0 < case.base_mva < np.inf:
+        raise GridError(f"base_mva must be finite and > 0, got {case.base_mva}")
     n = len(case.buses)
     for i, b in enumerate(case.buses):
         if b.id != i:

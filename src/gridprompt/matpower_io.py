@@ -8,7 +8,7 @@ restored on write.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .grid_model import Bus, BusKind, Generator, GridCase, Line, Load
@@ -190,6 +190,11 @@ def raw_to_case(raw: RawCaseTables) -> GridCase:
                 is_slack=buses[bus_i].bus_kind == BusKind.SLACK,
             )
         )
+
+    held = {g.bus for g in gens}  # MATPOWER's bustypes: a PV bus with no machine in service is PQ
+    for b in buses:
+        if b.bus_kind == BusKind.PV and b.id not in held:
+            buses[b.id] = replace(b, bus_kind=BusKind.PQ)
 
     lines = []
     for i, r in enumerate(raw.branch):

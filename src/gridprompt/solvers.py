@@ -23,12 +23,15 @@ optimum; an infeasible one at its l-infinity minimum, the smallest worst
 excess reachable near the start, with the soft row of largest multiplier
 named.
 
-The model is built once per grid and shared by its draws; each iteration
-fills the derivatives and the Newton system in place. A converged solve
-hands on its primal-dual point (``OpfSolution.controls``: x and the
-multipliers of h and g); as ``OpfOptions.x0`` it starts a related draw at
-the power flow of its controls and at its multipliers, kept off zero (see
-``_mips``), which about halves a warm draw's iterations.
+One object, ``_OpfProblem``, is a grid's model (network arrays, bus roles,
+bounds, limits), built once per grid and shared by its draws, which bring
+only their loads, and by ``solve_pf``: the power flow refuses what the OPF
+refuses (a PV bus with no machine, a PQ bus with one). Each iteration fills
+the derivatives and the Newton system in place. A converged solve hands on
+its primal-dual point (``OpfSolution.controls``: x and the multipliers of h
+and g); as ``OpfOptions.x0`` it starts a related draw at the power flow of
+its controls and at its multipliers, kept off zero (see ``_mips``), which
+about halves a warm draw's iterations.
 
 The start and the check of a solve share one method, ``power_flow``: a power
 flow at given controls (non-slack P, machine |V|), with its x and its soft
@@ -109,60 +112,6 @@ class OpfOptions:
     x0: PrimalDual | None = field(default=None, compare=False)  # OpfSolution.controls
 
 
-class _Network:
-    """Precomputed per-unit arrays for one grid; ``at_loads`` adds a draw's loads."""
-
-    def __init__(self, case: GridCase):
-        n = case.n_bus
-        self.Y = admittance_matrix(case)
-        self.base = case.base_mva
-        kinds = [b.bus_kind for b in case.buses]
-        self.slack_bus = kinds.index(BusKind.SLACK)
-        self.pv = np.array([i for i, k in enumerate(kinds) if k == BusKind.PV], int)
-        self.pq = np.array([i for i, k in enumerate(kinds) if k == BusKind.PQ], int)
-        self.pvpq = np.concatenate([self.pv, self.pq])
-        self.fixed = np.concatenate([[self.slack_bus], self.pv])  # |V| held at a setpoint
-
-        gens = case.generators
-        self.gen_bus = np.array([g.bus for g in gens], dtype=int)
-        self.gen_is_slack = np.array([g.is_slack for g in gens], dtype=bool)
-        self.vm_min = np.array([b.vm_min for b in case.buses])
-        self.vm_max = np.array([b.vm_max for b in case.buses])
-
-        # bus <- machine incidence, and that of active setpoints: the slack
-        # machine's output is whatever closes the balance, so its column is zero
-        self.cg = np.zeros((n, len(gens)))
-        self.cg[self.gen_bus, np.arange(len(gens))] = 1.0
-        self.gen_p_inc = self.cg * ~self.gen_is_slack
-        # bus -> its last machine, whose |V| setpoint wins on a shared bus: fixed
-        # bus self.fixed[vm_set_pos[k]] takes that of machine vm_set_gen[k], others 1 pu
-        self.last_gen = last = {g.bus: i for i, g in enumerate(gens)}
-        self.vm_set_pos = np.array([k for k, b in enumerate(self.fixed) if b in last], int)
-        self.vm_set_gen = np.array([last[b] for b in self.fixed if b in last], int)
-        # a bus's reactive output splits among its machines in proportion to
-        # their reactive range, equally if every range is zero
-        q_range = np.array([g.q_max_mvar - g.q_min_mvar for g in gens])
-        bus_range = np.bincount(self.gen_bus, q_range, n)[self.gen_bus]
-        bus_count = np.bincount(self.gen_bus, minlength=n)[self.gen_bus]
-        self.q_weight = np.where(
-            bus_range > 0, q_range / np.where(bus_range > 0, bus_range, 1.0), 1.0 / bus_count
-        )
-
-        rated = [ln for ln in case.lines if ln.rate_mva > 0]
-        self.line_id = np.array([ln.id for ln in rated], dtype=int)
-        self.end_bus, self.Ybr = branch_admittances(case, rated)
-        self.rate = np.array([ln.rate_mva for ln in rated]) / self.base
-
-    def at_loads(self, case: GridCase) -> "_Network":
-        """A copy with case's per-unit bus loads, sharing every other array."""
-        net = copy.copy(self)
-        net.p_load, net.q_load = np.zeros(case.n_bus), np.zeros(case.n_bus)
-        for ld in case.loads:
-            net.p_load[ld.bus] += ld.p_mw / self.base
-            net.q_load[ld.bus] += ld.q_mvar / self.base
-        return net
-
-
 def _ds_dv(Y: np.ndarray, c: np.ndarray, V: np.ndarray) -> np.ndarray:
     """[dS/dVa, dS/dVm] of S = V[c] * conj(Y V), c each row's bus, in polar form, side by side.
 
@@ -207,7 +156,7 @@ def _d2s_dv2(Y: np.ndarray, c: np.ndarray, V: np.ndarray, lam: np.ndarray) -> np
 
 
 def _newton_pf(
-    net: _Network,
+    prob: _OpfProblem,
     gen_p_pu: np.ndarray,
     gen_vm: np.ndarray,
     tol: float,
@@ -215,44 +164,34 @@ def _newton_pf(
     v0: np.ndarray | None = None,
 ):
     """Core NR loop; returns (V complex, converged, iterations, max_mismatch)."""
-    n = len(net.Y)
-    rc = np.concatenate([net.pvpq, n + net.pq])  # P at pvpq, Q at pq; Va at pvpq, Vm at pq
-    vm_fixed = np.ones(len(net.fixed))
-    vm_fixed[net.vm_set_pos] = gen_vm[net.vm_set_gen]
+    n, pq, pvpq = len(prob.Y), prob.pq, prob.pvpq
+    rc = np.concatenate([pvpq, n + pq])  # P at pvpq, Q at pq; Va at pvpq, Vm at pq
+    vm_fixed = gen_vm[prob.vm_set_gen]
 
-    if v0 is not None:
-        V = v0.copy()
-    else:
-        V = np.ones(n, dtype=complex)
+    V = np.ones(n, dtype=complex) if v0 is None else v0.copy()
     # pin controlled magnitudes, keep warm-start angles
-    fixed = net.fixed
+    fixed = prob.fixed
     V[fixed] = vm_fixed * V[fixed] / np.abs(V[fixed])
-    V[net.slack_bus] = vm_fixed[0]  # slack angle = 0
+    V[prob.slack_bus] = vm_fixed[0]  # slack angle = 0
 
-    p_spec = net.gen_p_inc @ gen_p_pu - net.p_load
-    q_spec = -net.q_load
-
-    pq, pvpq = net.pq, net.pvpq
+    p_spec, q_spec = prob.gen_p_inc @ gen_p_pu - prob.p_load, -prob.q_load
 
     def mismatch(V):
-        S = V * np.conj(net.Y @ V)
-        dP = p_spec[pvpq] - S.real[pvpq]
-        dQ = q_spec[pq] - S.imag[pq]
-        return np.concatenate([dP, dQ])
+        S = V * np.conj(prob.Y @ V)
+        return np.concatenate([p_spec[pvpq] - S.real[pvpq], q_spec[pq] - S.imag[pq]])
 
     it = 0
     F = mismatch(V)
     norm = np.max(np.abs(F)) if F.size else 0.0
     while norm > tol and it < max_iter:
-        dS = _ds_dv(net.Y, np.arange(n), V)
+        dS = _ds_dv(prob.Y, np.arange(n), V)
         J = np.vstack([dS.real, dS.imag])[np.ix_(rc, rc)]
         try:
             dx = np.linalg.solve(J, F)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular power-flow Jacobian at iteration {it}") from exc
 
-        va = np.angle(V)
-        vm = np.abs(V)
+        va, vm = np.angle(V), np.abs(V)
         va[pvpq] += dx[: len(pvpq)]
         vm[pq] += dx[len(pvpq) :]
         V = vm * np.exp(1j * va)
@@ -263,16 +202,16 @@ def _newton_pf(
     return V, norm <= tol, it, norm
 
 
-def _machine_pq(net: _Network, V: np.ndarray, gen_p_pu: np.ndarray):
+def _machine_pq(prob: _OpfProblem, V: np.ndarray, gen_p_pu: np.ndarray):
     """Per-machine P and Q (per unit) of the power flow V at the setpoints gen_p_pu.
 
     The slack machine's P closes its bus's balance, less co-located setpoints;
-    each bus's reactive balance is split among its machines by ``net.q_weight``.
+    each bus's reactive balance is split among its machines by ``prob.q_weight``.
     """
-    S = V * np.conj(net.Y @ V)
-    sb, p = net.slack_bus, gen_p_pu.copy()
-    p[net.gen_is_slack] = S.real[sb] + net.p_load[sb] - net.gen_p_inc[sb] @ gen_p_pu
-    return p, net.q_weight * (S.imag + net.q_load)[net.gen_bus]
+    S = V * np.conj(prob.Y @ V)
+    sb, p = prob.slack_bus, gen_p_pu.copy()
+    p[prob.gen_is_slack] = S.real[sb] + prob.p_load[sb] - prob.gen_p_inc[sb] @ gen_p_pu
+    return p, prob.q_weight * (S.imag + prob.q_load)[prob.gen_bus]
 
 
 def solve_pf(
@@ -289,21 +228,21 @@ def solve_pf(
     to check a predicted dispatch. Non-convergence is reported in the result,
     not raised; a singular Jacobian raises SolverError.
     """
-    net = _Network(case).at_loads(case)
+    prob = _problem(case, OpfOptions())
     gen_p = np.array(
         [g.p_mw for g in case.generators] if gen_p_mw is None else gen_p_mw, float
-    ) / net.base
+    ) / case.base_mva
     gen_vm = np.array(
         [g.vm_setpoint_pu for g in case.generators] if gen_vm_pu is None else gen_vm_pu,
         float,
     )
-    V, converged, it, norm = _newton_pf(net, gen_p, gen_vm, tol, max_iter, v0)
-    p, q = _machine_pq(net, V, gen_p)
+    V, converged, it, norm = _newton_pf(prob, gen_p, gen_vm, tol, max_iter, v0)
+    p, q = _machine_pq(prob, V, gen_p)
     return PfSolution(
         vm_pu=np.abs(V),
         va_deg=np.degrees(np.angle(V)),
-        gen_p_mw=p * net.base,
-        gen_q_mvar=q * net.base,
+        gen_p_mw=p * case.base_mva,
+        gen_q_mvar=q * case.base_mva,
         converged=converged,
         iterations=it,
         max_mismatch_pu=float(norm),
@@ -412,50 +351,83 @@ class _OpfProblem:
     _at = (None,)  # (x bytes, Sbr, dSbr, Re(conj(Sbr) dSbr)) of the last iterate; grid alone
 
     def __init__(self, case: GridCase, opts: OpfOptions):
-        self.case = case
-        self.opts = opts
-        net = self.net = _Network(case).at_loads(case)
+        self._draw(case, opts)
+        n = case.n_bus
+        self.Y = admittance_matrix(case)
+        kinds = [b.bus_kind for b in case.buses]
+        self.slack_bus = kinds.index(BusKind.SLACK)
+        self.pv = np.array([i for i, k in enumerate(kinds) if k == BusKind.PV], int)
+        self.pq = np.array([i for i, k in enumerate(kinds) if k == BusKind.PQ], int)
+        self.pvpq = np.concatenate([self.pv, self.pq])
+        self.fixed = np.concatenate([[self.slack_bus], self.pv])  # |V| held at a setpoint
+
         self.gens = gens = case.generators
-        n, ng, nl = case.n_bus, len(gens), len(net.rate)
+        ng = len(gens)
+        self.gen_bus = np.array([g.bus for g in gens], dtype=int)
+        self.gen_is_slack = np.array([g.is_slack for g in gens], dtype=bool)
         ext = case.external_bus_ids
-        machines = np.bincount(net.gen_bus, minlength=n)
-        for b in net.pv[machines[net.pv] == 0]:
+        machines = np.bincount(self.gen_bus, minlength=n)
+        for b in self.pv[machines[self.pv] == 0]:
             raise SolverError(f"PV bus {ext[b]} has no machine to hold its voltage")
-        for b in net.pq[machines[net.pq] > 0]:
+        for b in self.pq[machines[self.pq] > 0]:
             raise SolverError(f"PQ bus {ext[b]} has a machine")
-        self.free = np.flatnonzero(~net.gen_is_slack)
-        self.slack_i = int(np.flatnonzero(net.gen_is_slack)[0])
+        self.free = np.flatnonzero(~self.gen_is_slack)
+        self.slack_i = int(np.flatnonzero(self.gen_is_slack)[0])
         self.nx, self.ip, self.iq = 2 * n + 2 * ng + 1, 2 * n, 2 * n + ng  # Pg, Qg start at ip, iq
 
-        base = net.base
+        # bus <- machine incidence, and that of active setpoints: the slack
+        # machine's output is whatever closes the balance, so its column is zero
+        self.cg = np.zeros((n, ng))
+        self.cg[self.gen_bus, np.arange(ng)] = 1.0
+        self.gen_p_inc = self.cg * ~self.gen_is_slack
+        # bus -> its last machine, whose |V| setpoint wins on a shared bus:
+        # fixed bus self.fixed[k] takes that of machine vm_set_gen[k]
+        last = {g.bus: i for i, g in enumerate(gens)}
+        self.vm_set_gen = np.array([last[b] for b in self.fixed], int)
+        # a bus's reactive output splits among its machines in proportion to
+        # their reactive range, equally if every range is zero
+        q_range = np.array([g.q_max_mvar - g.q_min_mvar for g in gens])
+        bus_range = np.bincount(self.gen_bus, q_range, n)[self.gen_bus]
+        bus_count = machines[self.gen_bus]
+        self.q_weight = np.where(
+            bus_range > 0, q_range / np.where(bus_range > 0, bus_range, 1.0), 1.0 / bus_count
+        )
+
+        base = case.base_mva
+        rated = [ln for ln in case.lines if ln.rate_mva > 0]
+        self.line_id = np.array([ln.id for ln in rated], dtype=int)
+        self.end_bus, self.Ybr = branch_admittances(case, rated)
+        # per row of the line ends, from ends then to ends
+        self.rate = np.tile(np.array([ln.rate_mva for ln in rated]) / base, 2)
+
         # every machine but the last on its bus takes its q_weight share of the bus's Q
-        split = [i for i, g in enumerate(gens) if net.last_gen[g.bus] != i]
+        split = [i for i, g in enumerate(gens) if last[g.bus] != i]
         self.a_eq = np.zeros((1 + len(split), self.nx))
-        self.a_eq[0, net.slack_bus] = 1.0
-        share = np.eye(ng) - net.q_weight[:, None] * (net.cg.T @ net.cg)
+        self.a_eq[0, self.slack_bus] = 1.0
+        share = np.eye(ng) - self.q_weight[:, None] * (self.cg.T @ self.cg)
         self.a_eq[1:, self.iq : -1] = share[split]
 
+        vm_min, vm_max = np.array([[b.vm_min, b.vm_max] for b in case.buses]).T
         p_min, p_max, q_min, q_max = np.array(
             [[g.p_min_mw, g.p_max_mw, g.q_min_mvar, g.q_max_mvar] for g in gens]
         ).T / base
-        self.lb = np.concatenate([np.full(n, -np.inf), net.vm_min, p_min, q_min, [0.0]])
-        self.ub = np.concatenate([np.full(n, np.inf), net.vm_max, p_max, q_max, [np.inf]])
+        self.lb = np.concatenate([np.full(n, -np.inf), vm_min, p_min, q_min, [0.0]])
+        self.ub = np.concatenate([np.full(n, np.inf), vm_max, p_max, q_max, [np.inf]])
         bounded = [np.flatnonzero(np.isfinite(self.ub)), np.flatnonzero(np.isfinite(self.lb))]
         eye = np.eye(self.nx)
         self.a_bound = np.vstack([eye[bounded[0]], -eye[bounded[1]]])
         self.b_bound = np.concatenate([self.ub[bounded[0]], -self.lb[bounded[1]]])
-        self.rate = np.tile(net.rate, 2)  # per row of the line ends, from ends then to ends
         # the soft rows of g, the limits t relaxes: every line end and the
         # bounds of slack P, every Q and PQ-bus |V|
         soft_x = np.zeros(self.nx, bool)
-        soft_x[[self.ip + self.slack_i, *(self.iq + np.arange(ng)), *(n + net.pq)]] = True
+        soft_x[[self.ip + self.slack_i, *(self.iq + np.arange(ng)), *(n + self.pq)]] = True
         soft_bound = np.concatenate([soft_x[bounded[0]], soft_x[bounded[1]]])
         self.a_bound[soft_bound, -1] = -opts.constraint_tol
-        self.soft = np.concatenate([np.ones(2 * nl, bool), soft_bound])
+        self.soft = np.concatenate([np.ones(len(self.rate), bool), soft_bound])
         # fun's dh and dg with their constant blocks set; fun fills copies
         self.dh0 = np.vstack([np.zeros((2 * n, self.nx)), self.a_eq])
-        self.dh0[:n, self.ip : self.iq] = self.dh0[n : 2 * n, self.iq : -1] = -net.cg
-        self.dg0 = np.vstack([np.zeros((2 * nl, self.nx)), self.a_bound])
+        self.dh0[:n, self.ip : self.iq] = self.dh0[n : 2 * n, self.iq : -1] = -self.cg
+        self.dg0 = np.vstack([np.zeros((len(self.rate), self.nx)), self.a_bound])
 
         self.cost_c2 = np.array([g.cost_c2 for g in gens]) * base * base
         self.cost_c1 = np.array([g.cost_c1 for g in gens]) * base
@@ -464,16 +436,23 @@ class _OpfProblem:
         var = [f"bus {ext[b]} {v}" for v in ("Va", "Vm") for b in range(n)]
         var += [f"{'slack ' * g.is_slack}gen {g.id} P" for g in gens]
         var += [f"gen {g.id} Q" for g in gens] + ["s"]
-        lines = zip(net.line_id, *np.split(net.end_bus, 2))
+        lines = zip(self.line_id, *np.split(self.end_bus, 2))
         span = [f"line {i} ({ext[f]}-{ext[t]})" for i, f, t in lines]
         names = [f"{s} {end}-end rating" for end in ("from", "to") for s in span]
         names += [f"{var[i]} max" for i in bounded[0]] + [f"{var[i]} min" for i in bounded[1]]
         self.con_names = [name for name, soft in zip(names, self.soft) if soft]
 
+    def _draw(self, case: GridCase, opts: OpfOptions):
+        """Set case, opts and case's per-unit bus loads as new arrays, writing no shared one."""
+        self.case, self.opts = case, opts
+        bus = np.array([ld.bus for ld in case.loads], int)
+        pq = np.array([[ld.p_mw, ld.q_mvar] for ld in case.loads]).reshape(-1, 2) / case.base_mva
+        self.p_load, self.q_load = (np.bincount(bus, w, case.n_bus) for w in pq.T)
+
     def for_draw(self, case: GridCase, opts: OpfOptions) -> "_OpfProblem":
         """This grid's problem at case's loads and opts; every other array is shared."""
         prob = copy.copy(self)
-        prob.case, prob.opts, prob.net = case, opts, self.net.at_loads(case)
+        prob._draw(case, opts)
         return prob
 
     def voltages(self, x: np.ndarray) -> np.ndarray:
@@ -484,19 +463,19 @@ class _OpfProblem:
         """Non-slack P (slack entry 0) and |V| per machine: what the reduced PF takes."""
         gen_p = x[self.ip : self.iq].copy()
         gen_p[self.slack_i] = 0.0
-        return gen_p, x[self.case.n_bus : self.ip][self.net.gen_bus]
+        return gen_p, x[self.case.n_bus : self.ip][self.gen_bus]
 
     def fun(self, x: np.ndarray):
         """Scaled cost plus s, h, g and their Jacobians at x: the interior-point callback."""
-        net, n, ctol = self.net, self.case.n_bus, self.opts.constraint_tol
+        n, ctol = self.case.n_bus, self.opts.constraint_tol
         V, pg, qg = self.voltages(x), x[self.ip : self.iq], x[self.iq : -1]
         f = self.COST_SCALE * (((self.cost_c2 * pg + self.cost_c1) @ pg) + self.cost_c0) + x[-1]
         df = np.zeros(self.nx)
         df[self.ip : self.iq] = self.COST_SCALE * (2.0 * self.cost_c2 * pg + self.cost_c1)
         df[-1] = 1.0
 
-        S = V * np.conj(net.Y @ V) + net.p_load + 1j * net.q_load - net.cg @ (pg + 1j * qg)
-        dS = _ds_dv(net.Y, np.arange(n), V)
+        S = V * np.conj(self.Y @ V) + self.p_load + 1j * self.q_load - self.cg @ (pg + 1j * qg)
+        dS = _ds_dv(self.Y, np.arange(n), V)
         h = np.concatenate([S.real, S.imag, self.a_eq @ x])
         dh = self.dh0.copy()
         dh[:n, : 2 * n], dh[n : 2 * n, : 2 * n] = dS.real, dS.imag
@@ -513,14 +492,14 @@ class _OpfProblem:
         """Line-end powers Sbr, dSbr and Re(conj(Sbr) dSbr), half the gradient of
         |Sbr|^2, at x: computed once per iterate for fun and hess."""
         if self._at[0] != x.tobytes():
-            ends, Ybr, V = self.net.end_bus, self.net.Ybr, self.voltages(x)
+            ends, Ybr, V = self.end_bus, self.Ybr, self.voltages(x)
             Sbr, dSbr = V[ends] * np.conj(Ybr @ V), _ds_dv(Ybr, ends, V)
             self._at = (x.tobytes(), Sbr, dSbr, (np.conj(Sbr)[:, None] * dSbr).real)
         return self._at[1:]
 
     def hess(self, x: np.ndarray, lam: np.ndarray, mu: np.ndarray):
         """Hessian of f + lam @ h + mu @ g (f, h and g as in ``fun``)."""
-        net, n, ctol = self.net, self.case.n_bus, self.opts.constraint_tol
+        n, ctol = self.case.n_bus, self.opts.constraint_tol
         V = self.voltages(x)
         H = np.zeros((self.nx, self.nx))
         p = np.arange(self.ip, self.iq)
@@ -529,8 +508,8 @@ class _OpfProblem:
         u = self.rate + ctol * x[-1]
         m = mu[: len(u)] / u  # a line row is |S|^2 / (2u) - u / 2
         H[: 2 * n, : 2 * n] = (
-            _d2s_dv2(net.Y, np.arange(n), V, lam[:n] - 1j * lam[n : 2 * n])
-            + _d2s_dv2(net.Ybr, net.end_bus, V, np.conj(Sbr) * m)
+            _d2s_dv2(self.Y, np.arange(n), V, lam[:n] - 1j * lam[n : 2 * n])
+            + _d2s_dv2(self.Ybr, self.end_bus, V, np.conj(Sbr) * m)
             + dSbr.T @ (m[:, None] * np.conj(dSbr))
         ).real
         H[-1, : 2 * n] = H[: 2 * n, -1] = -ctol * (m / u) @ dflow
@@ -540,14 +519,14 @@ class _OpfProblem:
     def start(self) -> np.ndarray | None:
         """A power flow at the warm-start controls (or the case's setpoints), as x,
         with s at its worst soft excess (none below 0)."""
-        net, opts = self.net, self.opts
+        opts, n = self.opts, self.case.n_bus
         if opts.x0 is None:
-            gen_p = np.array([g.p_mw for g in self.gens]) / net.base
+            gen_p = np.array([g.p_mw for g in self.gens]) / self.case.base_mva
             gen_vm, v0 = np.array([g.vm_setpoint_pu for g in self.gens]), None
         else:
             (gen_p, gen_vm), v0 = self.controls(opts.x0.x), self.voltages(opts.x0.x)
         gen_p = np.clip(gen_p, self.lb[self.ip : self.iq], self.ub[self.ip : self.iq])
-        gen_vm = np.clip(gen_vm, net.vm_min[net.gen_bus], net.vm_max[net.gen_bus])
+        gen_vm = np.clip(gen_vm, self.lb[n + self.gen_bus], self.ub[n + self.gen_bus])
         pf = self.power_flow(gen_p, gen_vm, v0)
         if pf is None:
             return None
@@ -560,12 +539,12 @@ class _OpfProblem:
         its voltages V, its x with s = 0 (the machines' P and Q close the balance)
         and the soft rows of g there (``con_names`` names them), each a per-unit
         excess: a line row is |S| - rate, so one tolerance fits all."""
-        net, opts = self.net, self.opts
-        V, conv, _, _ = _newton_pf(net, gen_p, gen_vm, opts.pf_tol, opts.pf_max_iter, v0)
+        opts = self.opts
+        V, conv, _, _ = _newton_pf(self, gen_p, gen_vm, opts.pf_tol, opts.pf_max_iter, v0)
         if not conv:
             return None
-        x = np.concatenate([np.angle(V), np.abs(V), *_machine_pq(net, V, gen_p), [0.0]])
-        flow = np.abs(V[net.end_bus] * np.conj(net.Ybr @ V))
+        x = np.concatenate([np.angle(V), np.abs(V), *_machine_pq(self, V, gen_p), [0.0]])
+        flow = np.abs(V[self.end_bus] * np.conj(self.Ybr @ V))
         return V, x, np.concatenate([flow - self.rate, self.a_bound @ x - self.b_bound])[self.soft]
 
     def solve(self) -> OpfSolution:
@@ -610,7 +589,8 @@ class _OpfProblem:
                 stats=stats,
             )
         V, x, gv = pf
-        p_mw, q_mvar = x[self.ip : self.iq] * self.net.base, x[self.iq : -1] * self.net.base
+        base = self.case.base_mva
+        p_mw, q_mvar = x[self.ip : self.iq] * base, x[self.iq : -1] * base
         # never empty: the parser refuses Inf, so slack P's bounds are finite soft rows
         viol = float(gv.max())
         converged = reason == "converged"
@@ -643,15 +623,18 @@ def solve_opf(case: GridCase, opts: OpfOptions | None = None) -> OpfSolution:
     Infeasibility or non-convergence comes back as ``feasible=False`` with a
     diagnostic message; only a structurally broken problem raises.
     """
-    if not case.generators:
-        raise SolverError("case has no generators")
+    return _problem(case, opts or OpfOptions()).solve()
+
+
+def _problem(case: GridCase, opts: OpfOptions) -> _OpfProblem:
+    """case's problem at its loads and opts, from the memo of its grid."""
     grid = {f.name: getattr(case, f.name) for f in fields(case) if f.name not in ("loads", "name")}
-    return _grid_problem(**grid).for_draw(case, opts or OpfOptions()).solve()
+    return _grid_problem(**grid).for_draw(case, opts)
 
 
 @functools.lru_cache(maxsize=1)
 def _grid_problem(**grid) -> _OpfProblem:
-    """The zero-load problem of one grid, kept for the grid's next draw; nothing writes it.
+    """The zero-load problem of one grid, kept for its next draw or power flow; nothing writes it.
 
     ``grid`` is every GridCase field but ``loads`` and ``name``: ``external_bus_ids`` too.
     """

@@ -227,6 +227,22 @@ class TestRunBenchmark:
         assert report.valid_fraction == 0.0 and "Infinity" not in report.to_json()
         assert len(log.read_text().splitlines()) == 2
 
+    def test_mean_of_finite_errors_stays_finite(self, dataset9, tmp_path):
+        doc = json.loads(encode_solution(dataset9.entries[0].solution))
+        doc["slack"][0]["p_mw"] = 1.3e156  # each trial's mse_slack fits, three of them do not sum
+        log = tmp_path / "trials.jsonl"
+        report, records = run_benchmark(
+            dataset9.entries, FixedBackend(json.dumps(doc)), trials=3, context_size=1,
+            log_path=log,
+        )
+        assert report.valid_fraction == 1.0
+        assert all(r.mse_slack > 8e307 for r in records)
+        assert np.isfinite(report.mean_mse_slack)
+        assert min(r.mse_slack for r in records) <= report.mean_mse_slack
+        assert report.mean_mse_slack <= max(r.mse_slack for r in records)
+        assert "Infinity" not in report.to_json()
+        assert reaggregate_log(log, report.config).to_json() == report.to_json()
+
     def test_sizing_error_before_any_request(self, dataset9):
         class Exploding:
             def complete(self, seq):

@@ -80,6 +80,11 @@ class TestToHetero:
 
 
 class TestCaseValidation:
+    @pytest.mark.parametrize("base_mva", [0.0, -100.0, float("nan"), float("inf")])
+    def test_base_mva_must_be_finite_and_positive(self, base_mva):
+        with pytest.raises(GridError, match=f"base_mva must be finite and > 0, got {base_mva}"):
+            dataclasses.replace(single_bus_case(), base_mva=base_mva)
+
     def test_load_on_missing_bus(self):
         case = single_bus_case()
         with pytest.raises(GridError, match="load 0 references missing bus 5"):

@@ -1,9 +1,10 @@
 import re
 
+import numpy as np
 import pytest
 
 from conftest import CASES_DIR
-from gridprompt.grid_model import BusKind
+from gridprompt.grid_model import BusKind, admittance_matrix
 from gridprompt.matpower_io import (
     MatpowerParseError,
     UnsupportedFeatureError,
@@ -12,6 +13,7 @@ from gridprompt.matpower_io import (
     write_matpower,
 )
 from gridprompt.scenario_gen import MutationSpec, mutate
+from gridprompt.solvers import solve_opf, solve_pf
 
 MINI_CASE = """function mpc = mini
 mpc.version = '2';
@@ -148,6 +150,20 @@ class TestParse:
     def test_out_of_service_generator_curve_ignored(self, case9):
         text = case9_with_curve("0 300 -300 300 -200 200", status="0")
         assert len(parse_matpower(text).generators) == len(case9.generators) - 1
+
+    def test_pv_bus_without_machine_in_service_is_pq(self):
+        """MATPOWER's bustypes rule: the power flow then holds no |V| and injects no Q there."""
+        text = CASE9_TEXT.replace("1.025\t100\t1\t270", "1.025\t100\t0\t270")  # bus 3's machine
+        assert text != CASE9_TEXT
+        case = parse_matpower(text)
+        assert case.buses[2].bus_kind == BusKind.PQ
+        pf = solve_pf(case)
+        assert pf.converged
+        V = pf.vm_pu * np.exp(1j * np.radians(pf.va_deg))
+        assert abs((V * np.conj(admittance_matrix(case) @ V))[2]) < 1e-8
+        sol = solve_opf(case)
+        assert sol.feasible, sol.message
+        assert sol.objective_cost == pytest.approx(6511.28, abs=0.01)
 
     @pytest.mark.parametrize(
         "old, new, line",

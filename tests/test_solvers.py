@@ -477,11 +477,12 @@ def test_grids_the_full_space_model_would_change_are_refused(case9):
         dataclasses.replace(case9.generators[1], id=3, bus=pq),
     ))
     for _ in range(2):  # every time, whatever grid was solved before
-        solve_opf(case9)
-        with pytest.raises(solvers.SolverError, match="PV bus .* has no machine"):
-            solve_opf(no_machine)
-        with pytest.raises(solvers.SolverError, match="PQ bus .* has a machine"):
-            solve_opf(on_pq_bus)
+        for solve in (solve_opf, solve_pf):  # the power flow decides bus roles as the OPF does
+            solve(case9)
+            with pytest.raises(solvers.SolverError, match=f"PV bus {pq + 1} has no machine"):
+                solve(no_machine)
+            with pytest.raises(solvers.SolverError, match=f"PQ bus {pq + 1} has a machine"):
+                solve(on_pq_bus)
 
 
 def test_grid_memo_keys_on_everything_but_the_loads(case9):
@@ -523,13 +524,19 @@ def test_grid_memo_keys_on_everything_but_the_loads(case9):
         f.name: getattr(case9, f.name)
         for f in dataclasses.fields(case9) if f.name not in ("loads", "name")
     })
-    for a in (*vars(shared).values(), *vars(shared.net).values()):
+    for a in vars(shared).values():
         if isinstance(a, np.ndarray):
             a.flags.writeable = False
     rejected = solve_opf(heavy)  # one solve, converged at the l-infinity minimum
     assert rejected.message.startswith("infeasible: line 0 (1-4)")
     assert rejected.stats.reason == "converged"
-    assert solve_opf(draw, OpfOptions(x0=base.controls)) == after
+    warm = solve_opf(draw, OpfOptions(x0=base.controls))
+    assert solve_pf(draw).converged  # the power flow shares the memo and writes nothing either
+    again = solve_opf(draw, OpfOptions(x0=base.controls))
+    assert warm == after and again == after
+    for part in ("x", "lam", "mu"):
+        assert getattr(again.controls, part).tobytes() == getattr(after.controls, part).tobytes()
+        assert getattr(warm.controls, part).tobytes() == getattr(after.controls, part).tobytes()
     solvers._grid_problem.cache_clear()
 
 
