@@ -56,9 +56,10 @@ def reference_pf(case: GridCase):
         p_inj[ld.bus] -= ld.p_mw / base
         q_inj[ld.bus] -= ld.q_mvar / base
     vm_set = np.ones(n)
+    slack_gen = case.slack_gen
     for g in case.generators:
         vm_set[g.bus] = g.vm_setpoint_pu
-        if not g.is_slack:
+        if g is not slack_gen:
             p_inj[g.bus] += g.p_mw / base
 
     def resid(z):
@@ -87,7 +88,7 @@ def reference_pf(case: GridCase):
     for i, g in enumerate(case.generators):
         pd = sum(ld.p_mw for ld in case.loads if ld.bus == g.bus) / base
         qd = sum(ld.q_mvar for ld in case.loads if ld.bus == g.bus) / base
-        if g.is_slack:
+        if g is slack_gen:
             gen_p[i] = (S.real[g.bus] + pd) * base
         else:
             gen_p[i] = g.p_mw

@@ -60,13 +60,14 @@ def _cmd_solve(args, cfg) -> int:
         if not sol.converged:
             print("error: power flow did not converge", file=sys.stderr)
             return 2
+        slack = case.slack_gen
         machines = [
-            (g.is_slack, (g.id, float(sol.gen_p_mw[i]), float(sol.gen_q_mvar[i])))
-            for i, g in enumerate(case.generators)
+            (g, (g.id, float(p), float(q)))
+            for g, p, q in zip(case.generators, sol.gen_p_mw, sol.gen_q_mvar)
         ]
         print(encode_triples(
-            [m for is_slack, m in machines if not is_slack],
-            next(m for is_slack, m in machines if is_slack),
+            [m for g, m in machines if g is not slack],
+            next(m for g, m in machines if g is slack),
             [(b.id, float(sol.vm_pu[b.id]), float(sol.va_deg[b.id])) for b in case.buses],
             decimals=6,
         ))

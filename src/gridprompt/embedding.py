@@ -52,7 +52,8 @@ _REF_COLUMNS = {"load": ("bus",), "gen": ("bus",), "slack": ("bus",),
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """An int or a finite float, never a bool: a value that embeds again."""
+    return math.isfinite(v) if isinstance(v, float) else type(v) is int
 
 
 def _round_record(rec: dict, decimals: int) -> dict:
@@ -101,8 +102,9 @@ def parse_grid(text: str) -> dict:
     """Inverse of embed_grid for either kind: node tables as ``to_hetero`` gives.
 
     Re-embedding is byte-identical. Every record must be an object holding
-    exactly its node type's fields (NODE_FIELDS) with numeric values, and every
-    bus reference must name an existing bus.
+    exactly its node type's fields (NODE_FIELDS) with numeric values (an int
+    or a finite float, never a bool), and every bus reference, in a record or
+    an edge, must be the int id of an existing bus.
     """
     try:
         doc = json.loads(text)
@@ -148,11 +150,11 @@ def parse_grid(text: str) -> dict:
             src_t, src_i, dst_t, dst_i = e
             _require(dst_t == "bus", f"$.edges[{k}]", "edges must point at buses")
             _require(
-                isinstance(dst_i, int) and 0 <= dst_i < n_bus, f"$.edges[{k}]",
+                type(dst_i) is int and 0 <= dst_i < n_bus, f"$.edges[{k}]",
                 f"missing bus {dst_i}",
             )
             _require(
-                src_t in ("load", "gen", "slack", "line") and isinstance(src_i, int)
+                src_t in ("load", "gen", "slack", "line") and type(src_i) is int
                 and 0 <= src_i < len(tables[src_t]),
                 f"$.edges[{k}]", "dangling source node",
             )
@@ -170,7 +172,7 @@ def parse_grid(text: str) -> dict:
         for i, rec in enumerate(tables[t]):
             for col in _REF_COLUMNS[t]:
                 _require(
-                    isinstance(rec[col], int) and 0 <= rec[col] < n_bus,
+                    type(rec[col]) is int and 0 <= rec[col] < n_bus,
                     f"$.{t}[{i}].{col}", f"missing bus {rec[col]}",
                 )
     return tables
@@ -221,14 +223,12 @@ def _triples(doc: dict, key: str, fields: tuple[str, str]):
             raise InvalidResponse(f"missing or invalid values: {key!r} row")
         try:
             rid, a, b = row["id"], row[fields[0]], row[fields[1]]
-            # parse_grid's rule: true and "1.5" are not numbers; an id is integral
+            # parse_grid's rule: true, "1.5", NaN and Infinity are not numbers; an id is integral
             if not all(map(_is_number, (rid, a, b))) or not float(rid).is_integer():
                 raise ValueError(row)
             a, b = float(a), float(b)
         except (KeyError, OverflowError, ValueError):
             raise InvalidResponse(f"missing or invalid values: {key!r} row") from None
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise InvalidResponse(f"missing or invalid values: non-finite in {key!r}")
         out.append((int(rid), a, b))
     return tuple(out)
 

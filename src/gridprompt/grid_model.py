@@ -52,7 +52,6 @@ class Generator:
     cost_c2: float = 0.0  # $/MW^2 h
     cost_c1: float = 0.0  # $/MWh
     cost_c0: float = 0.0  # $/h
-    is_slack: bool = False
 
 
 @dataclass(frozen=True)
@@ -96,11 +95,14 @@ class GridCase:
 
     @property
     def slack_gen(self) -> Generator:
-        return next(g for g in self.generators if g.is_slack)
+        """The machine that takes the balance: the slack bus's first, as in MATPOWER's pfsoln."""
+        slack_bus = self.slack_bus.id
+        return next(g for g in self.generators if g.bus == slack_bus)
 
     @property
     def nonslack_gens(self) -> tuple[Generator, ...]:
-        return tuple(g for g in self.generators if not g.is_slack)
+        slack = self.slack_gen
+        return tuple(g for g in self.generators if g is not slack)
 
     def with_loads(self, loads: tuple[Load, ...]) -> "GridCase":
         return replace(self, loads=loads)
@@ -122,14 +124,6 @@ def validate_case(case: GridCase) -> None:
     for ld in case.loads:
         if not 0 <= ld.bus < n:
             raise GridError(f"load {ld.id} references missing bus {ld.bus}")
-    slack_gens = [g for g in case.generators if g.is_slack]
-    if len(slack_gens) != 1:
-        raise GridError(f"expected exactly one slack generator, found {len(slack_gens)}")
-    if slack_gens[0].bus != slack_buses[0].id:
-        raise GridError(
-            f"slack generator sits on bus {slack_gens[0].bus}, "
-            f"slack bus is {slack_buses[0].id}"
-        )
     for g in case.generators:
         if not 0 <= g.bus < n:
             raise GridError(f"generator {g.id} references missing bus {g.bus}")
@@ -137,6 +131,11 @@ def validate_case(case: GridCase) -> None:
             raise GridError(f"generator {g.id}: p_min > p_max")
         if g.q_min_mvar > g.q_max_mvar:
             raise GridError(f"generator {g.id}: q_min > q_max")
+    held = {g.bus for g in case.generators}  # a slack or PV bus holds a machine, a PQ bus none
+    for b in case.buses:
+        if (b.bus_kind == BusKind.PQ) == (b.id in held):
+            has = "has a machine" if b.id in held else "has no machine to hold its voltage"
+            raise GridError(f"{b.bus_kind.value} bus {case.external_bus_ids[b.id]} {has}")
     for ln in case.lines:
         if not 0 <= ln.from_bus < n or not 0 <= ln.to_bus < n:
             raise GridError(f"line {ln.id} references a missing bus")
@@ -173,7 +172,7 @@ NODE_TYPES = ("bus", "load", "gen", "slack", "line")
 
 # record fields of each node type: its component's dataclass fields
 NODE_FIELDS = {
-    t: tuple(f.name for f in fields(cls) if f.name != "is_slack")
+    t: tuple(f.name for f in fields(cls))
     for t, cls in (("bus", Bus), ("load", Load), ("gen", Generator),
                    ("slack", Generator), ("line", Line))
 }
@@ -181,7 +180,6 @@ NODE_FIELDS = {
 
 def _record(component) -> dict:
     rec = dict(vars(component))
-    rec.pop("is_slack", None)
     if "bus_kind" in rec:
         rec["bus_kind"] = rec["bus_kind"].value
     return rec
@@ -208,12 +206,13 @@ def to_hetero(case: GridCase) -> dict:
 def from_hetero(tables: dict) -> GridCase:
     """Inverse of to_hetero; field-exact round trip.
 
-    Raises GridError when a table or record does not fit its component.
+    Raises GridError when a table or record does not fit its component, or
+    when the slack table is not exactly the slack bus's first machine.
     """
     try:
-        gens = [Generator(**r) for r in tables["gen"]]
-        gens += [Generator(**r, is_slack=True) for r in tables["slack"]]
-        return GridCase(
+        slack = [Generator(**r) for r in tables["slack"]]
+        gens = [Generator(**r) for r in tables["gen"]] + slack
+        case = GridCase(
             name=tables["name"],
             base_mva=tables["base_mva"],
             buses=tuple(
@@ -225,6 +224,9 @@ def from_hetero(tables: dict) -> GridCase:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise GridError(f"node tables do not describe a grid: {exc!r}") from None
+    if slack != [case.slack_gen]:  # exactly the slack bus's first machine
+        raise GridError(f"node tables do not describe a grid: slack is gen {case.slack_gen.id}")
+    return case
 
 
 def branch_admittances(case: GridCase, lines) -> tuple[np.ndarray, np.ndarray]:

@@ -187,7 +187,6 @@ def raw_to_case(raw: RawCaseTables) -> GridCase:
                 cost_c2=c2,
                 cost_c1=c1,
                 cost_c0=c0,
-                is_slack=buses[bus_i].bus_kind == BusKind.SLACK,
             )
         )
 

@@ -25,8 +25,8 @@ named.
 
 One object, ``_OpfProblem``, is a grid's model (network arrays, bus roles,
 bounds, limits), built once per grid and shared by its draws, which bring
-only their loads, and by ``solve_pf``: the power flow refuses what the OPF
-refuses (a PV bus with no machine, a PQ bus with one). Each iteration fills
+only their loads, and by ``solve_pf``; ``validate_case`` has checked its bus
+roles, and its slack machine is ``GridCase.slack_gen``. Each iteration fills
 the derivatives and the Newton system in place. A converged solve hands on
 its primal-dual point (``OpfSolution.controls``: x and the multipliers of h
 and g); as ``OpfOptions.x0`` it starts a related draw at the power flow of
@@ -174,7 +174,7 @@ def _newton_pf(
     V[fixed] = vm_fixed * V[fixed] / np.abs(V[fixed])
     V[prob.slack_bus] = vm_fixed[0]  # slack angle = 0
 
-    p_spec, q_spec = prob.gen_p_inc @ gen_p_pu - prob.p_load, -prob.q_load
+    p_spec, q_spec = prob.setpoint_sums(gen_p_pu) - prob.p_load, -prob.q_load
 
     def mismatch(V):
         S = V * np.conj(prob.Y @ V)
@@ -210,7 +210,7 @@ def _machine_pq(prob: _OpfProblem, V: np.ndarray, gen_p_pu: np.ndarray):
     """
     S = V * np.conj(prob.Y @ V)
     sb, p = prob.slack_bus, gen_p_pu.copy()
-    p[prob.gen_is_slack] = S.real[sb] + prob.p_load[sb] - prob.gen_p_inc[sb] @ gen_p_pu
+    p[prob.slack_i] = S.real[sb] + prob.p_load[sb] - prob.setpoint_sums(gen_p_pu)[sb]
     return p, prob.q_weight * (S.imag + prob.q_load)[prob.gen_bus]
 
 
@@ -364,22 +364,10 @@ class _OpfProblem:
         self.gens = gens = case.generators
         ng = len(gens)
         self.gen_bus = np.array([g.bus for g in gens], dtype=int)
-        self.gen_is_slack = np.array([g.is_slack for g in gens], dtype=bool)
-        ext = case.external_bus_ids
-        machines = np.bincount(self.gen_bus, minlength=n)
-        for b in self.pv[machines[self.pv] == 0]:
-            raise SolverError(f"PV bus {ext[b]} has no machine to hold its voltage")
-        for b in self.pq[machines[self.pq] > 0]:
-            raise SolverError(f"PQ bus {ext[b]} has a machine")
-        self.free = np.flatnonzero(~self.gen_is_slack)
-        self.slack_i = int(np.flatnonzero(self.gen_is_slack)[0])
+        self.slack_i = gens.index(case.slack_gen)  # its P is whatever closes the balance
+        self.free = np.delete(np.arange(ng), self.slack_i)
         self.nx, self.ip, self.iq = 2 * n + 2 * ng + 1, 2 * n, 2 * n + ng  # Pg, Qg start at ip, iq
 
-        # bus <- machine incidence, and that of active setpoints: the slack
-        # machine's output is whatever closes the balance, so its column is zero
-        self.cg = np.zeros((n, ng))
-        self.cg[self.gen_bus, np.arange(ng)] = 1.0
-        self.gen_p_inc = self.cg * ~self.gen_is_slack
         # bus -> its last machine, whose |V| setpoint wins on a shared bus:
         # fixed bus self.fixed[k] takes that of machine vm_set_gen[k]
         last = {g.bus: i for i, g in enumerate(gens)}
@@ -388,7 +376,7 @@ class _OpfProblem:
         # their reactive range, equally if every range is zero
         q_range = np.array([g.q_max_mvar - g.q_min_mvar for g in gens])
         bus_range = np.bincount(self.gen_bus, q_range, n)[self.gen_bus]
-        bus_count = machines[self.gen_bus]
+        bus_count = np.bincount(self.gen_bus, minlength=n)[self.gen_bus]
         self.q_weight = np.where(
             bus_range > 0, q_range / np.where(bus_range > 0, bus_range, 1.0), 1.0 / bus_count
         )
@@ -404,7 +392,7 @@ class _OpfProblem:
         split = [i for i, g in enumerate(gens) if last[g.bus] != i]
         self.a_eq = np.zeros((1 + len(split), self.nx))
         self.a_eq[0, self.slack_bus] = 1.0
-        share = np.eye(ng) - self.q_weight[:, None] * (self.cg.T @ self.cg)
+        share = np.eye(ng) - self.q_weight[:, None] * (self.gen_bus[:, None] == self.gen_bus)
         self.a_eq[1:, self.iq : -1] = share[split]
 
         vm_min, vm_max = np.array([[b.vm_min, b.vm_max] for b in case.buses]).T
@@ -426,15 +414,16 @@ class _OpfProblem:
         self.soft = np.concatenate([np.ones(len(self.rate), bool), soft_bound])
         # fun's dh and dg with their constant blocks set; fun fills copies
         self.dh0 = np.vstack([np.zeros((2 * n, self.nx)), self.a_eq])
-        self.dh0[:n, self.ip : self.iq] = self.dh0[n : 2 * n, self.iq : -1] = -self.cg
+        self.dh0[np.r_[self.gen_bus, n + self.gen_bus], self.ip + np.arange(2 * ng)] = -1.0
         self.dg0 = np.vstack([np.zeros((len(self.rate), self.nx)), self.a_bound])
 
         self.cost_c2 = np.array([g.cost_c2 for g in gens]) * base * base
         self.cost_c1 = np.array([g.cost_c1 for g in gens]) * base
         self.cost_c0 = sum(g.cost_c0 for g in gens)
         # a name per soft row of g, in g's order; bus numbers as in the source file
+        ext = case.external_bus_ids
         var = [f"bus {ext[b]} {v}" for v in ("Va", "Vm") for b in range(n)]
-        var += [f"{'slack ' * g.is_slack}gen {g.id} P" for g in gens]
+        var += [f"{'slack ' * (i == self.slack_i)}gen {g.id} P" for i, g in enumerate(gens)]
         var += [f"gen {g.id} Q" for g in gens] + ["s"]
         lines = zip(self.line_id, *np.split(self.end_bus, 2))
         span = [f"line {i} ({ext[f]}-{ext[t]})" for i, f, t in lines]
@@ -455,6 +444,10 @@ class _OpfProblem:
         prob._draw(case, opts)
         return prob
 
+    def setpoint_sums(self, gen_p: np.ndarray) -> np.ndarray:
+        """Per bus, its machines' P setpoints summed, the slack machine's left out."""
+        return np.bincount(self.gen_bus[self.free], gen_p[self.free], len(self.Y))
+
     def voltages(self, x: np.ndarray) -> np.ndarray:
         n = self.case.n_bus
         return x[n : 2 * n] * np.exp(1j * x[:n])
@@ -474,9 +467,10 @@ class _OpfProblem:
         df[self.ip : self.iq] = self.COST_SCALE * (2.0 * self.cost_c2 * pg + self.cost_c1)
         df[-1] = 1.0
 
-        S = V * np.conj(self.Y @ V) + self.p_load + 1j * self.q_load - self.cg @ (pg + 1j * qg)
+        S = V * np.conj(self.Y @ V) + self.p_load + 1j * self.q_load
         dS = _ds_dv(self.Y, np.arange(n), V)
-        h = np.concatenate([S.real, S.imag, self.a_eq @ x])
+        inj = [np.bincount(self.gen_bus, w, n) for w in (pg, qg)]  # machines' output per bus
+        h = np.concatenate([S.real - inj[0], S.imag - inj[1], self.a_eq @ x])
         dh = self.dh0.copy()
         dh[:n, : 2 * n], dh[n : 2 * n, : 2 * n] = dS.real, dS.imag
 

@@ -48,7 +48,7 @@ def two_bus_case(p_load_mw=0.0, q_load_mvar=0.0, r=0.0, x=0.1, b=0.0):
                 id=0, bus=0, p_mw=0.0, vm_setpoint_pu=1.0,
                 p_min_mw=-500.0, p_max_mw=500.0,
                 q_min_mvar=-500.0, q_max_mvar=500.0,
-                cost_c2=0.01, cost_c1=5.0, cost_c0=0.0, is_slack=True,
+                cost_c2=0.01, cost_c1=5.0, cost_c0=0.0,
             ),
         ),
         lines=(Line(id=0, from_bus=0, to_bus=1, r_pu=r, x_pu=x, b_pu=b),),
@@ -65,7 +65,6 @@ def single_bus_case():
             Generator(
                 id=0, bus=0, p_mw=0.0, vm_setpoint_pu=1.0,
                 p_min_mw=0.0, p_max_mw=100.0, q_min_mvar=-50.0, q_max_mvar=50.0,
-                is_slack=True,
             ),
         ),
         lines=(),

@@ -129,16 +129,18 @@ class TestParseGrid:
             parse_grid(json.dumps(doc))
 
     def test_graph_dangling_edge_named(self, case9):
-        doc = json.loads(embed_grid(to_hetero(case9), GRAPH))
-        doc["edges"][0][3] = 99
-        with pytest.raises(EmbeddingParseError, match=r"\$\.edges\[0\]"):
-            parse_grid(json.dumps(doc))
+        for bus in (99, True):  # true is no bus id, though Python reads it as 1
+            doc = json.loads(embed_grid(to_hetero(case9), GRAPH))
+            doc["edges"][0][3] = bus
+            with pytest.raises(EmbeddingParseError, match=r"\$\.edges\[0\]"):
+                parse_grid(json.dumps(doc))
 
     def test_dangling_source_edge_rejected(self, case9):
-        doc = json.loads(embed_grid(to_hetero(case9), GRAPH))
-        doc["edges"].append(["load", 99, "bus", 0])
-        with pytest.raises(EmbeddingParseError, match="dangling"):
-            parse_grid(json.dumps(doc))
+        for source in (99, True):
+            doc = json.loads(embed_grid(to_hetero(case9), GRAPH))
+            doc["edges"].append(["load", source, "bus", 0])
+            with pytest.raises(EmbeddingParseError, match="dangling"):
+                parse_grid(json.dumps(doc))
 
     def test_second_bus_edge_rejected(self, case9):
         doc = json.loads(embed_grid(to_hetero(case9), GRAPH))
@@ -173,14 +175,24 @@ class TestParseGrid:
 
     @pytest.mark.parametrize(
         "table, field, value",
-        [("load", "p_mw", "90"), ("gen", "id", True), ("bus", "bus_kind", 3)],
-        ids=["string", "bool", "kind-not-string"],
+        [("load", "p_mw", "90"), ("gen", "id", True), ("bus", "bus_kind", 3),
+         ("load", "p_mw", float("nan")), ("bus", "vm_max", float("inf"))],
+        ids=["string", "bool", "kind-not-string", "nan", "infinity"],
     )
     def test_ill_typed_value_rejected(self, case9, table, field, value):
+        """json.dumps writes NaN and Infinity, which json.loads reads but no embedding holds."""
         doc = json.loads(embed_grid(to_hetero(case9), TABLE))
         doc[table][0][field] = value
         with pytest.raises(EmbeddingParseError, match=rf"\$\.{table}\[0\]\.{field}"):
             parse_grid(json.dumps(doc))
+
+    @pytest.mark.parametrize("fmt", [GRAPH, TABLE], ids=["graph", "table"])
+    def test_non_finite_base_mva_rejected(self, case9, fmt):
+        doc = json.loads(embed_grid(to_hetero(case9), fmt))
+        for value in (float("nan"), float("-inf")):
+            doc["base_mva"] = value
+            with pytest.raises(EmbeddingParseError, match=r"\$\.base_mva"):
+                parse_grid(json.dumps(doc))
 
     def test_not_json(self):
         with pytest.raises(EmbeddingParseError, match="not valid JSON"):

@@ -49,16 +49,17 @@ class TestToHetero:
         for t in NODE_TYPES:
             assert all(tuple(r) == NODE_FIELDS[t] for r in h[t])
         slack = case9.slack_gen
-        assert h["slack"] == [
-            {f.name: getattr(slack, f.name) for f in dataclasses.fields(slack)
-             if f.name != "is_slack"}
-        ]
+        assert h["slack"] == [dataclasses.asdict(slack)]
         assert [type(r["bus_kind"]) for r in h["bus"]] == [str] * 9
         assert h["bus"][0]["bus_kind"] == "slack"
         assert h["name"] == case9.name and h["base_mva"] == case9.base_mva
 
     def test_round_trip_identity(self, case9, case30):
-        for case in (case9, case30, two_bus_case(50, 20), single_bus_case()):
+        # a later machine on the slack bus is an ordinary one, under "gen"
+        second = dataclasses.replace(case9.generators[1], id=3, bus=case9.slack_bus.id)
+        two_on_slack = dataclasses.replace(case9, generators=case9.generators + (second,))
+        assert to_hetero(two_on_slack)["slack"] == [dataclasses.asdict(case9.generators[0])]
+        for case in (case9, case30, two_bus_case(50, 20), single_bus_case(), two_on_slack):
             assert from_hetero(to_hetero(case)) == case
 
     @pytest.mark.parametrize(
@@ -67,10 +68,11 @@ class TestToHetero:
             lambda h: h["load"][0].update(extra=1.0),
             lambda h: h["load"][0].pop("p_mw"),
             lambda h: h["bus"][0].update(bus_kind="swing"),
-            lambda h: h["slack"][0].update(is_slack=False),
+            lambda h: h.update(slack=[h["gen"][0]], gen=[h["slack"][0], *h["gen"][1:]]),
             lambda h: h.pop("line"),
         ],
-        ids=["unknown-field", "missing-field", "bad-bus-kind", "slack-flag", "missing-table"],
+        ids=["unknown-field", "missing-field", "bad-bus-kind", "slack-table-holds-another-machine",
+             "missing-table"],
     )
     def test_bad_tables_are_grid_error(self, case9, edit):
         h = to_hetero(case9)
@@ -95,6 +97,19 @@ class TestCaseValidation:
         buses = (case.buses[0], dataclasses.replace(case.buses[1], bus_kind=BusKind.SLACK))
         with pytest.raises(GridError, match="exactly one slack bus"):
             dataclasses.replace(case, buses=buses)
+
+    def test_bus_roles_are_checked_naming_the_external_bus(self, case9):
+        """A slack or PV bus holds a machine, a PQ bus none; case9's external bus k is id k - 1."""
+        gens = case9.generators
+        pq = next(b for b in case9.buses if b.bus_kind == BusKind.PQ)
+        assert case9.external_bus_ids[pq.id] == pq.id + 1
+        for generators, message in [
+            (gens[1:], "slack bus 1 has no machine"),
+            ((gens[0], gens[2]), f"pv bus {gens[1].bus + 1} has no machine"),
+            (gens + (dataclasses.replace(gens[1], id=3, bus=pq.id),), f"pq bus {pq.id + 1} has a"),
+        ]:
+            with pytest.raises(GridError, match=message):
+                dataclasses.replace(case9, generators=generators)
 
     def test_self_loop_rejected(self):
         case = two_bus_case()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import CASES_DIR
-from gridprompt.grid_model import BusKind, admittance_matrix
+from gridprompt.grid_model import BusKind, GridError, admittance_matrix
 from gridprompt.matpower_io import (
     MatpowerParseError,
     UnsupportedFeatureError,
@@ -164,6 +164,30 @@ class TestParse:
         sol = solve_opf(case)
         assert sol.feasible, sol.message
         assert sol.objective_cost == pytest.approx(6511.28, abs=0.01)
+
+    @staticmethod
+    def case9_with_gen3_copied_to(bus: int) -> str:
+        """case9 with generator 3's gen and gencost rows copied, the copy on the given bus."""
+        gen3 = next(r for r in CASE9_TEXT.splitlines() if r.startswith("\t3\t85\t"))
+        cost3 = "\t2\t3000\t0\t3\t0.1225\t1\t335;"
+        text = CASE9_TEXT.replace(gen3, f"{gen3}\n\t{bus}{gen3[2:]}", 1)
+        text = text.replace(cost3, f"{cost3}\n{cost3}", 1)
+        assert text.count(cost3) == 2
+        return text
+
+    def test_machine_on_pq_bus_refused(self):
+        with pytest.raises(GridError, match="pq bus 5 has a machine"):
+            parse_matpower(self.case9_with_gen3_copied_to(5))
+
+    def test_second_machine_on_slack_bus_parses(self):
+        """MATPOWER's pfsoln rule: the slack bus's first machine takes the balance."""
+        case = parse_matpower(self.case9_with_gen3_copied_to(1))
+        assert [g.bus for g in case.generators] == [0, 1, 2, 0]
+        assert case.slack_gen is case.generators[0]
+        assert parse_matpower(write_matpower(case)) == case
+        sol = solve_opf(case)
+        assert sol.feasible, sol.message
+        assert sol.slack[0] == 0 and [i for i, _, _ in sol.gen] == [1, 2, 3]
 
     @pytest.mark.parametrize(
         "old, new, line",

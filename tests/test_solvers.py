@@ -467,24 +467,6 @@ def test_objective_matches_the_independent_reference(case_name, request):
     assert sol.objective_cost == pytest.approx(want, rel=1e-6)
 
 
-def test_grids_the_full_space_model_would_change_are_refused(case9):
-    kinds = [b.bus_kind for b in case9.buses]
-    pq = kinds.index(BusKind.PQ)
-    no_machine = dataclasses.replace(case9, buses=tuple(
-        dataclasses.replace(b, bus_kind=BusKind.PV) if b.id == pq else b for b in case9.buses
-    ))
-    on_pq_bus = dataclasses.replace(case9, generators=case9.generators + (
-        dataclasses.replace(case9.generators[1], id=3, bus=pq),
-    ))
-    for _ in range(2):  # every time, whatever grid was solved before
-        for solve in (solve_opf, solve_pf):  # the power flow decides bus roles as the OPF does
-            solve(case9)
-            with pytest.raises(solvers.SolverError, match=f"PV bus {pq + 1} has no machine"):
-                solve(no_machine)
-            with pytest.raises(solvers.SolverError, match=f"PQ bus {pq + 1} has a machine"):
-                solve(on_pq_bus)
-
-
 def test_grid_memo_keys_on_everything_but_the_loads(case9):
     """A solve after another grid's equals a solve that starts with the memo empty.
 
@@ -676,7 +658,7 @@ def test_constraint_names_follow_g(case30):
     base, ext = case30.base_mva, case30.external_bus_ids
     want = {}
     for gen, p, q in zip(case30.generators, pf.gen_p_mw, pf.gen_q_mvar):
-        if gen.is_slack:
+        if gen is case30.slack_gen:
             want[f"slack gen {gen.id} P max"] = (p - gen.p_max_mw) / base
             want[f"slack gen {gen.id} P min"] = (gen.p_min_mw - p) / base
         want[f"gen {gen.id} Q max"] = (q - gen.q_max_mvar) / base
