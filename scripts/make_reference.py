@@ -83,16 +83,22 @@ def reference_pf(case: GridCase):
     V = vm * np.exp(1j * va)
     S = bus_injections(case, V)
 
+    # The slack machine closes its bus's P balance less the other machines'
+    # setpoints there; a bus's Q is split among its machines in proportion to
+    # their reactive range, equally if every range is zero.
     gen_p = np.zeros(len(case.generators))
     gen_q = np.zeros(len(case.generators))
     for i, g in enumerate(case.generators):
         pd = sum(ld.p_mw for ld in case.loads if ld.bus == g.bus) / base
         qd = sum(ld.q_mvar for ld in case.loads if ld.bus == g.bus) / base
+        mates = [h for h in case.generators if h.bus == g.bus]
         if g is slack_gen:
-            gen_p[i] = (S.real[g.bus] + pd) * base
+            gen_p[i] = (S.real[g.bus] + pd) * base - sum(h.p_mw for h in mates if h is not g)
         else:
             gen_p[i] = g.p_mw
-        gen_q[i] = (S.imag[g.bus] + qd) * base
+        ranges = [h.q_max_mvar - h.q_min_mvar for h in mates]
+        share = (g.q_max_mvar - g.q_min_mvar) / sum(ranges) if sum(ranges) > 0 else 1 / len(mates)
+        gen_q[i] = share * (S.imag[g.bus] + qd) * base
     return vm, np.degrees(va), gen_p, gen_q
 
 

@@ -18,7 +18,9 @@ scenario or truth file: an entry's ``case`` and ``solution`` are read from
 ``scenarios/{i}.m`` and ``truth/{i}.json`` the first time each is used.
 ``bench`` uses both for each trial's query entry only (the truth it scores
 against and the case's ``base_mva``), and the oracle's ``truth_map`` reads a
-truth only when that query is looked up; ``export-ft`` reads neither.
+truth only when that query is looked up; ``export-ft`` reads neither. Manifest
+indices must be distinct integers >= 0, and a missing or undecodable file
+raises DatasetError naming it (at load for embedding and solution texts).
 """
 from __future__ import annotations
 
@@ -60,30 +62,48 @@ class FinetuneConfig:
             raise ValueError("alpha must be > 0")
 
 
+def _read(path: str | Path) -> str:
+    """The text of one dataset file; a missing or undecodable file raises DatasetError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DatasetError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class SolvedEntry:
-    """One solved scenario; ``case`` and ``solution`` (the full-precision truth)
-    are read from ``scenario_path`` and ``truth_path`` on first use. A malformed
-    scenario, or a missing or malformed truth, raises DatasetError naming the file.
+    """One solved scenario of the dataset under ``root``; ``case`` and ``solution``
+    (the full-precision truth) are read from ``scenario_path`` and ``truth_path``
+    on first use. A missing or malformed one raises DatasetError naming the file.
     """
     index: int
     grid_text: str
     solution_text: str
-    scenario_path: Path
-    truth_path: Path
+    root: str
+
+    @property
+    def scenario_path(self) -> Path:
+        return Path(self.root, "scenarios", f"{self.index}.m")
+
+    @property
+    def truth_path(self) -> Path:
+        return Path(self.root, "truth", f"{self.index}.json")
 
     @cached_property
     def case(self) -> GridCase:
         try:
-            return parse_matpower(self.scenario_path.read_text())
+            return parse_matpower(_read(self.scenario_path))
         except (MatpowerParseError, GridError) as exc:
             raise DatasetError(f"{self.scenario_path}: {exc}") from exc
 
     @cached_property
     def solution(self) -> OpfSolution:
         try:
-            return _truth_from_doc(json.loads(self.truth_path.read_text()))
-        except (OSError, ValueError, LookupError, TypeError) as exc:
+            return _truth_from_doc(json.loads(_read(self.truth_path)))
+        except (ValueError, LookupError, TypeError) as exc:
             raise DatasetError(f"{self.truth_path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -193,11 +213,8 @@ def build_solved_dataset(
 
         grid_text = embed_grid(to_hetero(scenario), fmt)
         solution_text = encode_solution(solution, fmt.decimals)
-        entry = SolvedEntry(
-            index, grid_text, solution_text,
-            root / "scenarios" / f"{index}.m", root / "truth" / f"{index}.json",
-        )
-        entry.scenario_path.write_text(write_matpower(scenario))
+        entry = SolvedEntry(index, grid_text, solution_text, str(root))
+        entry.scenario_path.write_text(write_matpower(scenario), encoding="utf-8")
         (root / "embeddings" / f"{index}.json").write_text(grid_text)
         (root / "solutions" / f"{index}.json").write_text(solution_text)
         entry.truth_path.write_text(json.dumps(_truth_doc(solution), sort_keys=True))
@@ -228,27 +245,24 @@ def load_solved_dataset(root: str | Path) -> SolvedDataset:
     root = Path(root)
     path = root / "manifest.json"
     try:
-        manifest = json.loads(path.read_text())
+        manifest = json.loads(_read(path))
         indices = [meta["index"] for meta in manifest["entries"]]
         rejected = list(manifest["rejected"])
-    except FileNotFoundError:
-        raise DatasetError(f"{root} is not a dataset directory (no manifest.json)") from None
     except (ValueError, LookupError, TypeError) as exc:
         raise DatasetError(f"{path}: {type(exc).__name__}: {exc}") from exc
-    embeddings, solutions, truth, scenarios = (
-        root / sub for sub in ("embeddings", "solutions", "truth", "scenarios")
-    )
-    entries = []
-    for i in indices:
-        entries.append(
-            SolvedEntry(
-                index=i,
-                grid_text=(embeddings / f"{i}.json").read_text(),
-                solution_text=(solutions / f"{i}.json").read_text(),
-                scenario_path=scenarios / f"{i}.m",
-                truth_path=truth / f"{i}.json",
-            )
+    seen = set()
+    for i in indices:  # an index names the entry's files, so it must be a new integer >= 0
+        if type(i) is not int or i < 0 or i in seen:
+            what = "is repeated" if type(i) is int and i in seen else "is not an integer >= 0"
+            raise DatasetError(f"{path}: entry index {i!r} {what}")
+        seen.add(i)
+    base = str(root)
+    entries = [
+        SolvedEntry(
+            i, _read(f"{base}/embeddings/{i}.json"), _read(f"{base}/solutions/{i}.json"), base
         )
+        for i in indices
+    ]
     return SolvedDataset(root=root, entries=entries, rejected=rejected)
 
 

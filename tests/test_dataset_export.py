@@ -159,14 +159,17 @@ def count_parses(monkeypatch):
 
 
 class TestLazyScenarios:
-    def test_load_and_export_read_no_scenario(self, dataset9_copy, count_parses):
+    def test_load_and_export_read_no_scenario(self, dataset9, dataset9_copy, count_parses):
         shutil.rmtree(dataset9_copy / "scenarios")
+        shutil.rmtree(dataset9_copy / "truth")
         ds = load_solved_dataset(dataset9_copy)
         assert len(ds.truth_map()) == len(ds)
         path = export_finetune_jsonl(ds)
-        assert len(path.read_text().splitlines()) == len(ds)
+        intact = export_finetune_jsonl(dataset9, dataset9_copy / "intact.jsonl")
+        assert path.read_text() == intact.read_text()
         assert count_parses == []
-        with pytest.raises(FileNotFoundError):
+        missing = str(ds.entries[0].scenario_path)
+        with pytest.raises(DatasetError, match=f"^{re.escape(missing)}: No such file"):
             ds.entries[0].case
 
     def test_bench_parses_one_scenario_per_trial(self, dataset9_copy, count_parses, case9):
@@ -208,11 +211,35 @@ class TestLazyScenarios:
 
 @pytest.mark.parametrize("text", [
     "{not json", "[]", '{"rejected": []}', '{"entries": []}', '{"entries": [{}], "rejected": []}',
-    '{"entries": [], "rejected": 3}',
-], ids=["not-json", "list", "no-entries", "no-rejected", "no-index", "rejected-not-a-list"])
+    '{"entries": [], "rejected": 3}', None,
+    '{"entries": [{"index": true}], "rejected": []}',
+    '{"entries": [{"index": "3"}], "rejected": []}',
+    '{"entries": [{"index": "../truth/0"}], "rejected": []}',
+    '{"entries": [{"index": 2.0}], "rejected": []}',
+    '{"entries": [{"index": -1}], "rejected": []}',
+    '{"entries": [{"index": 1}, {"index": 2}, {"index": 1}], "rejected": []}',
+], ids=["not-json", "list", "no-entries", "no-rejected", "no-index", "rejected-not-a-list",
+        "missing", "index-bool", "index-str", "index-path", "index-float", "index-negative",
+        "index-repeated"])
 def test_bad_manifest_named(dataset9_copy, text):
     path = dataset9_copy / "manifest.json"
-    path.write_text(text)
+    if text is None:
+        path.unlink()
+    else:
+        path.write_text(text)
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: "):
+        load_solved_dataset(dataset9_copy)
+
+
+@pytest.mark.parametrize("sub", ["embeddings", "solutions"])
+@pytest.mark.parametrize("damage", ["missing", "undecodable"])
+def test_bad_entry_text_named_at_load(dataset9_copy, sub, damage):
+    index = json.loads((dataset9_copy / "manifest.json").read_text())["entries"][3]["index"]
+    path = dataset9_copy / sub / f"{index}.json"
+    if damage == "missing":
+        path.unlink()
+    else:
+        path.write_bytes(b'{"bus": "\xff\xfe"}')
     with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: "):
         load_solved_dataset(dataset9_copy)
 
@@ -222,10 +249,11 @@ class TestLazyTruth:
         built = build_solved_dataset(
             case9, MutationSpec(0.2, seed=5), 2, EmbeddingFormat("table"), tmp_path / "ds",
         )
-        loaded = load_solved_dataset(built.root)
+        loaded = load_solved_dataset(f"{built.root}/")
         for x, y in zip(built.entries, loaded.entries):
             assert "solution" not in vars(x) and "solution" not in vars(y)
             assert x.truth_path == y.truth_path == built.root / "truth" / f"{x.index}.json"
+            assert x.scenario_path == y.scenario_path == built.root / "scenarios" / f"{x.index}.m"
             assert y.solution == x.solution and y.solution.feasible
             assert y.solution is y.solution
 

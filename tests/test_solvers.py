@@ -1,4 +1,6 @@
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +305,18 @@ def case9_shared_buses(case9):
         dataclasses.replace(g1, id=4, p_mw=30.0, vm_setpoint_pu=1.02, q_max_mvar=100.0),
     )
     return dataclasses.replace(case9, generators=case9.generators + extra)
+
+
+def test_reference_script_power_flow_matches_on_shared_buses(case9_shared_buses):
+    """scripts/make_reference.py's independent power flow splits a shared bus as solve_pf does."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_reference.py"
+    spec = importlib.util.spec_from_file_location("make_reference", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    vm, va, gen_p, gen_q = script.reference_pf(case9_shared_buses)
+    pf = solve_pf(case9_shared_buses, tol=1e-12)
+    for got, want in ((vm, pf.vm_pu), (va, pf.va_deg), (gen_p, pf.gen_p_mw), (gen_q, pf.gen_q_mvar)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
 
 def assert_derivatives_match_central_differences(fun, hess, x, rng):
