@@ -118,6 +118,8 @@ def validate_case(case: GridCase) -> None:
             raise GridError(f"bus ids must be dense 0..{n - 1}, got {b.id} at {i}")
         if b.vm_min > b.vm_max:
             raise GridError(f"bus {b.id}: vm_min {b.vm_min} > vm_max {b.vm_max}")
+    if len(case.external_bus_ids) != n:
+        raise GridError(f"{len(case.external_bus_ids)} external bus ids for {n} buses")
     slack_buses = [b for b in case.buses if b.bus_kind == BusKind.SLACK]
     if len(slack_buses) != 1:
         raise GridError(f"expected exactly one slack bus, found {len(slack_buses)}")

@@ -111,6 +111,12 @@ class TestCaseValidation:
             with pytest.raises(GridError, match=message):
                 dataclasses.replace(case9, generators=generators)
 
+    @pytest.mark.parametrize("ids", [(7,), (7, 8, 9)])
+    def test_external_bus_ids_must_name_every_bus(self, ids):
+        """One external id per bus, or the constraint names index past the end."""
+        with pytest.raises(GridError, match=f"{len(ids)} external bus ids for 2 buses"):
+            dataclasses.replace(two_bus_case(50, 20), external_bus_ids=ids)
+
     def test_self_loop_rejected(self):
         case = two_bus_case()
         with pytest.raises(GridError, match="self-loop"):

@@ -343,13 +343,21 @@ def assert_derivatives_match_central_differences(fun, hess, x, rng):
     assert np.max(np.abs(hess(x, lam, mu) - fd_hess)) <= 1e-6 * np.max(np.abs(fd_hess))
 
 
-@pytest.mark.parametrize("case_name", ["case9", "case30", "case9_shared_buses"])
+@pytest.fixture
+def case9_unrated_line(case9):
+    """case9 with line 3 unlimited: its ends enter the bus balance but no limit row."""
+    return with_line(case9, 3, rate_mva=0.0)
+
+
+@pytest.mark.parametrize(
+    "case_name", ["case9", "case30", "case9_shared_buses", "case9_unrated_line"]
+)
 def test_full_space_derivatives_match_central_differences(case_name, request):
     """dh, dg and the Hessian of f + lam h + mu g against central differences."""
     case = request.getfixturevalue(case_name)
     prob = _OpfProblem(case, OpfOptions())
     rng = np.random.default_rng(0)
-    x = prob.start() + 0.02 * rng.standard_normal(prob.nx)
+    x = prob.start().x + 0.02 * rng.standard_normal(prob.nx)
     assert_derivatives_match_central_differences(prob.fun, prob.hess, x, rng)
 
 
@@ -372,7 +380,7 @@ def test_elastic_derivatives_match_central_differences(case_name, request):
         return scale[:, None] * prob.hess(scale * y, lam, mu) * scale
 
     rng = np.random.default_rng(0)
-    y = prob.start() / scale + 0.02 * rng.standard_normal(prob.nx)
+    y = prob.start().x / scale + 0.02 * rng.standard_normal(prob.nx)
     y[-1] = 0.05
     assert_derivatives_match_central_differences(fun, hess, y, rng)
 
@@ -455,7 +463,7 @@ def test_derivatives_follow_the_iterate_and_own_their_arrays(case_name, request)
     case = request.getfixturevalue(case_name)
     prob = _OpfProblem(case, OpfOptions())
     rng = np.random.default_rng(1)
-    x1, x2 = prob.start() + 0.01 * rng.standard_normal((2, prob.nx))
+    x1, x2 = prob.start().x + 0.01 * rng.standard_normal((2, prob.nx))
     first = prob.fun(x1)
     lam = rng.standard_normal(len(first[2]))
     mu = rng.uniform(0.0, 1.0, len(first[4]))
@@ -647,24 +655,67 @@ def test_interior_point_iterations_are_bounded(case9, case30, monkeypatch):
 
 
 def test_warm_multipliers_shorten_draws_and_keep_their_optima(case9):
-    """Draws started from the base optimum's x and multipliers converge in a few steps,
-    to the optimum of the same draws started from x alone."""
+    """Draws started from the predictor at the base optimum's x and multipliers converge
+    in a few steps, to the optimum of the same draws started from x alone."""
     base = solve_opf(case9)
     assert base.controls.lam is not None and base.controls.mu is not None
     primal_only = OpfOptions(x0=dataclasses.replace(base.controls, lam=None, mu=None))
+    iterations = []
     for i in range(20):
         draw = mutate(case9, MutationSpec(0.2, seed=0), i)
         warm, primal = solve_opf(draw, OpfOptions(x0=base.controls)), solve_opf(draw, primal_only)
         assert warm.feasible and primal.feasible, i
         assert warm.stats.iterations <= 7 < primal.stats.iterations, i
         assert warm.objective_cost == pytest.approx(primal.objective_cost, rel=1e-6), i
+        iterations.append(warm.stats.iterations)
+    assert np.mean(iterations) <= 5.0  # 5.6 stepping from the base optimum itself
+
+
+def test_predicted_starts_do_not_depend_on_the_draw_order(case30):
+    """Each draw steps from a predictor built at zero load, not from the first draw's,
+    so draws solved in either order give the same answers and hand on the same bytes."""
+    warm = OpfOptions(x0=solve_opf(case30).controls)
+
+    def solve_draws(order):
+        solvers._grid_problem.cache_clear()
+        return {i: solve_opf(mutate(case30, MutationSpec(0.2, seed=0), i), warm) for i in order}
+
+    forward, reverse = solve_draws(range(6)), solve_draws(reversed(range(6)))
+    assert [i for i in range(6) if not forward[i].feasible] == [0, 4]
+    for i in range(6):
+        assert forward[i] == reverse[i] and forward[i].stats == reverse[i].stats, i
+        for part in ("x", "lam", "mu"):
+            got, want = (getattr(sol[i].controls, part) for sol in (reverse, forward))
+            assert (got is None and want is None) or got.tobytes() == want.tobytes(), (i, part)
+    solvers._grid_problem.cache_clear()
+
+
+def test_singular_predictor_starts_from_the_warm_x(case9, monkeypatch):
+    """Without a predictor (its Newton matrix singular) a draw starts as from x alone."""
+    base = solve_opf(case9)
+    primal_only = OpfOptions(x0=dataclasses.replace(base.controls, lam=None, mu=None))
+    draw = mutate(case9, MutationSpec(0.2, seed=0), 3)
+    want = solve_opf(draw, primal_only)
+    solve = np.linalg.solve
+
+    def singular_for_many_columns(a, b):  # only the predictor solves for a matrix b
+        if b.ndim == 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(solvers.np.linalg, "solve", singular_for_many_columns)
+    solvers._grid_problem.cache_clear()
+    got = solve_opf(draw, OpfOptions(x0=base.controls))
+    solvers._grid_problem.cache_clear()
+    assert got.feasible and got == want and got.stats == want.stats
+    assert got.controls.x.tobytes() == want.controls.x.tobytes()
 
 
 def test_constraint_names_follow_g(case30):
     """Each name labels the g entry of its quantity, computed here from a plain PF."""
     prob = _OpfProblem(case30, OpfOptions())
     pf = solve_pf(case30)
-    gen_p, gen_vm = prob.controls(prob.start())
+    gen_p, gen_vm = prob.controls(prob.start().x)
     assert np.array_equal(gen_p[prob.free] * case30.base_mva, pf.gen_p_mw[prob.free])
     g = prob.power_flow(gen_p, gen_vm, pf.vm_pu * np.exp(1j * np.radians(pf.va_deg)))[2]
     named = dict(zip(prob.con_names, g))
@@ -697,7 +748,7 @@ def test_evaluate_checks_the_soft_rows_of_g(request, case_name):
     """At a power-flow point with s = 0, power_flow's g is fun's g at its soft rows, in
     g's order, with each line row as |S| - rate; con_names names each soft row once."""
     prob = _OpfProblem(request.getfixturevalue(case_name), OpfOptions())
-    x = prob.start()
+    x = prob.start().x
     x[-1] = 0.0
     g = prob.fun(x)[4]
     nf, rate = len(prob.rate), prob.rate
