@@ -3,14 +3,14 @@
 The OPF is solved in the full space of bus voltages (angle, magnitude) and
 machine outputs (P, Q) by one dense primal-dual interior-point Newton loop,
 MATPOWER's MIPS (Wang, Murillo-Sanchez, Zimmerman & Thomas, IEEE TPWRS 2007),
-with exact first and second derivatives from the complex-matrix formulas of
-Zimmerman, MATPOWER Technical Note 2 (2010). Equalities are the P and Q
-balance at every bus, the slack angle and the shared-bus reactive split;
-inequalities are the line flows under their ratings and the variable bounds.
-Grids in scope are small (tens of buses), so everything is dense numpy. The
-network is ``grid_model``'s pi line model: line-end powers from
-``branch_admittances``, bus injections from ``admittance_matrix`` (its rows
-summed at their buses), whose derivatives are the line-end ones, row k at bus k.
+with exact derivatives (grids in scope have tens of buses). Equalities are the
+P and Q balance at every bus, the slack angle and the shared-bus reactive split;
+inequalities are the rated line-end flows and the variable bounds. The network
+is ``grid_model``'s pi line model: a line end's power depends on the voltages at
+its two buses alone, and a bus's injection is its line ends' summed, as in
+``admittance_matrix``. So ``line_ends`` takes each end's derivatives in closed
+form, a 4-vector and a 4 x 4 block that ``np.bincount`` sums into the Jacobians
+and the Hessian, not MATPOWER's bus-wide complex matrices (Zimmerman, Tech. Note 2).
 
 The soft rows of g (each line end's rating, the bounds of slack P, every Q
 and PQ-bus |V|) are the one list of limits: ``con_names`` names them and
@@ -112,51 +112,18 @@ class OpfOptions:
     pf_max_iter: ClassVar[int] = 50
     optimality_tol: ClassVar[float] = 1e-6  # scaled KKT conditions of the interior-point loop
     constraint_tol: ClassVar[float] = 1e-4  # per-unit
-    max_outer: int = 50              # interior-point iterations per solve
+    max_outer: int = 50              # interior-point iterations per solve, at least 1
     x0: PrimalDual | None = field(default=None, compare=False)  # OpfSolution.controls
 
-
-def _ds_dv(Y: np.ndarray, c: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """[dS/dVa, dS/dVm] of S = V[c] * conj(Y V), c each row's bus, in polar form, side by side.
-
-    MATPOWER's dSbr_dV; with c = arange(n) it is dSbus_dV, the derivative of
-    the bus injections V * conj(Y V).
-    """
-    n, k = len(V), np.arange(len(Y))
-    Vnorm = V / np.abs(V)
-    iY = np.conj(Y @ V)
-    dS = np.empty((len(Y), 2 * n), dtype=complex)
-    dS[:, :n] = -1j * (V[c][:, None] * np.conj(Y * V))
-    dS[:, n:] = V[c][:, None] * np.conj(Y * Vnorm)
-    dS[k, c] += 1j * (iY * V[c])
-    dS[k, n + c] += iY * Vnorm[c]
-    return dS
+    def __post_init__(self):
+        if self.max_outer < 1:
+            raise ValueError(f"max_outer must be at least 1, got {self.max_outer}")
 
 
-def _d2s_dv2(Y: np.ndarray, c: np.ndarray, V: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Hessian of lam @ S in (Va, Vm), S = V[c] * conj(Y V), c each row's bus, lam complex.
-
-    MATPOWER's d2Sbr_dV2; it is linear in lam, so Re of it at lam = lamP - j lamQ
-    is the Hessian of lamP @ S.real + lamQ @ S.imag.
-    """
-    n, i = len(V), np.arange(len(V))
-    # conj(Y).T @ lam_at by BLAS, not a broadcast: the two round apart, the iterates would move
-    lam_at = np.zeros((len(Y), n), dtype=complex)
-    lam_at[np.arange(len(Y)), c] = lam
-    A = np.conj(Y).T @ lam_at
-    B = np.conj(V)[:, None] * A * V
-    d = (A @ V) * np.conj(V)
-    e = (A.T @ np.conj(V)) * V
-    F = B + B.T
-    inv_vm = 1.0 / np.abs(V)
-    G = B - B.T
-    G[i, i] = G[i, i] - d + e
-    H = np.empty((2 * n, 2 * n), dtype=complex)
-    H[:n, :n], H[n:, n:] = F, inv_vm[:, None] * F * inv_vm
-    H[i, i] = F[i, i] - d - e
-    H[n:, :n] = 1j * inv_vm[:, None] * G
-    H[:n, n:] = H[n:, :n].T
-    return H
+def _check_length(name: str, values, want: int):
+    """Raise ValueError, naming both lengths, unless values has want entries."""
+    if values is not None and len(values) != want:
+        raise ValueError(f"{name} has {len(values)} entries, expected {want}")
 
 
 def _newton_pf(
@@ -180,16 +147,14 @@ def _newton_pf(
 
     p_spec, q_spec = prob.setpoint_sums(gen_p_pu) - prob.p_load, -prob.q_load
 
-    def mismatch(V):
+    def mismatch(V):  # and its largest entry
         S = V * np.conj(prob.Y @ V)
-        return np.concatenate([p_spec[pvpq] - S.real[pvpq], q_spec[pq] - S.imag[pq]])
+        F = np.concatenate([p_spec[pvpq] - S.real[pvpq], q_spec[pq] - S.imag[pq]])
+        return F, np.abs(F).max(initial=0.0)
 
-    it = 0
-    F = mismatch(V)
-    norm = np.max(np.abs(F)) if F.size else 0.0
+    it, (F, norm) = 0, mismatch(V)
     while norm > tol and it < max_iter:
-        dS = _ds_dv(prob.Y, np.arange(n), V)
-        J = np.vstack([dS.real, dS.imag])[rc[:, None], rc]
+        J = prob.line_ends(V)[4][rc[:, None], rc]
         try:
             dx = np.linalg.solve(J, F)
         except np.linalg.LinAlgError as exc:
@@ -199,9 +164,7 @@ def _newton_pf(
         va[pvpq] += dx[: len(pvpq)]
         vm[pq] += dx[len(pvpq) :]
         V = vm * np.exp(1j * va)
-        it += 1
-        F = mismatch(V)
-        norm = np.max(np.abs(F)) if F.size else 0.0
+        it, (F, norm) = it + 1, mismatch(V)
 
     return V, norm <= tol, it, norm
 
@@ -232,14 +195,14 @@ def solve_pf(
     to check a predicted dispatch. Non-convergence is reported in the result,
     not raised; a singular Jacobian raises SolverError.
     """
-    prob = _problem(case, OpfOptions())
-    gen_p = np.array(
-        [g.p_mw for g in case.generators] if gen_p_mw is None else gen_p_mw, float
-    ) / case.base_mva
-    gen_vm = np.array(
-        [g.vm_setpoint_pu for g in case.generators] if gen_vm_pu is None else gen_vm_pu,
-        float,
-    )
+    ng = len(case.generators)
+    for name, values, want in (
+        ("gen_p_mw", gen_p_mw, ng), ("gen_vm_pu", gen_vm_pu, ng), ("v0", v0, case.n_bus)
+    ):
+        _check_length(name, values, want)
+    prob, gens, base = _problem(case, OpfOptions()), case.generators, case.base_mva
+    gen_p = np.array([g.p_mw for g in gens] if gen_p_mw is None else gen_p_mw, float) / base
+    gen_vm = np.array([g.vm_setpoint_pu for g in gens] if gen_vm_pu is None else gen_vm_pu, float)
     V, converged, it, norm = _newton_pf(prob, gen_p, gen_vm, tol, max_iter, v0)
     p, q = _machine_pq(prob, V, gen_p)
     return PfSolution(
@@ -367,7 +330,7 @@ class _OpfProblem:
     """
 
     COST_SCALE = 1e-4  # $/h to the interior-point objective, as in MATPOWER
-    _at = (None,)  # (x bytes, V, Sbr, dSbr, Re(conj(Sbr) dSbr)) of the last iterate; grid alone
+    _at = (None,)  # (x bytes, V, line_ends(V)) of the last iterate; grid alone
 
     def __init__(self, case: GridCase, opts: OpfOptions):
         self._draw(case, opts)
@@ -402,11 +365,20 @@ class _OpfProblem:
         )
 
         base = case.base_mva
-        # every line end, from ends then to ends; the limit rows are the rated ones
-        self.end_bus, self.Ybr = branch_admittances(case, case.lines)
+        # every line end, from ends then to ends: its bus a, the far bus b and the two
+        # admittances of its row; the limit rows are the rated ones
+        a, Ybr = branch_admittances(case, case.lines)
+        b, r = a.reshape(2, -1)[::-1].ravel(), np.arange(len(a))
+        self.ends, self.y_aa, self.y_ab = (a, b), Ybr[r, a], Ybr[r, b]
         self.rated = np.flatnonzero(np.tile([ln.rate_mva > 0 for ln in case.lines], 2))
-        self.lim_bus, self.Ylim = self.end_bus[self.rated], self.Ybr[self.rated]
         self.rate = np.tile([ln.rate_mva for ln in case.lines], 2)[self.rated] / base
+        # an end's columns (Va_a, Va_b, Vm_a, Vm_b), and the flat indices at which
+        # np.bincount sums its terms into bus a's P and Q rows of the (2n, 2n) bus
+        # Jacobian and into its 4 x 4 block of the (2n, 2n) Hessian
+        cols = np.stack([a, b, n + a, n + b], 1)
+        self.jac_at = ((a[:, None] + [0, n])[:, :, None] * 2 * n + cols[:, None, :]).ravel()
+        self.hess_at = (cols[:, :, None] * 2 * n + cols[:, None, :]).ravel()
+        self.lim_at = np.arange(len(self.rated))[:, None], cols[self.rated]  # in dg's limit rows
 
         # every machine but the last on its bus takes its q_weight share of the bus's Q
         split = [i for i, g in enumerate(gens) if last[g.bus] != i]
@@ -478,36 +450,48 @@ class _OpfProblem:
         gen_p[self.slack_i] = 0.0
         return gen_p, x[self.case.n_bus : self.ip][self.gen_bus]
 
+    def line_ends(self, V: np.ndarray):
+        """Each line end's power S = conj(y_aa) |V_a|^2 + T, T = conj(y_ab) V_a conj(V_b),
+        a its bus and b the far one; d log T and dS = T d log T + (0, 0, 2 conj(y_aa) |V_a|,
+        0) over the end's columns (Va_a, Va_b, Vm_a, Vm_b); and d(P, Q) / d(Va, Vm) of the
+        bus injections, (2n, 2n), each bus row its line ends' summed as Ybus sums their
+        rows. Returns (S, T, dlogT, dS, that Jacobian)."""
+        (a, b), vm, n2 = self.ends, np.abs(V), 2 * len(V)
+        T = np.conj(self.y_ab) * V[a] * np.conj(V[b])
+        dlogT = np.stack([np.full(len(T), 1j), np.full(len(T), -1j), 1.0 / vm[a], 1.0 / vm[b]], 1)
+        dS = T[:, None] * dlogT
+        dS[:, 2] += 2.0 * np.conj(self.y_aa) * vm[a]
+        jac = np.bincount(self.jac_at, np.stack([dS.real, dS.imag], 1).ravel(), n2 * n2)
+        return np.conj(self.y_aa) * vm[a] ** 2 + T, T, dlogT, dS, jac.reshape(n2, n2)
+
     def fun(self, x: np.ndarray):
         """Scaled cost plus s, h, g and their Jacobians at x: the interior-point callback."""
         n, ctol = self.case.n_bus, self.opts.constraint_tol
-        (V, Sbr, _, dflow), pg, qg = self._branch(x), x[self.ip : self.iq], x[self.iq : -1]
+        (V, (S_end, _, _, dS, jac)), pg, qg = self._branch(x), x[self.ip : self.iq], x[self.iq : -1]
         f = self.COST_SCALE * (((self.cost_c2 * pg + self.cost_c1) @ pg) + self.cost_c0) + x[-1]
         df = np.zeros(self.nx)
         df[self.ip : self.iq] = self.COST_SCALE * (2.0 * self.cost_c2 * pg + self.cost_c1)
         df[-1] = 1.0
 
         S = V * np.conj(self.Y @ V) + self.p_load + 1j * self.q_load
-        dS = _ds_dv(self.Y, np.arange(n), V)
         inj = [np.bincount(self.gen_bus, w, n) for w in (pg, qg)]  # machines' output per bus
         h = np.concatenate([S.real - inj[0], S.imag - inj[1], self.a_eq @ x])
         dh = self.dh0.copy()
-        dh[:n, : 2 * n], dh[n : 2 * n, : 2 * n] = dS.real, dS.imag
+        dh[: 2 * n, : 2 * n] = jac
 
+        Sbr = S_end[self.rated]
         flow2, u = (Sbr * np.conj(Sbr)).real, self.rate + ctol * x[-1]
         g = np.concatenate([(flow2 - u * u) / (2.0 * u), self.a_bound @ x - self.b_bound])
         dg = self.dg0.copy()
-        dg[: len(u), : 2 * n] = dflow / u[:, None]
+        dg[self.lim_at] = (np.conj(Sbr)[:, None] * dS[self.rated]).real / u[:, None]
         dg[: len(u), -1] = -ctol * (flow2 + u * u) / (2.0 * u * u)
         return f, df, h, dh, g, dg
 
     def _branch(self, x: np.ndarray):
-        """Voltages V, rated line-end powers Sbr, dSbr and Re(conj(Sbr) dSbr), half the
-        gradient of |Sbr|^2, at x: computed once per iterate for fun and hess."""
+        """Voltages V and ``line_ends(V)`` at x: computed once per iterate for fun and hess."""
         if self._at[0] != x.tobytes():
-            ends, Ybr, V = self.lim_bus, self.Ylim, self.voltages(x)
-            Sbr, dSbr = V[ends] * np.conj(Ybr @ V), _ds_dv(Ybr, ends, V)
-            self._at = (x.tobytes(), V, Sbr, dSbr, (np.conj(Sbr)[:, None] * dSbr).real)
+            V = self.voltages(x)
+            self._at = (x.tobytes(), V, self.line_ends(V))
         return self._at[1:]
 
     def hess(self, x: np.ndarray, lam: np.ndarray, mu: np.ndarray):
@@ -516,18 +500,25 @@ class _OpfProblem:
         H = np.zeros((self.nx, self.nx))
         p = np.arange(self.ip, self.iq)
         H[p, p] = self.COST_SCALE * 2.0 * self.cost_c2
-        V, Sbr, dSbr, dflow = self._branch(x)
+        S, T, dlogT, dS, _ = self._branch(x)[1]
         u = self.rate + ctol * x[-1]
-        m = mu[: len(u)] / u  # a line row is |S|^2 / (2u) - u / 2
+        m = np.zeros(len(S))
+        m[self.rated] = mu[: len(u)] / u  # a line row is |S|^2 / (2u) - u / 2
         # a bus's injection is its line ends' powers summed, so lam @ (P, Q balance)
         # weighs each line end by lam at its bus; a rated one adds its limit row
-        w = (lam[:n] - 1j * lam[n : 2 * n])[self.end_bus]
-        w[self.rated] += np.conj(Sbr) * m
-        H[: 2 * n, : 2 * n] = (
-            _d2s_dv2(self.Ybr, self.end_bus, V, w) + dSbr.T @ (m[:, None] * np.conj(dSbr))
-        ).real
-        H[-1, : 2 * n] = H[: 2 * n, -1] = -ctol * (m / u) @ dflow
-        H[-1, -1] = ctol * ctol * (m / (u * u)) @ (Sbr * np.conj(Sbr)).real
+        w = (lam[:n] - 1j * lam[n : 2 * n])[self.ends[0]] + m * np.conj(S)
+        # Re(w d2S) per end, d2T being T (dlogT dlogT^T - diag(0, 0, 1/|V_a|^2, 1/|V_b|^2))
+        wT = w * T
+        block = (wT[:, None, None] * dlogT[:, :, None] * dlogT[:, None, :]).real
+        block[:, [2, 3], [2, 3]] -= wT.real[:, None] * dlogT[:, 2:].real ** 2
+        block[:, 2, 2] += 2.0 * (w * np.conj(self.y_aa)).real
+        block += m[:, None, None] * (dS[:, :, None] * np.conj(dS[:, None, :])).real
+        H[: 2 * n, : 2 * n] = np.bincount(self.hess_at, block.ravel(), 4 * n * n).reshape(2 * n, -1)
+        Sbr, k = S[self.rated], m[self.rated] / u
+        ds = k[:, None] * (np.conj(Sbr)[:, None] * dS[self.rated]).real  # the (s, x) terms
+        H[-1, : 2 * n] = -ctol * np.bincount(self.lim_at[1].ravel(), ds.ravel(), 2 * n)
+        H[: 2 * n, -1] = H[-1, : 2 * n]
+        H[-1, -1] = ctol * ctol * (k / u) @ (Sbr * np.conj(Sbr)).real
         return H
 
     def start(self) -> PrimalDual | None:
@@ -543,6 +534,8 @@ class _OpfProblem:
             gen_vm, v0 = np.array([g.vm_setpoint_pu for g in self.gens]), None
         else:
             x = warm.x
+            for part, want in (("x", self.nx), ("lam", len(lam)), ("mu", len(mu))):
+                _check_length(f"warm start {part}", getattr(warm, part), want)
             predictor = None if warm.lam is None else self._predictor(warm)
             if predictor is not None:
                 d0, dload, mu, z, gamma, g, dg = predictor
@@ -597,7 +590,7 @@ class _OpfProblem:
         if not conv:
             return None
         x = np.concatenate([np.angle(V), np.abs(V), *_machine_pq(self, V, gen_p), [0.0]])
-        flow = np.abs(V[self.lim_bus] * np.conj(self.Ylim @ V))
+        flow = np.abs(self.line_ends(V)[0][self.rated])
         return V, x, np.concatenate([flow - self.rate, self.a_bound @ x - self.b_bound])[self.soft]
 
     def solve(self) -> OpfSolution:
@@ -642,7 +635,12 @@ class _OpfProblem:
         feasible = converged and viol <= self.opts.constraint_tol
         worst = int(np.argmax(point.mu[self.soft] if converged else gv))
         reason = "infeasible" if converged else reason
-        message = "" if feasible else f"{reason}: {self.con_names[worst]} over by {viol:.2e} pu"
+        name = self.con_names[worst]
+        where = (  # a stopped solve may meet every limit
+            f"{name} over by {viol:.2e} pu" if viol > 0
+            else f"within every limit (closest: {name}, {-viol:.2e} pu inside)"
+        )
+        message = "" if feasible else f"{reason}: {where}"
         gen = tuple((self.gens[i].id, float(p_mw[i]), float(q_mvar[i])) for i in self.free)
         si = self.slack_i
         slack = (self.gens[si].id, float(p_mw[si]), float(q_mvar[si]))

@@ -10,6 +10,7 @@ from gridprompt.grid_model import BusKind, Line, admittance_matrix, branch_admit
 from gridprompt.scenario_gen import MutationSpec, mutate
 from gridprompt.solvers import (
     OpfOptions,
+    PrimalDual,
     SolveStats,
     _OpfProblem,
     generation_cost,
@@ -112,6 +113,15 @@ class TestPowerFlow:
         sol = solve_pf(overload, max_iter=15)
         assert not sol.converged
         assert sol.max_mismatch_pu > 1e-8
+
+    @pytest.mark.parametrize("name, values, want", [
+        ("gen_p_mw", [10.0, 20.0], "2 entries, expected 3"),
+        ("gen_vm_pu", [1.0] * 4, "4 entries, expected 3"),
+        ("v0", np.ones(3, complex), "3 entries, expected 9"),
+    ])
+    def test_inputs_of_the_wrong_length_are_refused(self, case9, name, values, want):
+        with pytest.raises(ValueError, match=f"{name} has {want}"):
+            solve_pf(case9, **{name: values})
 
     def test_warm_start_converges_faster(self, case9):
         cold = solve_pf(case9)
@@ -289,6 +299,25 @@ class TestOpf:
         cut = solve_opf(tight, OpfOptions(max_outer=1))  # the cap stops the solve
         assert cut.message.startswith("max_outer: slack gen 0 P max over by")
 
+    def test_stopped_solve_within_every_limit_names_the_closest(self, case9):
+        """A solve cut while it meets every limit says so, rather than "over by" < 0."""
+        cut = solve_opf(case9, OpfOptions(max_outer=1))
+        assert not cut.feasible and cut.max_violation_pu < 0
+        assert cut.message == (
+            f"max_outer: within every limit (closest: bus 5 Vm min, {-cut.max_violation_pu:.2e} pu inside)"
+        )
+
+    @pytest.mark.parametrize("max_outer", [0, -1])
+    def test_iteration_cap_below_one_is_refused(self, max_outer):
+        with pytest.raises(ValueError, match=f"max_outer must be at least 1, got {max_outer}"):
+            OpfOptions(max_outer=max_outer)
+
+    @pytest.mark.parametrize("length", [3, 40])
+    def test_warm_start_of_the_wrong_length_is_refused(self, case9, length):
+        warm = PrimalDual(np.zeros(length))
+        with pytest.raises(ValueError, match=f"warm start x has {length} entries, expected 25"):
+            solve_opf(case9, OpfOptions(x0=warm))
+
     def test_solutions_compare_by_value(self, case9):
         assert solve_opf(case9) == solve_opf(case9)
 
@@ -350,7 +379,7 @@ def case9_unrated_line(case9):
 
 
 @pytest.mark.parametrize(
-    "case_name", ["case9", "case30", "case9_shared_buses", "case9_unrated_line"]
+    "case_name", ["case9", "case30", "case9_shared_buses", "case9_unrated_line", "two_bus_tapped"]
 )
 def test_full_space_derivatives_match_central_differences(case_name, request):
     """dh, dg and the Hessian of f + lam h + mu g against central differences."""
@@ -387,10 +416,13 @@ def test_elastic_derivatives_match_central_differences(case_name, request):
 
 @pytest.fixture
 def two_bus_tapped():
-    """Two buses joined by a tapped, charged line and a parallel one the other way round."""
+    """Two buses joined by a tapped, charged line and a parallel one the other way round,
+    both rated."""
     case = two_bus_case(r=0.01, x=0.1, b=0.04)
-    tapped = dataclasses.replace(case.lines[0], tap_ratio=0.975)
-    parallel = Line(id=1, from_bus=1, to_bus=0, r_pu=0.02, x_pu=0.15, b_pu=0.01, tap_ratio=1.02)
+    tapped = dataclasses.replace(case.lines[0], tap_ratio=0.975, rate_mva=150.0)
+    parallel = Line(
+        id=1, from_bus=1, to_bus=0, r_pu=0.02, x_pu=0.15, b_pu=0.01, tap_ratio=1.02, rate_mva=90.0
+    )
     return dataclasses.replace(case, lines=(tapped, parallel))
 
 
@@ -439,22 +471,40 @@ def matrix_form_d2s_dv2(Y, C, V, lam):
     return H
 
 
-@pytest.mark.parametrize("case_name", ["case9", "case30", "case9_shared_buses"])
-def test_bus_indexed_derivatives_equal_the_incidence_matrix_form(case_name, request):
-    """_ds_dv and _d2s_dv2 with each row's bus give MATPOWER's C-matrix results bit for bit."""
+@pytest.mark.parametrize("case_name", ["case9", "case30", "case9_shared_buses", "two_bus_tapped"])
+def test_line_end_derivatives_match_the_incidence_matrix_form(case_name, request):
+    """fun's bus and limit Jacobians and hess's voltage block, all summed from per-line-end
+    terms, equal MATPOWER's C-matrix forms at random (V, lam, mu) to 1e-12 of the largest entry."""
     case = request.getfixturevalue(case_name)
-    n = case.n_bus
+    prob = _OpfProblem(case, OpfOptions())
+    n, ctol = case.n_bus, OpfOptions.constraint_tol
     ends, Ybr = branch_admittances(case, case.lines)
-    Cbr = np.zeros((len(ends), n))
-    Cbr[np.arange(len(ends)), ends] = 1.0
-    rows = [(admittance_matrix(case), np.arange(n), np.eye(n)), (Ybr, ends, Cbr)]
+    rated = np.flatnonzero(np.tile([ln.rate_mva > 0 for ln in case.lines], 2))
+    Ylim, Clim = Ybr[rated], np.eye(n)[ends[rated]]
+    rate = np.tile([ln.rate_mva for ln in case.lines], 2)[rated] / case.base_mva
+    Ybus, nr = admittance_matrix(case), len(rated)
     rng = np.random.default_rng(3)
-    for Y, c, C in rows:
-        for _ in range(50):
-            V = rng.uniform(0.9, 1.1, n) * np.exp(1j * rng.uniform(-0.5, 0.5, n))
-            lam = rng.standard_normal(len(Y)) + 1j * rng.standard_normal(len(Y))
-            assert np.array_equal(solvers._ds_dv(Y, c, V), matrix_form_ds_dv(Y, C, V))
-            assert np.array_equal(solvers._d2s_dv2(Y, c, V, lam), matrix_form_d2s_dv2(Y, C, V, lam))
+    for _ in range(50):
+        V = rng.uniform(0.9, 1.1, n) * np.exp(1j * rng.uniform(-0.5, 0.5, n))
+        x = np.concatenate([np.angle(V), np.abs(V), rng.uniform(0.0, 1.0, prob.nx - 2 * n)])
+        _, _, h, dh, g, dg = prob.fun(x)
+        lam, mu = rng.standard_normal(len(h)), rng.uniform(0.0, 1.0, len(g))
+        dSbus = matrix_form_ds_dv(Ybus, np.eye(n), V)
+        Sbr, dSbr = (Clim @ V) * np.conj(Ylim @ V), matrix_form_ds_dv(Ylim, Clim, V)
+        m = mu[:nr] / (rate + ctol * x[-1])
+        want = {
+            "dh": np.vstack([dSbus.real, dSbus.imag]),
+            "dg": (np.conj(Sbr)[:, None] * dSbr).real * (m / mu[:nr])[:, None],
+            "hess": (
+                matrix_form_d2s_dv2(Ybus, np.eye(n), V, lam[:n] - 1j * lam[n : 2 * n])
+                + matrix_form_d2s_dv2(Ylim, Clim, V, np.conj(Sbr) * m)
+                + dSbr.T @ (m[:, None] * np.conj(dSbr))
+            ).real,
+        }
+        got = {"dh": dh[: 2 * n, : 2 * n], "dg": dg[:nr, : 2 * n]}
+        got["hess"] = prob.hess(x, lam, mu)[: 2 * n, : 2 * n]
+        for part, value in want.items():
+            assert np.max(np.abs(got[part] - value)) <= 1e-12 * np.max(np.abs(value)), part
 
 
 @pytest.mark.parametrize("case_name", ["case9", "case30", "case9_shared_buses"])
