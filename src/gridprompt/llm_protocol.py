@@ -15,7 +15,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-import requests
 
 SYSTEM_PROMPT = (
     "You are a power grid operator running an Optimal Power Flow simulation, "
@@ -147,6 +146,8 @@ def complete(seq: PromptSequence, cfg: EndpointConfig) -> str:
     Retries on 429 / 5xx / timeouts with exponential backoff and jitter;
     401 fails immediately with AuthError.
     """
+    import requests  # here, so that only bench against an HTTP endpoint loads it
+
     url = cfg.base_url.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(cfg.auth_env, "")

@@ -46,16 +46,20 @@ solve within ``constraint_tol`` there is feasible; any other answer's message
 names its reason (``infeasible`` for a converged one, else ``max_outer``,
 ``stalled`` or ``pf_diverged``) and a soft row, e.g.
 ``infeasible: line 9 (6-8) from-end rating over by 1.45e-02 pu``.
+
+``_OpfProblem.solve`` calls ``_mips`` through one seam, this module's namespace
+``optimize.minimize(fun, x0, method, hess, options)``, which solve counters replace:
+perfbench's tracer sums each result's ``nit`` and ``nfev``, and two tests count calls.
 """
 from __future__ import annotations
 
 import copy
 import functools
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 from typing import ClassVar
 
 import numpy as np
-from scipy import optimize
 
 from .grid_model import BusKind, GridCase, admittance_matrix, branch_admittances
 
@@ -118,6 +122,8 @@ class OpfOptions:
     def __post_init__(self):
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be at least 1, got {self.max_outer}")
+        if self.x0 is not None and not isinstance(self.x0, PrimalDual):
+            raise TypeError(f"x0 must be a PrimalDual or None, got {type(self.x0).__name__}")
 
 
 def _check_length(name: str, values, want: int):
@@ -260,16 +266,30 @@ def _newton_step(d, x, lam, mu, z, g, dg, gamma):
     return x + step[0] * dx, lam + step[1] * dlam, mu + step[1] * dmu, z + step[0] * dz, step
 
 
-def _mips(fun, x0, hess, maxiter, tol, lam0, mu0, **_):
-    """MATPOWER's primal-dual interior-point loop (MIPS), dense, as a minimize method.
+@dataclass(frozen=True)
+class _MipsResult:
+    """_mips's last iterate, KKT residual, iterations, evaluations and reason."""
+    x: np.ndarray
+    lam: np.ndarray
+    mu: np.ndarray
+    kkt: float
+    nit: int
+    nfev: int
+    message: str
+    success = property(lambda self: self.message == "converged")
+
+
+def _mips(fun, x0, hess, maxiter, tol, lam0, mu0):
+    """MATPOWER's primal-dual interior-point loop (MIPS), dense, called through the
+    ``optimize.minimize`` seam (see the module docstring).
 
     Minimizes f subject to h(x) = 0 and g(x) <= 0, where ``fun(x)`` returns
     (f, df, h, dh, g, dg) and ``hess(x, lam, mu)`` the Hessian of
-    f + lam @ h + mu @ g. Converged (status 0) when the feasibility,
-    stationarity, complementarity and cost-change conditions, each scaled as
-    in MIPS, are all under ``tol``; status 1 is the iteration cap, 2 a stall
-    (a step under 1e-8, a singular system, a non-finite x or barrier parameter
-    out of range).
+    f + lam @ h + mu @ g. Converged when the feasibility, stationarity,
+    complementarity and cost-change conditions, each scaled as in MIPS, are
+    all under ``tol``; max_outer is the cap of ``maxiter`` iterations, stalled
+    a step under 1e-8, a singular system, a non-finite x or barrier parameter
+    out of range.
 
     The duals start at ``lam0`` and ``mu0``, e.g. the multipliers of a related
     problem's solution (Yildirim & Wright, SIAM J. Optim. 2002), kept off zero
@@ -291,30 +311,33 @@ def _mips(fun, x0, hess, maxiter, tol, lam0, mu0, **_):
             abs(f - f_prev) / (1.0 + abs(f_prev)),
         )
         if kkt < tol:
-            status = 0
+            message = "converged"
             break
         if nit == maxiter:
-            status = 1
+            message = "max_outer"
             break
         if min(step) < 1e-8 or not np.isfinite(x).all() or not 1e-16 < gamma < 1e16:
-            status = 2
+            message = "stalled"
             break
         nit += 1
         k, rx = _newton_system(hess, x, lam, mu, z, gamma, lx, dh, g, dg)
         try:
             d = np.linalg.solve(k, -np.concatenate([rx, h]))
         except np.linalg.LinAlgError:
-            status = 2
+            message = "stalled"
             break
         x, lam, mu, z, step = _newton_step(d, x, lam, mu, z, g, dg, gamma)
         gamma = 0.1 * (z @ mu) / len(z)
         f_prev = f
         f, df, h, dh, g, dg = fun(x)
         nfev += 1
-    return optimize.OptimizeResult(
-        x=x, lam=lam, mu=mu, kkt=kkt, fun=f, nit=nit, nfev=nfev, status=status,
-        success=status == 0, message=("converged", "max_outer", "stalled")[status],
-    )
+    return _MipsResult(x, lam, mu, float(kkt), nit, nfev, message)
+
+
+# the seam of _OpfProblem.solve (see the module docstring)
+optimize = SimpleNamespace(
+    minimize=lambda fun, x0, method, hess, options: method(fun, x0, hess=hess, **options)
+)
 
 
 class _OpfProblem:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -286,3 +289,39 @@ class TestBenchHttp:
         log = (tmp_path / "rep" / "trials.jsonl").read_text().splitlines()
         assert len(log) == 2
         assert len(MockHandler.requests_seen) == 2
+
+
+# Run the CLI in a fresh interpreter where importing scipy or requests fails.
+WITHOUT_SCIPY_AND_REQUESTS = (
+    "import sys\n"
+    "sys.modules['scipy'] = sys.modules['requests'] = None\n"
+    "from gridprompt.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def test_cli_runs_without_scipy_and_requests(capsys, tmp_path):
+    """solve, gen, bench --replay and export-ft need neither scipy nor requests, and gen
+    writes the same bytes as a run that may import them."""
+    src = str(CASES_DIR.parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def blocked(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", WITHOUT_SCIPY_AND_REQUESTS, *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+
+    ds, unblocked = tmp_path / "ds", tmp_path / "unblocked"
+    blocked("solve", CASE9)
+    blocked("gen", CASE9, "--n", "3", "--seed", "0", "--out", str(ds))
+    assert run_cli(capsys, "gen", CASE9, "--n", "3", "--seed", "0", "--out", str(unblocked))[0] == 0
+    files = sorted(p.relative_to(ds) for p in ds.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(unblocked) for p in unblocked.rglob("*") if p.is_file())
+    for name in files:
+        assert (ds / name).read_bytes() == (unblocked / name).read_bytes(), name
+    for mode in ("oracle", "nearest_context"):
+        blocked("bench", str(ds), "--replay", mode, "--trials", "1", "--context", "2",
+                "--out", str(tmp_path / mode))
+    blocked("export-ft", str(ds))

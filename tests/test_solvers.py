@@ -322,7 +322,17 @@ class TestOpf:
         assert solve_opf(case9) == solve_opf(case9)
 
     def test_options_compare_with_warm_start(self):
-        assert OpfOptions(x0=np.zeros(2)) == OpfOptions(x0=np.zeros(2))
+        assert OpfOptions(x0=PrimalDual(np.zeros(2))) == OpfOptions(x0=PrimalDual(np.zeros(2)))
+
+    @pytest.mark.parametrize("x0", [np.zeros(25), [0.0] * 25, "warm"])
+    def test_warm_start_that_is_not_a_primal_dual_is_refused(self, x0):
+        with pytest.raises(TypeError, match=f"x0 must be a PrimalDual or None, got {type(x0).__name__}"):
+            OpfOptions(x0=x0)
+
+    def test_solve_stats_hold_plain_numbers(self, case9):
+        stats = solve_opf(case9).stats
+        assert type(stats.iterations) is int and type(stats.evaluations) is int
+        assert type(stats.kkt) is float and "np." not in repr(stats)
 
 
 @pytest.fixture
