@@ -20,6 +20,7 @@ from .dataset_export import (
 )
 from .embedding import EmbeddingFormat, encode_solution, encode_triples
 from .evaluation import run_benchmark
+from .files import read_utf8, write_utf8
 from .llm_protocol import EndpointConfig, HttpBackend, replay_backend
 from .matpower_io import load_case
 from .scenario_gen import MutationSpec
@@ -34,7 +35,7 @@ _CONFIG_KEYS = {
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    cfg = json.loads(Path(path).read_text())
+    cfg = json.loads(read_utf8(path))
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -139,7 +140,7 @@ def _cmd_bench(args, cfg) -> int:
         concurrency=concurrency, max_chars=max_chars,
         log_path=log_path, config=config_echo,
     )
-    (out / "report.json").write_text(report.to_json() + "\n")
+    write_utf8(out / "report.json", report.to_json() + "\n")
     print(report.to_json())
     print(f"log: {log_path}", file=sys.stderr)
     return 0 if report.valid_fraction > 0 else 2

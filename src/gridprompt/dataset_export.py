@@ -31,6 +31,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .embedding import EmbeddingFormat, embed_grid, encode_solution
+from .files import read_utf8, write_utf8
 from .grid_model import GridCase, GridError, to_hetero
 from .llm_protocol import (
     EXAMPLE_INPUT_PREFIX,
@@ -62,17 +63,6 @@ class FinetuneConfig:
             raise ValueError("alpha must be > 0")
 
 
-def _read(path: str | Path) -> str:
-    """The text of one dataset file; a missing or undecodable file raises DatasetError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise DatasetError(f"{path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"{path}: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class SolvedEntry:
     """One solved scenario of the dataset under ``root``; ``case`` and ``solution``
@@ -95,14 +85,14 @@ class SolvedEntry:
     @cached_property
     def case(self) -> GridCase:
         try:
-            return parse_matpower(_read(self.scenario_path))
+            return parse_matpower(read_utf8(self.scenario_path, DatasetError))
         except (MatpowerParseError, GridError) as exc:
             raise DatasetError(f"{self.scenario_path}: {exc}") from exc
 
     @cached_property
     def solution(self) -> OpfSolution:
         try:
-            return _truth_from_doc(json.loads(_read(self.truth_path)))
+            return _truth_from_doc(json.loads(read_utf8(self.truth_path, DatasetError)))
         except (ValueError, LookupError, TypeError) as exc:
             raise DatasetError(f"{self.truth_path}: {type(exc).__name__}: {exc}") from exc
 
@@ -207,17 +197,17 @@ def build_solved_dataset(
         if not solution.feasible:
             rejected.append(index)
             doc = {**verdict, "reason": solution.message}
-            (root / "rejected" / f"{index}.json").write_text(json.dumps(doc, sort_keys=True))
+            write_utf8(root / "rejected" / f"{index}.json", json.dumps(doc, sort_keys=True))
             index += 1
             continue
 
         grid_text = embed_grid(to_hetero(scenario), fmt)
         solution_text = encode_solution(solution, fmt.decimals)
         entry = SolvedEntry(index, grid_text, solution_text, str(root))
-        entry.scenario_path.write_text(write_matpower(scenario), encoding="utf-8")
-        (root / "embeddings" / f"{index}.json").write_text(grid_text)
-        (root / "solutions" / f"{index}.json").write_text(solution_text)
-        entry.truth_path.write_text(json.dumps(_truth_doc(solution), sort_keys=True))
+        write_utf8(entry.scenario_path, write_matpower(scenario))
+        write_utf8(root / "embeddings" / f"{index}.json", grid_text)
+        write_utf8(root / "solutions" / f"{index}.json", solution_text)
+        write_utf8(entry.truth_path, json.dumps(_truth_doc(solution), sort_keys=True))
         manifest_entries.append({**verdict, "objective_cost": solution.objective_cost})
         entries.append(entry)
         index += 1
@@ -236,7 +226,7 @@ def build_solved_dataset(
         "entries": manifest_entries,
         "rejected": rejected,
     }
-    (root / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
+    write_utf8(root / "manifest.json", json.dumps(manifest, sort_keys=True, indent=1))
     return SolvedDataset(root=root, entries=entries, rejected=rejected)
 
 
@@ -245,7 +235,7 @@ def load_solved_dataset(root: str | Path) -> SolvedDataset:
     root = Path(root)
     path = root / "manifest.json"
     try:
-        manifest = json.loads(_read(path))
+        manifest = json.loads(read_utf8(path, DatasetError))
         indices = [meta["index"] for meta in manifest["entries"]]
         rejected = list(manifest["rejected"])
     except (ValueError, LookupError, TypeError) as exc:
@@ -257,12 +247,11 @@ def load_solved_dataset(root: str | Path) -> SolvedDataset:
             raise DatasetError(f"{path}: entry index {i!r} {what}")
         seen.add(i)
     base = str(root)
-    entries = [
-        SolvedEntry(
-            i, _read(f"{base}/embeddings/{i}.json"), _read(f"{base}/solutions/{i}.json"), base
-        )
-        for i in indices
-    ]
+
+    def text(sub: str, i: int) -> str:
+        return read_utf8(f"{base}/{sub}/{i}.json", DatasetError)
+
+    entries = [SolvedEntry(i, text("embeddings", i), text("solutions", i), base) for i in indices]
     return SolvedDataset(root=root, entries=entries, rejected=rejected)
 
 
@@ -292,8 +281,8 @@ def export_finetune_jsonl(
                 f"budget is {max_line_chars}"
             )
         lines.append(line)
-    out_path.write_text("\n".join(lines) + "\n")
+    write_utf8(out_path, "\n".join(lines) + "\n")
 
     sidecar = out_path.with_name("finetune_config.json")
-    sidecar.write_text(json.dumps(asdict(config), sort_keys=True, indent=1))
+    write_utf8(sidecar, json.dumps(asdict(config), sort_keys=True, indent=1))
     return out_path

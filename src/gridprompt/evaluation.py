@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import InvalidResponse, SolutionDoc, parse_solution_doc
+from .files import read_utf8, write_utf8
 from .llm_protocol import (
     ProtocolError, SequenceError, TransportError, build_sequence, validate_sequence,
 )
@@ -207,9 +208,9 @@ def run_benchmark(
         records = [run_trial(t, backend, max_chars) for t in plan]
 
     if log_path is not None:
-        with open(log_path, "w") as fh:
-            for r in records:
-                fh.write(json.dumps({"schema": LOG_SCHEMA, **asdict(r)}, sort_keys=True) + "\n")
+        write_utf8(log_path, "".join(
+            json.dumps({"schema": LOG_SCHEMA, **asdict(r)}, sort_keys=True) + "\n" for r in records
+        ))
 
     echo = dict(config or {})
     echo.update({"trials": trials, "context_size": context_size, "seed": seed})
@@ -219,7 +220,7 @@ def run_benchmark(
 def reaggregate_log(log_path: str | Path, config: dict | None = None) -> EvalReport:
     """Rebuild the report from a JSONL trial log; must match the original."""
     records = []
-    for line in Path(log_path).read_text().splitlines():
+    for line in read_utf8(log_path).splitlines():
         doc = json.loads(line)
         doc.pop("schema", None)
         records.append(TrialRecord(**doc))

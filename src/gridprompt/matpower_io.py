@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .files import read_utf8
 from .grid_model import Bus, BusKind, Generator, GridCase, Line, Load
 
 # MATPOWER column indices
@@ -240,7 +241,7 @@ def parse_matpower(text: str) -> GridCase:
 
 
 def load_case(path: str | Path) -> GridCase:
-    return parse_matpower(Path(path).read_text())
+    return parse_matpower(read_utf8(path))
 
 
 def _fmt(x: float) -> str:

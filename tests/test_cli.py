@@ -300,11 +300,24 @@ WITHOUT_SCIPY_AND_REQUESTS = (
 )
 
 
+def subprocess_env(**extra) -> dict:
+    """This environment, with extra variables and gridprompt's source on PYTHONPATH."""
+    src = str(CASES_DIR.parents[1])
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def assert_same_files(a, b):
+    files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert files and files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    for name in files:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def test_cli_runs_without_scipy_and_requests(capsys, tmp_path):
     """solve, gen, bench --replay and export-ft need neither scipy nor requests, and gen
     writes the same bytes as a run that may import them."""
-    src = str(CASES_DIR.parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = subprocess_env()
 
     def blocked(*argv):
         proc = subprocess.run(
@@ -317,11 +330,40 @@ def test_cli_runs_without_scipy_and_requests(capsys, tmp_path):
     blocked("solve", CASE9)
     blocked("gen", CASE9, "--n", "3", "--seed", "0", "--out", str(ds))
     assert run_cli(capsys, "gen", CASE9, "--n", "3", "--seed", "0", "--out", str(unblocked))[0] == 0
-    files = sorted(p.relative_to(ds) for p in ds.rglob("*") if p.is_file())
-    assert files == sorted(p.relative_to(unblocked) for p in unblocked.rglob("*") if p.is_file())
-    for name in files:
-        assert (ds / name).read_bytes() == (unblocked / name).read_bytes(), name
+    assert_same_files(ds, unblocked)
     for mode in ("oracle", "nearest_context"):
         blocked("bench", str(ds), "--replay", mode, "--trials", "1", "--context", "2",
                 "--out", str(tmp_path / mode))
     blocked("export-ft", str(ds))
+
+
+def case9_with_comment(path, comment: bytes) -> str:
+    path.write_bytes(comment + b"\n" + (CASES_DIR / "case9.m").read_bytes())
+    return str(path)
+
+
+def test_files_are_read_as_utf8_under_an_ascii_locale(capsys, tmp_path):
+    """Under the C locale with UTF-8 mode off, a UTF-8 case file and config file are
+    read as UTF-8, and gen writes the same bytes as a run in this process."""
+    env = subprocess_env(PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    case = case9_with_comment(tmp_path / "case9.m", "% contributed by José".encode())
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(json.dumps({"n": 2, "model": "José"}, ensure_ascii=False).encode())
+
+    def ascii_locale(*argv):
+        proc = subprocess.run([sys.executable, "-m", "gridprompt.cli", *argv],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.decode()
+
+    assert ascii_locale("solve", case) == run_cli(capsys, "solve", CASE9)[1]
+    ascii_locale("--config", str(cfg), "gen", case, "--out", str(tmp_path / "ascii"))
+    assert run_cli(capsys, "--config", str(cfg), "gen", case, "--out", str(tmp_path / "here"))[0] == 0
+    assert_same_files(tmp_path / "ascii", tmp_path / "here")
+
+
+def test_case_file_that_is_not_utf8_is_refused_by_name(capsys, tmp_path):
+    case = case9_with_comment(tmp_path / "case9.m", b"% contributed by Jos\xe9")
+    code, out, err = run_cli(capsys, "solve", case)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {case}: 'utf-8' codec can't decode byte 0xe9 in position 20")
