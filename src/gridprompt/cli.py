@@ -33,12 +33,12 @@ _CONFIG_KEYS = {
 
 
 def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    cfg = json.loads(read_utf8(path))
-    unknown = set(cfg) - _CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    try:
+        cfg = json.loads(read_utf8(path)) if path else {}
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if unknown := set(cfg) - _CONFIG_KEYS:
+        raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
     return cfg
 
 
@@ -49,9 +49,9 @@ def _opt(args, cfg: dict, key: str, default):
     return cfg.get(key, default)
 
 
-def _err(msg: str) -> int:
+def _err(msg: str, code: int = 1) -> int:
     print(f"error: {msg}", file=sys.stderr)
-    return 1
+    return code
 
 
 def _cmd_solve(args, cfg) -> int:
@@ -59,8 +59,7 @@ def _cmd_solve(args, cfg) -> int:
     if args.pf:
         sol = solve_pf(case)
         if not sol.converged:
-            print("error: power flow did not converge", file=sys.stderr)
-            return 2
+            return _err("power flow did not converge", 2)
         slack = case.slack_gen
         machines = [
             (g, (g.id, float(p), float(q)))
@@ -75,8 +74,7 @@ def _cmd_solve(args, cfg) -> int:
         return 0
     sol = solve_opf(case)
     if not sol.feasible:
-        print(f"error: OPF infeasible ({sol.message})", file=sys.stderr)
-        return 2
+        return _err(f"OPF infeasible ({sol.message})", 2)
     print(encode_solution(sol, decimals=6))
     print(f"objective_cost: {sol.objective_cost:.4f} $/h", file=sys.stderr)
     return 0
@@ -97,8 +95,7 @@ def _cmd_gen(args, cfg) -> int:
     try:
         ds = build_solved_dataset(case, spec, n, fmt, out)
     except DatasetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _err(str(exc), 2)
     print(json.dumps({
         "dataset": str(out), "entries": len(ds), "rejected": ds.rejected,
     }, sort_keys=True))

@@ -185,21 +185,15 @@ def encode_solution(sol: OpfSolution, decimals: int = 4) -> str:
 def encode_triples(gen, slack, bus, decimals: int = 4) -> str:
     """Solution JSON of (id, p_mw, q_mvar) per non-slack machine, the slack
     machine's triple and (id, vm_pu, va_deg) per bus: an OPF's or a PF's."""
-    doc = {
+    def rows(triples, a: str, b: str) -> list[dict]:
+        return [{"id": i, a: round(x, decimals), b: round(y, decimals)} for i, x, y in triples]
+
+    return _dumps({
         "schema": SCHEMA,
-        "gen": [
-            {"id": i, "p_mw": round(p, decimals), "q_mvar": round(q, decimals)}
-            for i, p, q in gen
-        ],
-        "slack": [
-            {"id": slack[0], "p_mw": round(slack[1], decimals), "q_mvar": round(slack[2], decimals)}
-        ],
-        "bus": [
-            {"id": i, "vm_pu": round(vm, decimals), "va_deg": round(va, decimals)}
-            for i, vm, va in bus
-        ],
-    }
-    return _dumps(doc)
+        "gen": rows(gen, "p_mw", "q_mvar"),
+        "slack": rows([slack], "p_mw", "q_mvar"),
+        "bus": rows(bus, "vm_pu", "va_deg"),
+    })
 
 
 def _first_json_object(text: str) -> dict | None:

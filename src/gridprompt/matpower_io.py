@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .files import read_utf8
-from .grid_model import Bus, BusKind, Generator, GridCase, Line, Load
+from .grid_model import Bus, BusKind, Generator, GridCase, GridError, Line, Load
 
 # MATPOWER column indices
 BUS_I, BUS_TYPE, PD, QD, GS, BS, BUS_AREA, VM, VA, BASE_KV, ZONE, VMAX, VMIN = range(13)
@@ -241,7 +241,11 @@ def parse_matpower(text: str) -> GridCase:
 
 
 def load_case(path: str | Path) -> GridCase:
-    return parse_matpower(read_utf8(path))
+    """A MATPOWER file's case; a parse or grid error names the file and keeps its class."""
+    try:
+        return parse_matpower(read_utf8(path))
+    except (MatpowerParseError, GridError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _fmt(x: float) -> str:

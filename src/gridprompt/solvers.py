@@ -12,9 +12,9 @@ its two buses alone, and a bus's injection is its line ends' summed, as in
 form, a 4-vector and a 4 x 4 block that ``np.bincount`` sums into the Jacobians
 and the Hessian, not MATPOWER's bus-wide complex matrices (Zimmerman, Tech. Note 2).
 
-The soft rows of g (each line end's rating, the bounds of slack P, every Q
-and PQ-bus |V|) are the one list of limits: ``con_names`` names them and
-each answer is checked against them. Every draw is one solve in elastic mode
+Each row of g is a named limit, an entry of the one list ``_OpfProblem.limits``;
+each answer is checked against the soft ones (each rated line end, the bounds of
+slack P, every Q and PQ-bus |V|). Every draw is one solve in elastic mode
 (SNOPT's, Gill, Murray & Saunders, SIAM Review 2005; Curtis, Math. Prog.
 Comp. 2012): one more variable s >= 0 lets every soft row exceed its limit by
 t = constraint_tol * s pu, and s joins the scaled cost, a penalty of
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import copy
 import functools
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 from typing import ClassVar
@@ -334,6 +335,9 @@ def _mips(fun, x0, hess, maxiter, tol, lam0, mu0):
     return _MipsResult(x, lam, mu, float(kkt), nit, nfev, message)
 
 
+_Limit = namedtuple("_Limit", "name col sign bound soft")  # a row of g (see _OpfProblem)
+
+
 # the seam of _OpfProblem.solve (see the module docstring)
 optimize = SimpleNamespace(
     minimize=lambda fun, x0, method, hess, options: method(fun, x0, hess=hess, **options)
@@ -346,10 +350,10 @@ class _OpfProblem:
     ctol being ``constraint_tol``, and the objective is the scaled cost plus s.
 
     h(x) = 0: P balance and Q balance at every bus, the slack angle, then the
-    reactive split of every machine but the last on its bus. g(x) <= 0: each
-    rated line end's (|S|^2 - u^2) / (2u), u = rate + t, that is |S| <= rate + t,
-    smooth where S = 0 (from ends, then to ends), then each finite upper bound
-    and each finite lower bound, in x order, a soft one less t; s >= 0 is last.
+    reactive split of every machine but the last on its bus. g(x) <= 0: a row per
+    ``limits`` entry, in order: each rated line end's (|S|^2 - u^2) / (2u), u = bound + t,
+    smooth where S = 0 (from ends, then to ends), then sign * (x[col] - bound) for each
+    finite upper and each finite lower bound, in x order, a soft one less t (s >= 0 last).
     """
 
     COST_SCALE = 1e-4  # $/h to the interior-point objective, as in MATPOWER
@@ -393,15 +397,12 @@ class _OpfProblem:
         a, Ybr = branch_admittances(case, case.lines)
         b, r = a.reshape(2, -1)[::-1].ravel(), np.arange(len(a))
         self.ends, self.y_aa, self.y_ab = (a, b), Ybr[r, a], Ybr[r, b]
-        self.rated = np.flatnonzero(np.tile([ln.rate_mva > 0 for ln in case.lines], 2))
-        self.rate = np.tile([ln.rate_mva for ln in case.lines], 2)[self.rated] / base
         # an end's columns (Va_a, Va_b, Vm_a, Vm_b), and the flat indices at which
         # np.bincount sums its terms into bus a's P and Q rows of the (2n, 2n) bus
         # Jacobian and into its 4 x 4 block of the (2n, 2n) Hessian
         cols = np.stack([a, b, n + a, n + b], 1)
         self.jac_at = ((a[:, None] + [0, n])[:, :, None] * 2 * n + cols[:, None, :]).ravel()
         self.hess_at = (cols[:, :, None] * 2 * n + cols[:, None, :]).ravel()
-        self.lim_at = np.arange(len(self.rated))[:, None], cols[self.rated]  # in dg's limit rows
 
         # every machine but the last on its bus takes its q_weight share of the bus's Q
         split = [i for i, g in enumerate(gens) if last[g.bus] != i]
@@ -410,41 +411,45 @@ class _OpfProblem:
         share = np.eye(ng) - self.q_weight[:, None] * (self.gen_bus[:, None] == self.gen_bus)
         self.a_eq[1:, self.iq : -1] = share[split]
 
-        vm_min, vm_max = np.array([[b.vm_min, b.vm_max] for b in case.buses]).T
-        p_min, p_max, q_min, q_max = np.array(
-            [[g.p_min_mw, g.p_max_mw, g.q_min_mvar, g.q_max_mvar] for g in gens]
-        ).T / base
-        self.lb = np.concatenate([np.full(n, -np.inf), vm_min, p_min, q_min, [0.0]])
-        self.ub = np.concatenate([np.full(n, np.inf), vm_max, p_max, q_max, [np.inf]])
-        bounded = [np.flatnonzero(np.isfinite(self.ub)), np.flatnonzero(np.isfinite(self.lb))]
-        eye = np.eye(self.nx)
-        self.a_bound = np.vstack([eye[bounded[0]], -eye[bounded[1]]])
-        self.b_bound = np.concatenate([self.ub[bounded[0]], -self.lb[bounded[1]]])
-        # the soft rows of g, the limits t relaxes: every line end and the
-        # bounds of slack P, every Q and PQ-bus |V|
-        soft_x = np.zeros(self.nx, bool)
-        soft_x[[self.ip + self.slack_i, *(self.iq + np.arange(ng)), *(n + self.pq)]] = True
-        soft_bound = np.concatenate([soft_x[bounded[0]], soft_x[bounded[1]]])
-        self.a_bound[soft_bound, -1] = -opts.constraint_tol
-        self.soft = np.concatenate([np.ones(len(self.rate), bool), soft_bound])
+        # the limits, in g's order; box lists x's columns n.. (Va is free) as (name,
+        # lower, upper, soft flag), with bus numbers as in the source file
+        ext, si = case.external_bus_ids, self.slack_i
+        box = [
+            (f"bus {ext[b.id]} Vm", b.vm_min, b.vm_max, b.bus_kind == BusKind.PQ)
+            for b in case.buses
+        ] + [
+            (f"{'slack ' * (i == si)}gen {g.id} P", g.p_min_mw / base, g.p_max_mw / base, i == si)
+            for i, g in enumerate(gens)
+        ] + [(f"gen {g.id} Q", g.q_min_mvar / base, g.q_max_mvar / base, True) for g in gens]
+        box += [("s", 0.0, np.inf, False)]
+        sides = [(ln, side) for side in ("from", "to") for ln in case.lines]  # every line end
+        self.rated = np.flatnonzero([ln.rate_mva > 0 for ln, _ in sides])
+        self.limits = [
+            _Limit(f"line {ln.id} ({ext[ln.from_bus]}-{ext[ln.to_bus]}) {side}-end rating",
+                   None, 1.0, ln.rate_mva / base, True)
+            for ln, side in (sides[k] for k in self.rated)
+        ] + [
+            _Limit(f"{name} {side}", j, sign, bounds[k], soft)
+            for k, sign, side in ((1, 1.0, "max"), (0, -1.0, "min"))
+            for j, (name, *bounds, soft) in enumerate(box, n) if np.isfinite(bounds[k])
+        ]
+        self.lb, self.ub = np.array([(-np.inf, np.inf)] * n + [c[1:3] for c in box], float).T
+        # g's rows from them; a_bound stays dense: gemv's sum order sets every truth's bits
+        nr = len(self.rated)
+        _, col, sign, bound, self.soft = map(np.array, zip(*self.limits))
+        self.rate, self.b_bound = bound[:nr], sign[nr:] * bound[nr:]
+        self.lim_at = np.arange(nr)[:, None], cols[self.rated]  # in dg's limit rows
+        self.a_bound = (col[nr:, None] == np.arange(self.nx)) * sign[nr:, None]
+        self.a_bound[self.soft[nr:], -1] = -opts.constraint_tol
+        self.con_names = [lim.name for lim in self.limits if lim.soft]
         # fun's dh and dg with their constant blocks set; fun fills copies
         self.dh0 = np.vstack([np.zeros((2 * n, self.nx)), self.a_eq])
         self.dh0[np.r_[self.gen_bus, n + self.gen_bus], self.ip + np.arange(2 * ng)] = -1.0
-        self.dg0 = np.vstack([np.zeros((len(self.rate), self.nx)), self.a_bound])
+        self.dg0 = np.vstack([np.zeros((nr, self.nx)), self.a_bound])
 
         self.cost_c2 = np.array([g.cost_c2 for g in gens]) * base * base
         self.cost_c1 = np.array([g.cost_c1 for g in gens]) * base
         self.cost_c0 = sum(g.cost_c0 for g in gens)
-        # a name per soft row of g, in g's order; bus numbers as in the source file
-        ext = case.external_bus_ids
-        var = [f"bus {ext[b]} {v}" for v in ("Va", "Vm") for b in range(n)]
-        var += [f"{'slack ' * (i == self.slack_i)}gen {g.id} P" for i, g in enumerate(gens)]
-        var += [f"gen {g.id} Q" for g in gens] + ["s"]
-        span = [f"line {ln.id} ({ext[ln.from_bus]}-{ext[ln.to_bus]})" for ln in case.lines]
-        ends = [f"{s} {end}-end rating" for end in ("from", "to") for s in span]
-        names = [ends[k] for k in self.rated]
-        names += [f"{var[i]} max" for i in bounded[0]] + [f"{var[i]} min" for i in bounded[1]]
-        self.con_names = [name for name, soft in zip(names, self.soft) if soft]
 
     def _draw(self, case: GridCase, opts: OpfOptions):
         """Set case, opts and case's per-unit bus loads as new arrays, writing no shared one."""
@@ -606,7 +611,7 @@ class _OpfProblem:
     def power_flow(self, gen_p: np.ndarray, gen_vm: np.ndarray, v0: np.ndarray | None):
         """The power flow at controls (gen_p, gen_vm) from v0, None if it diverges:
         its voltages V, its x with s = 0 (the machines' P and Q close the balance)
-        and the soft rows of g there (``con_names`` names them), each a per-unit
+        and the soft rows of g there, in ``con_names``'s order, each a per-unit
         excess: a line row is |S| - rate, so one tolerance fits all."""
         opts = self.opts
         V, conv, _, _ = _newton_pf(self, gen_p, gen_vm, opts.pf_tol, opts.pf_max_iter, v0)

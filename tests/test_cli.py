@@ -284,6 +284,7 @@ class TestBenchHttp:
             )
         finally:
             server.shutdown()
+            server.server_close()
             MockHandler.reply_content = "mock reply"
         assert code == 2  # replies carried no JSON -> all invalid
         log = (tmp_path / "rep" / "trials.jsonl").read_text().splitlines()
@@ -367,3 +368,27 @@ def test_case_file_that_is_not_utf8_is_refused_by_name(capsys, tmp_path):
     code, out, err = run_cli(capsys, "solve", case)
     assert code == 1 and out == ""
     assert err.startswith(f"error: {case}: 'utf-8' codec can't decode byte 0xe9 in position 20")
+
+
+@pytest.mark.parametrize("row, edited, want", [
+    ("1\t3\t0\t0", "1\t3\tx\t0", "MatpowerParseError: {}: line 15: 'x' in mpc.bus is not a number"),
+    ("2\t2\t0\t0", "2\t1\t0\t0", "GridError: {}: pq bus 2 has a machine"),
+], ids=["bad_number", "pq_bus_with_machine"])
+def test_case_file_errors_name_the_file(capsys, tmp_path, row, edited, want):
+    text = (CASES_DIR / "case9.m").read_text()
+    assert text.count(f"\n\t{row}\t") == 1
+    case = tmp_path / "case9.m"
+    case.write_text(text.replace(f"\n\t{row}\t", f"\n\t{edited}\t"))
+    code, out, err = run_cli(capsys, "solve", str(case))
+    assert (code, out, err) == (1, "", f"error: {want.format(case)}\n")
+
+
+@pytest.mark.parametrize("text, want", [
+    ('{"seed": 1,\n', "Expecting property name enclosed in double quotes: line 2 column 1 (char 12)"),
+    ('{"banana": 1}', "unknown config keys: ['banana']"),
+], ids=["truncated", "unknown_key"])
+def test_config_file_errors_name_the_file(capsys, tmp_path, text, want):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "--config", str(cfg), "gen", CASE9, "--out", str(tmp_path))
+    assert (code, out, err) == (1, "", f"error: {cfg}: {want}\n")

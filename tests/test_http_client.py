@@ -58,6 +58,7 @@ def mock_server():
     MockHandler.requests_seen = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def cfg(base_url, retries=3):

@@ -817,3 +817,40 @@ def test_evaluate_checks_the_soft_rows_of_g(request, case_name):
     checked = prob.power_flow(*prob.controls(x), prob.voltages(x))[2]
     assert len(prob.con_names) == prob.soft.sum() == len(checked)
     assert np.max(np.abs(checked - over)) <= 1e-9
+
+
+@pytest.mark.parametrize("case_name", ["case30", "case9_shared_buses"])
+def test_every_bound_row_of_g_follows_the_case(request, case_name):
+    """At a random x, each bound row of g, hard rows included, is its x entry less the
+    case's own bound (the bound less the entry for a lower one), less constraint_tol * s
+    if soft. Hard: non-slack P, the |V| of PV and slack buses, s >= 0; soft: the rest."""
+    case = request.getfixturevalue(case_name)
+    prob = _OpfProblem(case, OpfOptions())
+    n, base, ext = case.n_bus, case.base_mva, case.external_bus_ids
+    x = np.random.default_rng(7).uniform(-2.0, 2.0, prob.nx)
+    x[-1] = 0.5 + abs(x[-1])  # s > 0, so a soft row shows its relaxation
+    g = prob.fun(x)[4]
+    rated = 2 * sum(ln.rate_mva > 0 for ln in case.lines)
+    # (name, x entry, lower bound, upper bound, soft) of each bounded entry of x, in x order
+    entries = [
+        (f"bus {ext[b.id]} Vm", x[n + b.id], b.vm_min, b.vm_max, b.bus_kind == BusKind.PQ)
+        for b in case.buses
+    ]
+    for i, gen in enumerate(case.generators):
+        slack = gen is case.slack_gen
+        name = f"{'slack ' * slack}gen {gen.id} P"
+        entries.append((name, x[prob.ip + i], gen.p_min_mw / base, gen.p_max_mw / base, slack))
+    for i, gen in enumerate(case.generators):
+        q = x[prob.iq + i]
+        entries.append((f"gen {gen.id} Q", q, gen.q_min_mvar / base, gen.q_max_mvar / base, True))
+    entries.append(("s", x[-1], 0.0, np.inf, False))
+    want = [(f"{name} max", v - hi, soft) for name, v, _, hi, soft in entries if hi < np.inf]
+    want += [(f"{name} min", lo - v, soft) for name, v, lo, _, soft in entries]
+    assert len(g) == rated + len(want)
+    assert [(lim.name, lim.soft) for lim in prob.limits[rated:]] == [w[::2] for w in want]
+    machine_buses = sum(b.bus_kind != BusKind.PQ for b in case.buses)
+    hard = sum(not soft for *_, soft in want)
+    assert hard == 2 * (len(case.generators) - 1) + 2 * machine_buses + 1
+    relax = OpfOptions.constraint_tol * x[-1]
+    for (name, value, soft), row in zip(want, g[rated:]):
+        assert row == pytest.approx(value - relax * soft, rel=1e-14, abs=1e-14), name
