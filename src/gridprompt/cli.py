@@ -37,6 +37,8 @@ def _load_config(path: str | None) -> dict:
         cfg = json.loads(read_utf8(path)) if path else {}
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: the config is not a JSON object")
     if unknown := set(cfg) - _CONFIG_KEYS:
         raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
     return cfg

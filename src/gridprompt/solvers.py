@@ -37,11 +37,12 @@ starts at the power flow of the stepped controls and at the stepped
 multipliers: about 4.7 iterations per case9 draw and 8.4 per feasible case30
 draw, against 5.7 and 10.0 from the warm point itself.
 
-The start and the check of a solve share one method, ``power_flow``: a power
-flow at given controls (non-slack P, machine |V|), with its x and its soft
-rows as per-unit excesses. The start runs it at the predicted controls (or
-the case's setpoints) clipped to their bounds, the check at the answer's own
-controls; the check's largest soft row is ``max_violation_pu``. A converged
+One method, ``_OpfProblem.power_flow``, is the module's one Newton-Raphson power
+flow: at given controls (non-slack P, machine |V|) it returns the voltages, x
+and, if converged, the soft rows as per-unit excesses. ``solve_pf`` is one call
+of it at the case's setpoints or given ones; a solve's start runs it at the
+predicted controls (or the setpoints) clipped to their bounds, and its check at
+the answer's own controls, whose largest soft row is ``max_violation_pu``. A converged
 solve within ``constraint_tol`` there is feasible; any other answer's message
 names its reason (``infeasible`` for a converged one, else ``max_outer``,
 ``stalled`` or ``pf_diverged``) and a soft row, e.g.
@@ -133,65 +134,10 @@ def _check_length(name: str, values, want: int):
         raise ValueError(f"{name} has {len(values)} entries, expected {want}")
 
 
-def _newton_pf(
-    prob: _OpfProblem,
-    gen_p_pu: np.ndarray,
-    gen_vm: np.ndarray,
-    tol: float,
-    max_iter: int,
-    v0: np.ndarray | None = None,
-):
-    """Core NR loop; returns (V complex, converged, iterations, max_mismatch)."""
-    n, pq, pvpq = len(prob.Y), prob.pq, prob.pvpq
-    rc = np.concatenate([pvpq, n + pq])  # P at pvpq, Q at pq; Va at pvpq, Vm at pq
-    vm_fixed = gen_vm[prob.vm_set_gen]
-
-    V = np.ones(n, dtype=complex) if v0 is None else v0.copy()
-    # pin controlled magnitudes, keep warm-start angles
-    fixed = prob.fixed
-    V[fixed] = vm_fixed * V[fixed] / np.abs(V[fixed])
-    V[prob.slack_bus] = vm_fixed[0]  # slack angle = 0
-
-    p_spec, q_spec = prob.setpoint_sums(gen_p_pu) - prob.p_load, -prob.q_load
-
-    def mismatch(V):  # and its largest entry
-        S = V * np.conj(prob.Y @ V)
-        F = np.concatenate([p_spec[pvpq] - S.real[pvpq], q_spec[pq] - S.imag[pq]])
-        return F, np.abs(F).max(initial=0.0)
-
-    it, (F, norm) = 0, mismatch(V)
-    while norm > tol and it < max_iter:
-        J = prob.line_ends(V)[4][rc[:, None], rc]
-        try:
-            dx = np.linalg.solve(J, F)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular power-flow Jacobian at iteration {it}") from exc
-
-        va, vm = np.angle(V), np.abs(V)
-        va[pvpq] += dx[: len(pvpq)]
-        vm[pq] += dx[len(pvpq) :]
-        V = vm * np.exp(1j * va)
-        it, (F, norm) = it + 1, mismatch(V)
-
-    return V, norm <= tol, it, norm
-
-
-def _machine_pq(prob: _OpfProblem, V: np.ndarray, gen_p_pu: np.ndarray):
-    """Per-machine P and Q (per unit) of the power flow V at the setpoints gen_p_pu.
-
-    The slack machine's P closes its bus's balance, less co-located setpoints;
-    each bus's reactive balance is split among its machines by ``prob.q_weight``.
-    """
-    S = V * np.conj(prob.Y @ V)
-    sb, p = prob.slack_bus, gen_p_pu.copy()
-    p[prob.slack_i] = S.real[sb] + prob.p_load[sb] - prob.setpoint_sums(gen_p_pu)[sb]
-    return p, prob.q_weight * (S.imag + prob.q_load)[prob.gen_bus]
-
-
 def solve_pf(
     case: GridCase,
-    tol: float = 1e-8,
-    max_iter: int = 50,
+    tol: float = OpfOptions.pf_tol,
+    max_iter: int = OpfOptions.pf_max_iter,
     gen_p_mw: np.ndarray | None = None,
     gen_vm_pu: np.ndarray | None = None,
     v0: np.ndarray | None = None,
@@ -207,19 +153,15 @@ def solve_pf(
         ("gen_p_mw", gen_p_mw, ng), ("gen_vm_pu", gen_vm_pu, ng), ("v0", v0, case.n_bus)
     ):
         _check_length(name, values, want)
-    prob, gens, base = _problem(case, OpfOptions()), case.generators, case.base_mva
-    gen_p = np.array([g.p_mw for g in gens] if gen_p_mw is None else gen_p_mw, float) / base
-    gen_vm = np.array([g.vm_setpoint_pu for g in gens] if gen_vm_pu is None else gen_vm_pu, float)
-    V, converged, it, norm = _newton_pf(prob, gen_p, gen_vm, tol, max_iter, v0)
-    p, q = _machine_pq(prob, V, gen_p)
+    prob, base = _problem(case, OpfOptions()), case.base_mva
+    gen_p = prob.gen_p0 if gen_p_mw is None else np.array(gen_p_mw, float) / base
+    gen_vm = prob.gen_vm0 if gen_vm_pu is None else np.array(gen_vm_pu, float)
+    v0 = None if v0 is None else np.asarray(v0, complex)
+    pf = prob.power_flow(gen_p, gen_vm, v0, tol, max_iter)
     return PfSolution(
-        vm_pu=np.abs(V),
-        va_deg=np.degrees(np.angle(V)),
-        gen_p_mw=p * case.base_mva,
-        gen_q_mvar=q * case.base_mva,
-        converged=converged,
-        iterations=it,
-        max_mismatch_pu=float(norm),
+        vm_pu=np.abs(pf.V), va_deg=np.degrees(np.angle(pf.V)),
+        gen_p_mw=pf.x[prob.ip : prob.iq] * base, gen_q_mvar=pf.x[prob.iq : -1] * base,
+        converged=pf.converged, iterations=pf.iterations, max_mismatch_pu=float(pf.mismatch),
     )
 
 
@@ -336,6 +278,7 @@ def _mips(fun, x0, hess, maxiter, tol, lam0, mu0):
 
 
 _Limit = namedtuple("_Limit", "name col sign bound soft")  # a row of g (see _OpfProblem)
+_PowerFlow = namedtuple("_PowerFlow", "V x excess converged iterations mismatch")  # of power_flow
 
 
 # the seam of _OpfProblem.solve (see the module docstring)
@@ -376,6 +319,8 @@ class _OpfProblem:
         self.gen_bus = np.array([g.bus for g in gens], dtype=int)
         self.slack_i = gens.index(case.slack_gen)  # its P is whatever closes the balance
         self.free = np.delete(np.arange(ng), self.slack_i)
+        self.gen_p0 = np.array([g.p_mw for g in gens]) / case.base_mva  # the case's setpoints
+        self.gen_vm0 = np.array([g.vm_setpoint_pu for g in gens])
         self.nx, self.ip, self.iq = 2 * n + 2 * ng + 1, 2 * n, 2 * n + ng  # Pg, Qg start at ip, iq
 
         # bus -> its last machine, whose |V| setpoint wins on a shared bus:
@@ -463,10 +408,6 @@ class _OpfProblem:
         prob = copy.copy(self)
         prob._draw(case, opts)
         return prob
-
-    def setpoint_sums(self, gen_p: np.ndarray) -> np.ndarray:
-        """Per bus, its machines' P setpoints summed, the slack machine's left out."""
-        return np.bincount(self.gen_bus[self.free], gen_p[self.free], len(self.Y))
 
     def voltages(self, x: np.ndarray) -> np.ndarray:
         n = self.case.n_bus
@@ -558,8 +499,7 @@ class _OpfProblem:
         opts, n = self.opts, self.case.n_bus
         warm, lam, mu = opts.x0, np.zeros(len(self.dh0)), np.ones(len(self.dg0))
         if warm is None:
-            gen_p = np.array([g.p_mw for g in self.gens]) / self.case.base_mva
-            gen_vm, v0 = np.array([g.vm_setpoint_pu for g in self.gens]), None
+            gen_p, gen_vm, v0 = self.gen_p0, self.gen_vm0, None
         else:
             x = warm.x
             for part, want in (("x", self.nx), ("lam", len(lam)), ("mu", len(mu))):
@@ -573,10 +513,10 @@ class _OpfProblem:
         gen_p = np.clip(gen_p, self.lb[self.ip : self.iq], self.ub[self.ip : self.iq])
         gen_vm = np.clip(gen_vm, self.lb[n + self.gen_bus], self.ub[n + self.gen_bus])
         pf = self.power_flow(gen_p, gen_vm, v0)
-        if pf is None:
+        if not pf.converged:
             return None
-        _, x, excess = pf
-        x[-1] = max(excess.max(), 0.0) / opts.constraint_tol
+        x = pf.x
+        x[-1] = max(pf.excess.max(), 0.0) / opts.constraint_tol
         # s >= 0's multiplier restarts at a cold share of s's unit cost, which at an
         # l-infinity minimum it splits with the soft rows
         mu[-1] = 1.0 / (self.soft.sum() + 1)
@@ -608,18 +548,52 @@ class _OpfProblem:
             self._predicted[0] = held
         return held[1]
 
-    def power_flow(self, gen_p: np.ndarray, gen_vm: np.ndarray, v0: np.ndarray | None):
-        """The power flow at controls (gen_p, gen_vm) from v0, None if it diverges:
-        its voltages V, its x with s = 0 (the machines' P and Q close the balance)
-        and the soft rows of g there, in ``con_names``'s order, each a per-unit
-        excess: a line row is |S| - rate, so one tolerance fits all."""
-        opts = self.opts
-        V, conv, _, _ = _newton_pf(self, gen_p, gen_vm, opts.pf_tol, opts.pf_max_iter, v0)
-        if not conv:
-            return None
-        x = np.concatenate([np.angle(V), np.abs(V), *_machine_pq(self, V, gen_p), [0.0]])
+    def power_flow(self, gen_p: np.ndarray, gen_vm: np.ndarray, v0: np.ndarray | None,
+                   tol: float = OpfOptions.pf_tol, max_iter: int = OpfOptions.pf_max_iter):
+        """The Newton-Raphson power flow at controls (gen_p, gen_vm) from v0, else a flat
+        start: its voltages V; its x with s = 0, the slack machine's P closing its bus's
+        balance less co-located setpoints and each bus's Q split by ``q_weight``; if it
+        converged (largest mismatch within tol in max_iter iterations), the soft rows of g
+        there, in ``con_names``'s order, each a per-unit excess (a line row is |S| - rate,
+        so one tolerance fits all), else None; then converged, iterations and mismatch."""
+        n, pq, pvpq, sb = len(self.Y), self.pq, self.pvpq, self.slack_bus
+        rc = np.concatenate([pvpq, n + pq])  # P at pvpq, Q at pq; Va at pvpq, Vm at pq
+        vm_fixed = gen_vm[self.vm_set_gen]
+        V = np.ones(n, dtype=complex) if v0 is None else v0.copy()
+        # pin controlled magnitudes, keep warm-start angles
+        V[self.fixed] = vm_fixed * V[self.fixed] / np.abs(V[self.fixed])
+        V[sb] = vm_fixed[0]  # slack angle = 0
+        sums = np.bincount(self.gen_bus[self.free], gen_p[self.free], n)  # slack's left out
+        p_spec, q_spec = sums - self.p_load, -self.q_load
+
+        def mismatch(V):  # S, and the mismatch's largest entry
+            S = V * np.conj(self.Y @ V)
+            F = np.concatenate([p_spec[pvpq] - S.real[pvpq], q_spec[pq] - S.imag[pq]])
+            return S, F, np.abs(F).max(initial=0.0)
+
+        it, (S, F, norm) = 0, mismatch(V)
+        while norm > tol and it < max_iter:
+            J = self.line_ends(V)[4][rc[:, None], rc]
+            try:
+                dx = np.linalg.solve(J, F)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"singular power-flow Jacobian at iteration {it}") from exc
+            va, vm = np.angle(V), np.abs(V)
+            va[pvpq] += dx[: len(pvpq)]
+            vm[pq] += dx[len(pvpq) :]
+            V = vm * np.exp(1j * va)
+            it, (S, F, norm) = it + 1, mismatch(V)
+
+        p = gen_p.copy()
+        p[self.slack_i] = S.real[sb] + self.p_load[sb] - sums[sb]
+        q = self.q_weight * (S.imag + self.q_load)[self.gen_bus]
+        x = np.concatenate([np.angle(V), np.abs(V), p, q, [0.0]])
+        converged = norm <= tol  # False for a NaN mismatch too
+        if not converged:  # V may be far off: no line-end flows
+            return _PowerFlow(V, x, None, converged, it, norm)
         flow = np.abs(self.line_ends(V)[0][self.rated])
-        return V, x, np.concatenate([flow - self.rate, self.a_bound @ x - self.b_bound])[self.soft]
+        excess = np.concatenate([flow - self.rate, self.a_bound @ x - self.b_bound])[self.soft]
+        return _PowerFlow(V, x, excess, converged, it, norm)
 
     def solve(self) -> OpfSolution:
         start = self.start()
@@ -646,7 +620,7 @@ class _OpfProblem:
         """
         if point is not None:
             pf = self.power_flow(*self.controls(point.x), self.voltages(point.x))
-        if point is None or pf is None:
+        if point is None or not pf.converged:
             return OpfSolution(
                 gen=(), slack=(self.gens[self.slack_i].id, float("nan"), float("nan")),
                 bus=(), objective_cost=float("nan"), feasible=False,
@@ -654,7 +628,7 @@ class _OpfProblem:
                 message=reason if point is None else "pf_diverged: final power flow diverged",
                 stats=stats,
             )
-        V, x, gv = pf
+        V, x, gv = pf.V, pf.x, pf.excess
         base = self.case.base_mva
         p_mw, q_mvar = x[self.ip : self.iq] * base, x[self.iq : -1] * base
         # never empty: the parser refuses Inf, so slack P's bounds are finite soft rows

@@ -386,7 +386,10 @@ def test_case_file_errors_name_the_file(capsys, tmp_path, row, edited, want):
 @pytest.mark.parametrize("text, want", [
     ('{"seed": 1,\n', "Expecting property name enclosed in double quotes: line 2 column 1 (char 12)"),
     ('{"banana": 1}', "unknown config keys: ['banana']"),
-], ids=["truncated", "unknown_key"])
+    ('"n"', "the config is not a JSON object"),
+    ("[[1]]", "the config is not a JSON object"),
+    ("null", "the config is not a JSON object"),
+], ids=["truncated", "unknown_key", "string", "list", "null"])
 def test_config_file_errors_name_the_file(capsys, tmp_path, text, want):
     cfg = tmp_path / "run.json"
     cfg.write_text(text)

@@ -126,9 +126,10 @@ class TestPowerFlow:
     def test_warm_start_converges_faster(self, case9):
         cold = solve_pf(case9)
         V = cold.vm_pu * np.exp(1j * np.radians(cold.va_deg))
-        warm = solve_pf(case9, v0=V)
-        assert warm.converged
-        assert warm.iterations <= 1
+        for v0 in (V, list(V)):
+            warm = solve_pf(case9, v0=v0)
+            assert warm.converged
+            assert warm.iterations <= 1
 
     def test_shared_buses_split_q_by_range_and_last_setpoint_wins(self, case9_shared_buses):
         case = case9_shared_buses
@@ -298,6 +299,12 @@ class TestOpf:
         ))
         cut = solve_opf(tight, OpfOptions(max_outer=1))  # the cap stops the solve
         assert cut.message.startswith("max_outer: slack gen 0 P max over by")
+        prob = _OpfProblem(case9, OpfOptions())
+        x = prob.start().x
+        x[case9.n_bus : 2 * case9.n_bus] = 0.1  # every |V|: the check's power flow diverges
+        final = prob._result(PrimalDual(x), "converged", None)
+        assert not final.feasible and final.max_violation_pu == float("inf")
+        assert final.message == "pf_diverged: final power flow diverged"
 
     def test_stopped_solve_within_every_limit_names_the_closest(self, case9):
         """A solve cut while it meets every limit says so, rather than "over by" < 0."""
