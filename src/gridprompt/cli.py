@@ -62,14 +62,11 @@ def _cmd_solve(args, cfg) -> int:
         sol = solve_pf(case)
         if not sol.converged:
             return _err("power flow did not converge", 2)
-        slack = case.slack_gen
-        machines = [
-            (g, (g.id, float(p), float(q)))
-            for g, p, q in zip(case.generators, sol.gen_p_mw, sol.gen_q_mvar)
-        ]
+        machine = {g.id: (g.id, float(p), float(q))
+                   for g, p, q in zip(case.generators, sol.gen_p_mw, sol.gen_q_mvar)}
         print(encode_triples(
-            [m for g, m in machines if g is not slack],
-            next(m for g, m in machines if g is slack),
+            [machine[g.id] for g in case.nonslack_gens],
+            machine[case.slack_gen.id],
             [(b.id, float(sol.vm_pu[b.id]), float(sol.va_deg[b.id])) for b in case.buses],
             decimals=6,
         ))
@@ -123,7 +120,7 @@ def _cmd_bench(args, cfg) -> int:
         backend = replay_backend(replay, ds.truth_map() if replay == "oracle" else None)
         backend_echo = {"replay": replay}
     else:
-        ecfg = EndpointConfig(base_url=endpoint, model=args.model or cfg.get("model", "gpt-4o-mini"))
+        ecfg = EndpointConfig(base_url=endpoint, model=_opt(args, cfg, "model", "gpt-4o-mini"))
         backend = HttpBackend(ecfg)
         backend_echo = {"endpoint": endpoint, "model": ecfg.model}
 
@@ -147,7 +144,7 @@ def _cmd_bench(args, cfg) -> int:
 
 def _cmd_export_ft(args, cfg) -> int:
     ds = load_solved_dataset(args.dataset)
-    out = export_finetune_jsonl(ds, config=FinetuneConfig(base_model=args.model or ""))
+    out = export_finetune_jsonl(ds, config=FinetuneConfig(base_model=_opt(args, cfg, "model", "")))
     print(json.dumps({"jsonl": str(out), "lines": len(ds)}, sort_keys=True))
     return 0
 

@@ -33,11 +33,7 @@ from pathlib import Path
 from .embedding import EmbeddingFormat, embed_grid, encode_solution
 from .files import read_utf8, write_utf8
 from .grid_model import GridCase, GridError, to_hetero
-from .llm_protocol import (
-    EXAMPLE_INPUT_PREFIX,
-    EXAMPLE_OUTPUT_PREFIX,
-    SYSTEM_PROMPT,
-)
+from .llm_protocol import SYSTEM_MESSAGE, PromptSequence, example_pair
 from .matpower_io import MatpowerParseError, parse_matpower, write_matpower
 from .scenario_gen import MutationSpec, mutate
 from .solvers import OpfOptions, OpfSolution, solve_opf
@@ -134,26 +130,22 @@ class SolvedDataset:
         return TruthMap(self.entries)
 
 
+_TRUTH_KEYS = ("gen", "slack", "bus", "objective_cost", "feasible", "max_violation_pu")
+
+
 def _truth_doc(sol: OpfSolution) -> dict:
-    return {
-        "gen": [[i, p, q] for i, p, q in sol.gen],
-        "slack": list(sol.slack),
-        "bus": [[i, vm, va] for i, vm, va in sol.bus],
-        "objective_cost": sol.objective_cost,
-        "feasible": sol.feasible,
-        "max_violation_pu": sol.max_violation_pu,
-    }
+    return {key: getattr(sol, key) for key in _TRUTH_KEYS}  # json writes triples as lists
+
+
+def _triple(row) -> tuple[int, float, float]:
+    i, a, b = row
+    return int(i), float(a), float(b)
 
 
 def _truth_from_doc(doc: dict) -> OpfSolution:
-    return OpfSolution(
-        gen=tuple((int(i), float(p), float(q)) for i, p, q in doc["gen"]),
-        slack=(int(doc["slack"][0]), float(doc["slack"][1]), float(doc["slack"][2])),
-        bus=tuple((int(i), float(vm), float(va)) for i, vm, va in doc["bus"]),
-        objective_cost=float(doc["objective_cost"]),
-        feasible=bool(doc["feasible"]),
-        max_violation_pu=float(doc["max_violation_pu"]),
-    )
+    gen, slack, bus, cost, feasible, violation = (doc[key] for key in _TRUTH_KEYS)
+    return OpfSolution(tuple(map(_triple, gen)), _triple(slack), tuple(map(_triple, bus)),
+                       float(cost), bool(feasible), float(violation))
 
 
 def build_solved_dataset(
@@ -261,20 +253,13 @@ def export_finetune_jsonl(
     config: FinetuneConfig = FinetuneConfig(),
     max_line_chars: int = 500_000,
 ) -> Path:
-    """One chat-format training line per solved entry, plus a config sidecar."""
+    """One chat-format training line per solved entry, plus a config sidecar: a
+    line is a prompt's system message and the entry as one in-context example."""
     out_path = Path(out_path) if out_path else dataset.root / "finetune.jsonl"
     lines = []
     for e in dataset.entries:
-        line = json.dumps(
-            {
-                "messages": [
-                    {"role": "system", "content": SYSTEM_PROMPT},
-                    {"role": "user", "content": EXAMPLE_INPUT_PREFIX + e.grid_text},
-                    {"role": "assistant", "content": EXAMPLE_OUTPUT_PREFIX + e.solution_text},
-                ]
-            },
-            sort_keys=True,
-        )
+        seq = PromptSequence((SYSTEM_MESSAGE, *example_pair(e.grid_text, e.solution_text)))
+        line = json.dumps({"messages": seq.chat()}, sort_keys=True)
         if len(line) > max_line_chars:
             raise DatasetError(
                 f"entry {e.index}: training line is {len(line)} chars, "

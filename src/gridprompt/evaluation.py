@@ -218,10 +218,13 @@ def run_benchmark(
 
 
 def reaggregate_log(log_path: str | Path, config: dict | None = None) -> EvalReport:
-    """Rebuild the report from a JSONL trial log; must match the original."""
+    """Rebuild the report from a JSONL trial log; it must match the original. A line
+    that is not a trial record raises ValueError naming the file and the line."""
     records = []
-    for line in read_utf8(log_path).splitlines():
-        doc = json.loads(line)
-        doc.pop("schema", None)
-        records.append(TrialRecord(**doc))
+    for lineno, line in enumerate(read_utf8(log_path).splitlines(), 1):
+        try:
+            doc = json.loads(line)
+            records.append(TrialRecord(**{k: v for k, v in doc.items() if k != "schema"}))
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise ValueError(f"{log_path}: line {lineno}: {type(exc).__name__}: {exc}") from exc
     return aggregate(records, dict(config or {}))

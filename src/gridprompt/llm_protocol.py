@@ -1,9 +1,10 @@
 """In-context prompt construction and chat-completion transport.
 
 A prompt is the fixed system message, then one (user, assistant) pair per
-context example, then the query as a final user message. ``complete`` talks
-to any OpenAI-compatible ``/chat/completions`` endpoint; the replay backends
-satisfy the same contract offline for deterministic testing.
+context example, then the query as a final user message; a fine-tuning line
+is the system message and one such pair. ``complete`` talks to any
+OpenAI-compatible ``/chat/completions`` endpoint; the replay backends satisfy
+the same contract offline for deterministic testing.
 """
 from __future__ import annotations
 
@@ -79,6 +80,21 @@ class PromptSequence:
     def char_count(self) -> int:
         return sum(len(m.content) for m in self.messages)
 
+    def chat(self) -> list[dict]:
+        """The messages as chat-completion ``{"role", "content"}`` dicts."""
+        return [{"role": m.role, "content": m.content} for m in self.messages]
+
+
+SYSTEM_MESSAGE = ChatMessage("system", SYSTEM_PROMPT)
+
+
+def example_pair(grid_text: str, solution_text: str) -> tuple[ChatMessage, ChatMessage]:
+    """One in-context example: the grid as a user turn, its solution as the assistant's."""
+    return (
+        ChatMessage("user", EXAMPLE_INPUT_PREFIX + grid_text),
+        ChatMessage("assistant", EXAMPLE_OUTPUT_PREFIX + solution_text),
+    )
+
 
 def build_sequence(
     context: list[tuple[str, str]],
@@ -90,10 +106,9 @@ def build_sequence(
     With ``max_chars`` set, a sequence exceeding the budget is rejected here,
     before any network traffic.
     """
-    messages = [ChatMessage("system", SYSTEM_PROMPT)]
+    messages = [SYSTEM_MESSAGE]
     for grid_text, solution_text in context:
-        messages.append(ChatMessage("user", EXAMPLE_INPUT_PREFIX + grid_text))
-        messages.append(ChatMessage("assistant", EXAMPLE_OUTPUT_PREFIX + solution_text))
+        messages += example_pair(grid_text, solution_text)
     messages.append(ChatMessage("user", QUERY_INPUT_PREFIX + query))
     seq = PromptSequence(tuple(messages))
     if max_chars is not None and seq.char_count() > max_chars:
@@ -155,7 +170,7 @@ def complete(seq: PromptSequence, cfg: EndpointConfig) -> str:
         headers["Authorization"] = f"Bearer {token}"
     payload = {
         "model": cfg.model,
-        "messages": [{"role": m.role, "content": m.content} for m in seq.messages],
+        "messages": seq.chat(),
         "temperature": cfg.temperature,
         "max_tokens": cfg.max_output_tokens,
     }

@@ -257,44 +257,26 @@ def _fmt(x: float) -> str:
 def write_matpower(case: GridCase) -> str:
     """Emit a version-2 case file; parse_matpower round-trips it field-exact."""
     ext = case.external_bus_ids
-    loads_by_bus: dict[int, Load] = {}
+    demand: dict[int, tuple[float, float]] = {}  # MATPOWER holds one PD/QD per bus
     for ld in case.loads:
-        if ld.bus in loads_by_bus:
-            prev = loads_by_bus[ld.bus]
-            ld = Load(prev.id, ld.bus, prev.p_mw + ld.p_mw, prev.q_mvar + ld.q_mvar)
-        loads_by_bus[ld.bus] = ld
+        p, q = demand.get(ld.bus, (0.0, 0.0))
+        demand[ld.bus] = (p + ld.p_mw, q + ld.q_mvar)
 
     out = [f"function mpc = {case.name}", "mpc.version = '2';", ""]
     out.append(f"mpc.baseMVA = {_fmt(case.base_mva)};")
 
-    out.append("mpc.bus = [")
-    for b in case.buses:
-        ld = loads_by_bus.get(b.id)
-        pd = ld.p_mw if ld else 0.0
-        qd = ld.q_mvar if ld else 0.0
-        row = [ext[b.id], _KIND_TO_BUS_TYPE[b.bus_kind], pd, qd, 0, 0, 1, 1, 0,
-               b.base_kv, 1, b.vm_max, b.vm_min]
-        out.append("\t" + "\t".join(_fmt(v) for v in row) + ";")
-    out.append("];")
+    def matrix(name: str, rows) -> None:
+        out.append(f"mpc.{name} = [")
+        out.extend("\t" + "\t".join(_fmt(v) for v in row) + ";" for row in rows)
+        out.append("];")
 
-    out.append("mpc.gen = [")
-    for g in case.generators:
-        row = [ext[g.bus], g.p_mw, 0, g.q_max_mvar, g.q_min_mvar, g.vm_setpoint_pu,
-               case.base_mva, 1, g.p_max_mw, g.p_min_mw] + [0] * 11
-        out.append("\t" + "\t".join(_fmt(v) for v in row) + ";")
-    out.append("];")
-
-    out.append("mpc.branch = [")
-    for ln in case.lines:
-        tap = 0.0 if ln.tap_ratio == 1.0 else ln.tap_ratio
-        row = [ext[ln.from_bus], ext[ln.to_bus], ln.r_pu, ln.x_pu, ln.b_pu,
-               ln.rate_mva, ln.rate_mva, ln.rate_mva, tap, 0, 1, -360, 360]
-        out.append("\t" + "\t".join(_fmt(v) for v in row) + ";")
-    out.append("];")
-
-    out.append("mpc.gencost = [")
-    for g in case.generators:
-        row = [2, 0, 0, 3, g.cost_c2, g.cost_c1, g.cost_c0]
-        out.append("\t" + "\t".join(_fmt(v) for v in row) + ";")
-    out.append("];")
+    matrix("bus", ([ext[b.id], _KIND_TO_BUS_TYPE[b.bus_kind], *demand.get(b.id, (0.0, 0.0)),
+                    0, 0, 1, 1, 0, b.base_kv, 1, b.vm_max, b.vm_min] for b in case.buses))
+    matrix("gen", ([ext[g.bus], g.p_mw, 0, g.q_max_mvar, g.q_min_mvar, g.vm_setpoint_pu,
+                    case.base_mva, 1, g.p_max_mw, g.p_min_mw] + [0] * 11 for g in case.generators))
+    matrix("branch", ([ext[ln.from_bus], ext[ln.to_bus], ln.r_pu, ln.x_pu, ln.b_pu,
+                       ln.rate_mva, ln.rate_mva, ln.rate_mva,
+                       0.0 if ln.tap_ratio == 1.0 else ln.tap_ratio, 0, 1, -360, 360]
+                      for ln in case.lines))
+    matrix("gencost", ([2, 0, 0, 3, g.cost_c2, g.cost_c1, g.cost_c0] for g in case.generators))
     return "\n".join(out) + "\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from gridprompt.cli import main
 from gridprompt.dataset_export import load_solved_dataset
 from gridprompt.embedding import parse_solution_doc
 from gridprompt.evaluation import make_trials, reaggregate_log
+from gridprompt.matpower_io import load_case, write_matpower
 
 from conftest import CASES_DIR
 
@@ -43,6 +45,31 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert "error" in err
+
+    def test_pf_that_does_not_converge_exits_2(self, capsys, tmp_path):
+        case = load_case(CASE9)
+        heavy = case.with_loads(tuple(
+            dataclasses.replace(ld, p_mw=8 * ld.p_mw, q_mvar=8 * ld.q_mvar) for ld in case.loads
+        ))
+        path = tmp_path / "heavy.m"
+        path.write_text(write_matpower(heavy))
+        code, out, err = run_cli(capsys, "solve", str(path), "--pf")
+        assert (code, out, err) == (2, "", "error: power flow did not converge\n")
+
+    def test_infeasible_case_exits_2_from_solve_and_gen(self, capsys, tmp_path):
+        case = load_case(CASE9)
+        weak = dataclasses.replace(case, generators=tuple(
+            dataclasses.replace(g, p_max_mw=40.0) for g in case.generators
+        ))
+        path = tmp_path / "weak.m"
+        path.write_text(write_matpower(weak))
+        why = "infeasible: slack gen 0 P max over by 1.99e+00 pu"
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert (code, out, err) == (2, "", f"error: OPF infeasible ({why})\n")
+        code, out, err = run_cli(capsys, "gen", str(path), "--out", str(tmp_path / "ds"))
+        assert (code, out) == (2, "")
+        assert err == (f"error: base case OPF is infeasible ({why}); "
+                       "refusing to generate a dataset from it\n")
 
 
 class TestGenBench:
@@ -190,6 +217,16 @@ class TestGenBench:
         assert info["lines"] == 12
         assert (dataset_dir / "finetune.jsonl").exists()
         assert (dataset_dir / "finetune_config.json").exists()
+
+    def test_export_ft_reads_the_model_from_the_config(self, capsys, dataset_dir, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "llama-3"}))
+        sidecar = dataset_dir / "finetune_config.json"
+        for flags, want in (((), "llama-3"), (("--model", "m1"), "m1")):  # the flag wins
+            code, _, err = run_cli(capsys, "--config", str(cfg), "export-ft",
+                                   str(dataset_dir), *flags)
+            assert code == 0, err
+            assert json.loads(sidecar.read_text())["base_model"] == want
 
     def test_bench_and_export_read_only_the_query_truths(self, capsys, tmp_path):
         """Corrupt non-query truths change no output; a corrupt query truth is named."""

@@ -16,7 +16,7 @@ from gridprompt.dataset_export import (
 )
 from gridprompt.embedding import EmbeddingFormat, encode_solution, parse_solution_doc
 from gridprompt.evaluation import make_trials, run_benchmark, score
-from gridprompt.llm_protocol import SYSTEM_PROMPT, replay_backend
+from gridprompt.llm_protocol import SYSTEM_PROMPT, build_sequence, replay_backend
 from gridprompt.scenario_gen import MutationSpec
 
 
@@ -88,6 +88,37 @@ class TestBuildSolvedDataset:
                 tmp_path / "bad",
             )
 
+    def test_infeasible_draw_is_recorded_and_replaced(self, case30, tmp_path):
+        """case30's draw 0 under seed 0 overloads line 9: it gets a rejected/ record and
+        no entry files, and draws 1 and 2 make up the two entries."""
+        ds = build_solved_dataset(case30, MutationSpec(0.2, seed=0), 2, EmbeddingFormat(),
+                                  tmp_path / "ds")
+        assert ds.rejected == [0] and [e.index for e in ds.entries] == [1, 2]
+        doc = json.loads((ds.root / "rejected" / "0.json").read_text())
+        assert sorted(doc) == ["index", "max_violation_pu", "reason"] and doc["index"] == 0
+        assert doc["reason"].startswith("infeasible: line 9 (6-8) from-end rating over by")
+        for sub, ext in (("scenarios", "m"), ("embeddings", "json"),
+                         ("solutions", "json"), ("truth", "json")):
+            assert not (ds.root / sub / f"0.{ext}").exists()
+
+    def test_draws_are_capped(self, case9, tmp_path, monkeypatch):
+        """With every warm draw rejected, n=1 stops after max(3n, n+10) = 11 draws."""
+        base = dataset_export.solve_opf(case9)
+        draws = []
+
+        def reject_warm(case, opts=None):
+            if opts is None:
+                return base
+            draws.append(case)
+            return dataclasses.replace(base, feasible=False, message="infeasible: forced")
+
+        monkeypatch.setattr(dataset_export, "solve_opf", reject_warm)
+        with pytest.raises(DatasetError, match=r"^only 0 feasible scenarios after 11 draws$"):
+            build_solved_dataset(case9, MutationSpec(0.2, seed=0), 1, EmbeddingFormat(),
+                                 tmp_path / "ds")
+        assert len(draws) == 11
+        assert len(list((tmp_path / "ds" / "rejected").iterdir())) == 11
+
     def test_rounded_context_scores_within_rounding(self, dataset9, case9):
         # assistant text parses back and scores ~0 against stored truth
         for e in dataset9.entries[:5]:
@@ -106,6 +137,14 @@ class TestExportFinetune:
             doc = json.loads(line)
             roles = [m["role"] for m in doc["messages"]]
             assert roles == ["system", "user", "assistant"]
+
+    def test_line_is_a_prompts_system_message_and_one_example(self, dataset9):
+        """The fine-tuning transcript is the in-context one: system message, then the
+        entry as an example pair, as build_sequence writes it."""
+        path = export_finetune_jsonl(dataset9)
+        for e, line in zip(dataset9.entries, path.read_text().splitlines(), strict=True):
+            prompt = build_sequence([(e.grid_text, e.solution_text)], "query")
+            assert json.loads(line) == {"messages": prompt.chat()[:3]}
 
     def test_system_prompt_byte_exact(self, dataset9):
         path = export_finetune_jsonl(dataset9)

@@ -279,6 +279,22 @@ class TestRunBenchmark:
         assert again.mean_mse_gen == report.mean_mse_gen
         assert again.mean_mse_bus == report.mean_mse_bus
 
+    @pytest.mark.parametrize("bad, want", [
+        ("not json", "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"),
+        ('{"trial_id": 9, "valid": false}', "TypeError: TrialRecord.__init__() missing 5"),
+        ("[1, 2]", "AttributeError: 'list' object has no attribute 'items'"),
+    ], ids=["not_json", "missing_fields", "not_an_object"])
+    def test_bad_log_line_is_named_by_file_and_line(self, dataset9, tmp_path, bad, want):
+        log = tmp_path / "trials.jsonl"
+        report, _ = run_benchmark(
+            dataset9.entries, replay_backend("corrupt"), trials=2, context_size=2, log_path=log,
+        )
+        lines = log.read_text().splitlines()
+        log.write_text("\n".join([lines[0], bad, lines[1]]) + "\n")
+        with pytest.raises(ValueError) as info:
+            reaggregate_log(log, report.config)
+        assert str(info.value).startswith(f"{log}: line 2: {want}")
+
     def test_log_is_schema_tagged_jsonl(self, dataset9, tmp_path):
         log = tmp_path / "t.jsonl"
         run_benchmark(

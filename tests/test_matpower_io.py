@@ -1,10 +1,11 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 from conftest import CASES_DIR
-from gridprompt.grid_model import BusKind, GridError, admittance_matrix
+from gridprompt.grid_model import BusKind, GridError, Load, admittance_matrix
 from gridprompt.matpower_io import (
     MatpowerParseError,
     UnsupportedFeatureError,
@@ -258,3 +259,14 @@ class TestRoundTrip:
     def test_empty_load_round_trip(self, case9):
         empty = case9.with_loads(())
         assert parse_matpower(write_matpower(empty)) == empty
+
+    def test_two_loads_on_one_bus_are_written_as_their_sum(self, case9):
+        """MATPOWER holds one PD/QD per bus, so a second load on a bus adds to the first."""
+        first = case9.loads[0]
+        assert (case9.external_bus_ids[first.bus], first.p_mw, first.q_mvar) == (5, 125, 50)
+        extra = Load(id=len(case9.loads), bus=first.bus, p_mw=10.5, q_mvar=-2.25)
+        text = write_matpower(case9.with_loads((*case9.loads, extra)))
+        rows = [r for r in text.splitlines() if r.startswith("\t5\t1\t")]
+        assert rows == ["\t5\t1\t135.5\t47.75\t0\t0\t1\t1\t0\t230\t1\t1.1\t0.9;"]
+        summed = dataclasses.replace(first, p_mw=135.5, q_mvar=47.75)
+        assert parse_matpower(text) == case9.with_loads((summed, *case9.loads[1:]))
