@@ -26,9 +26,13 @@ from .matpower_io import load_case
 from .scenario_gen import MutationSpec
 from .solvers import solve_opf, solve_pf
 
+# each config key's JSON type, as (what it must be, the Python types json gives it)
+_INT, _NUMBER, _STR = ("an integer", (int,)), ("a number", (int, float)), ("a string", (str,))
 _CONFIG_KEYS = {
-    "seed", "halfwidth", "format", "decimals", "trials", "context",
-    "concurrency", "out", "n", "endpoint", "replay", "max_chars", "model",
+    **dict.fromkeys(["seed", "n", "decimals", "trials", "context", "concurrency"], _INT),
+    "max_chars": ("an integer or null", (int, type(None))),
+    "halfwidth": _NUMBER,
+    **dict.fromkeys(["format", "replay", "endpoint", "model", "out"], _STR),
 }
 
 
@@ -39,8 +43,12 @@ def _load_config(path: str | None) -> dict:
         raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: the config is not a JSON object")
-    if unknown := set(cfg) - _CONFIG_KEYS:
+    if unknown := cfg.keys() - _CONFIG_KEYS.keys():
         raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
+    for key, value in cfg.items():
+        kind, types = _CONFIG_KEYS[key]
+        if type(value) not in types:  # not isinstance: a bool is no integer here
+            raise ValueError(f"{path}: config key {key!r} must be {kind}, got {json.dumps(value)}")
     return cfg
 
 
@@ -83,14 +91,14 @@ def _cmd_gen(args, cfg) -> int:
     case = load_case(args.case_path)
     spec = MutationSpec(
         relative_halfwidth=float(_opt(args, cfg, "halfwidth", 0.2)),
-        seed=int(_opt(args, cfg, "seed", 0)),
+        seed=_opt(args, cfg, "seed", 0),
     )
     fmt = EmbeddingFormat(
         kind=_opt(args, cfg, "format", "graph"),
-        decimals=int(_opt(args, cfg, "decimals", 4)),
+        decimals=_opt(args, cfg, "decimals", 4),
     )
     out = Path(_opt(args, cfg, "out", f"{case.name}_dataset"))
-    n = int(_opt(args, cfg, "n", 66))
+    n = _opt(args, cfg, "n", 66)
     try:
         ds = build_solved_dataset(case, spec, n, fmt, out)
     except DatasetError as exc:
@@ -103,12 +111,11 @@ def _cmd_gen(args, cfg) -> int:
 
 def _cmd_bench(args, cfg) -> int:
     ds = load_solved_dataset(args.dataset)
-    trials = int(_opt(args, cfg, "trials", 100))
-    context = int(_opt(args, cfg, "context", 65))
-    seed = int(_opt(args, cfg, "seed", 0))
-    concurrency = int(_opt(args, cfg, "concurrency", 4))
+    trials = _opt(args, cfg, "trials", 100)
+    context = _opt(args, cfg, "context", 65)
+    seed = _opt(args, cfg, "seed", 0)
+    concurrency = _opt(args, cfg, "concurrency", 4)
     max_chars = _opt(args, cfg, "max_chars", None)
-    max_chars = None if max_chars is None else int(max_chars)
     out = Path(_opt(args, cfg, "out", ds.root))
     out.mkdir(parents=True, exist_ok=True)
 

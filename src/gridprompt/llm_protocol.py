@@ -145,9 +145,11 @@ class EndpointConfig:
     backoff_base_s: float = 1.0  # shrunk in tests
 
     def __post_init__(self):
+        if not self.base_url.lower().startswith(("http://", "https://")):  # urlopen reads file:
+            raise ValueError(f"base_url must be an http:// or https:// URL, got {self.base_url!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if not 0 < self.timeout_s < float("inf"):  # requests.post fails on NaN and inf
+        if not 0 < self.timeout_s < float("inf"):  # sockets refuse NaN and inf
             raise ValueError(f"timeout_s must be finite and > 0, got {self.timeout_s}")
         if not 0 <= self.backoff_base_s < float("inf"):  # NaN and inf fail time.sleep too
             raise ValueError(f"backoff_base_s must be finite and >= 0, got {self.backoff_base_s}")
@@ -159,21 +161,25 @@ def complete(seq: PromptSequence, cfg: EndpointConfig) -> str:
     """POST the sequence to {base_url}/chat/completions and return the reply.
 
     Retries on 429 / 5xx / timeouts with exponential backoff and jitter;
-    401 fails immediately with AuthError.
+    401 fails immediately with AuthError. Proxies come from ``http(s)_proxy``
+    and ``no_proxy``; HTTPS is verified against the system CA store.
     """
-    import requests  # here, so that only bench against an HTTP endpoint loads it
+    # here, so that only bench against an HTTP endpoint loads them
+    from http.client import HTTPException
+    from urllib.error import HTTPError, URLError
+    from urllib.request import Request, urlopen
 
     url = cfg.base_url.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(cfg.auth_env, "")
     if token:
         headers["Authorization"] = f"Bearer {token}"
-    payload = {
+    body = json.dumps({
         "model": cfg.model,
         "messages": seq.chat(),
         "temperature": cfg.temperature,
         "max_tokens": cfg.max_output_tokens,
-    }
+    }, allow_nan=False).encode()
 
     last_error = "no attempt made"
     for attempt in range(cfg.max_retries + 1):
@@ -181,24 +187,28 @@ def complete(seq: PromptSequence, cfg: EndpointConfig) -> str:
             delay = cfg.backoff_base_s * (2 ** (attempt - 1))
             time.sleep(delay * (1.0 + random.random() * 0.25))
         try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=cfg.timeout_s)
-        except requests.Timeout:
-            last_error = "request timed out"
-            continue
-        except requests.RequestException as exc:
-            last_error = f"connection failed: {exc}"
+            try:
+                resp = urlopen(Request(url, data=body, headers=headers, method="POST"),
+                               timeout=cfg.timeout_s)
+            except HTTPError as exc:  # an error status, with its body still to read
+                resp = exc
+            with resp:
+                status, text = resp.status, resp.read()
+        except (OSError, HTTPException) as exc:  # a timeout may arrive as a URLError's reason
+            reason = exc.reason if isinstance(exc, URLError) else exc
+            timed_out = isinstance(reason, TimeoutError)
+            last_error = "request timed out" if timed_out else f"connection failed: {reason}"
             continue
 
-        if resp.status_code == 401:
+        if status == 401:
             raise AuthError("endpoint rejected credentials (HTTP 401)")
-        if resp.status_code == 429 or resp.status_code >= 500:
-            last_error = f"HTTP {resp.status_code}"
+        if status == 429 or status >= 500:
+            last_error = f"HTTP {status}"
             continue
-        if resp.status_code != 200:
-            raise ProtocolError(f"unexpected HTTP {resp.status_code}: {resp.text[:200]}")
+        if status != 200:
+            raise ProtocolError(f"unexpected HTTP {status}: {text[:200].decode(errors='replace')}")
         try:
-            body = resp.json()
-            content = body["choices"][0]["message"]["content"]
+            content = json.loads(text)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(f"malformed completion payload: {exc}") from None
         if not isinstance(content, str):

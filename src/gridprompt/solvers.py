@@ -222,7 +222,7 @@ class _MipsResult:
     success = property(lambda self: self.message == "converged")
 
 
-def _mips(fun, x0, hess, maxiter, tol, lam0, mu0):
+def _mips(fun, x0, hess, maxiter, tol, lam0, mu0, scaled):
     """MATPOWER's primal-dual interior-point loop (MIPS), dense, called through the
     ``optimize.minimize`` seam (see the module docstring).
 
@@ -230,9 +230,10 @@ def _mips(fun, x0, hess, maxiter, tol, lam0, mu0):
     (f, df, h, dh, g, dg) and ``hess(x, lam, mu)`` the Hessian of
     f + lam @ h + mu @ g. Converged when the feasibility, stationarity,
     complementarity and cost-change conditions, each scaled as in MIPS, are
-    all under ``tol``; max_outer is the cap of ``maxiter`` iterations, stalled
-    a step under 1e-8, a singular system, a non-finite x or barrier parameter
-    out of range.
+    all under ``tol``, the feasibility and complementarity scales counting only
+    the leading ``scaled = (nx, nz)`` entries of x and of the slacks z;
+    max_outer is the cap of ``maxiter`` iterations, stalled a step under 1e-8,
+    a singular system, a non-finite x or barrier parameter out of range.
 
     The duals start at ``lam0`` and ``mu0``, e.g. the multipliers of a related
     problem's solution (Yildirim & Wright, SIAM J. Optim. 2002), kept off zero
@@ -244,13 +245,14 @@ def _mips(fun, x0, hess, maxiter, tol, lam0, mu0):
     x = np.array(x0, dtype=float)
     f, df, h, dh, g, dg = fun(x)
     lam, (mu, z, gamma) = lam0, _ip_start(g, mu0)
+    nx, nz = scaled
     f_prev, nit, nfev, step = f, 0, 1, (1.0, 1.0)
     while True:
         lx = df + dh.T @ lam + dg.T @ mu
         kkt = max(
-            max(norm(h), g.max(initial=0.0)) / (1.0 + max(norm(x), norm(z))),
+            max(norm(h), g.max(initial=0.0)) / (1.0 + max(norm(x[:nx]), norm(z[:nz]))),
             norm(lx) / (1.0 + max(norm(lam), norm(mu))),
-            (z @ mu) / (1.0 + norm(x)),
+            (z @ mu) / (1.0 + norm(x[:nx])),
             abs(f - f_prev) / (1.0 + abs(f_prev)),
         )
         if kkt < tol:
@@ -602,6 +604,9 @@ class _OpfProblem:
         res = optimize.minimize(self.fun, start.x, method=_mips, hess=self.hess, options={
             "maxiter": self.opts.max_outer, "tol": self.opts.optimality_tol,
             "lam0": start.lam, "mu0": start.mu,
+            # not s and its row's slack, last in x and g: at s ~ 50 on a rejected
+            # draw they loosened the feasibility test ~20-fold
+            "scaled": (self.nx - 1, len(self.limits) - 1),
         })
         point = PrimalDual(res.x, res.lam, res.mu) if res.success else PrimalDual(res.x)
         return self._result(point, res.message, SolveStats(res.nit, res.nfev, res.message, res.kkt))

@@ -289,6 +289,15 @@ class TestGenBench:
         assert manifest["mutation"]["seed"] == 4
         assert manifest["mutation"]["relative_halfwidth"] == 0.1
 
+    def test_config_takes_an_integer_halfwidth_and_a_null_budget(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 2, "halfwidth": 0, "max_chars": None}))
+        out = tmp_path / "ds"
+        code, _, err = run_cli(capsys, "--config", str(cfg), "gen", CASE9, "--out", str(out))
+        assert code == 0, err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert repr(manifest["mutation"]["relative_halfwidth"]) == "0.0"  # as --halfwidth 0 writes
+
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"banana": 1}))
@@ -353,8 +362,8 @@ def assert_same_files(a, b):
 
 
 def test_cli_runs_without_scipy_and_requests(capsys, tmp_path):
-    """solve, gen, bench --replay and export-ft need neither scipy nor requests, and gen
-    writes the same bytes as a run that may import them."""
+    """solve, gen, bench --replay, bench --endpoint and export-ft need neither scipy nor
+    requests, and gen writes the same bytes as a run that may import them."""
     env = subprocess_env()
 
     def blocked(*argv):
@@ -373,6 +382,25 @@ def test_cli_runs_without_scipy_and_requests(capsys, tmp_path):
         blocked("bench", str(ds), "--replay", mode, "--trials", "1", "--context", "2",
                 "--out", str(tmp_path / mode))
     blocked("export-ft", str(ds))
+
+    import threading
+    from http.server import HTTPServer
+
+    from test_http_client import MockHandler
+
+    truth = load_solved_dataset(ds).truth_map()
+    MockHandler.script, MockHandler.requests_seen = [], []
+    MockHandler.reply_content = truth[next(iter(truth))]  # a valid, if wrong, answer
+    server = HTTPServer(("127.0.0.1", 0), MockHandler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        blocked("bench", str(ds), "--endpoint", f"http://127.0.0.1:{server.server_port}",
+                "--trials", "1", "--context", "2", "--out", str(tmp_path / "http"))
+    finally:
+        server.shutdown()
+        server.server_close()
+        MockHandler.reply_content = "mock reply"
+    assert len(MockHandler.requests_seen) == 1
 
 
 def case9_with_comment(path, comment: bytes) -> str:
@@ -426,7 +454,14 @@ def test_case_file_errors_name_the_file(capsys, tmp_path, row, edited, want):
     ('"n"', "the config is not a JSON object"),
     ("[[1]]", "the config is not a JSON object"),
     ("null", "the config is not a JSON object"),
-], ids=["truncated", "unknown_key", "string", "list", "null"])
+    ('{"n": "abc"}', "config key 'n' must be an integer, got \"abc\""),
+    ('{"trials": 2.7}', "config key 'trials' must be an integer, got 2.7"),
+    ('{"seed": true}', "config key 'seed' must be an integer, got true"),
+    ('{"max_chars": "9"}', "config key 'max_chars' must be an integer or null, got \"9\""),
+    ('{"halfwidth": "0.1"}', "config key 'halfwidth' must be a number, got \"0.1\""),
+    ('{"model": 3}', "config key 'model' must be a string, got 3"),
+], ids=["truncated", "unknown_key", "string", "list", "null", "int_as_string", "int_as_float",
+        "int_as_bool", "int_or_null_as_string", "number_as_string", "string_as_int"])
 def test_config_file_errors_name_the_file(capsys, tmp_path, text, want):
     cfg = tmp_path / "run.json"
     cfg.write_text(text)

@@ -1,6 +1,9 @@
 """Transport behavior against a local OpenAI-compatible mock server."""
 import json
+import socket
 import threading
+import urllib.error
+import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -37,6 +40,12 @@ class MockHandler(BaseHTTPRequestHandler):
         elif step == "garbage":
             data = b"not json at all"
             self.send_response(200)
+        elif step == "short":  # the connection closes before the promised body is sent
+            self.send_response(200)
+            self.send_header("Content-Length", "100")
+            self.end_headers()
+            self.wfile.write(b"{}")
+            return
         else:
             data = json.dumps({"error": f"status {step}"}).encode()
             self.send_response(int(step))
@@ -61,10 +70,37 @@ def mock_server():
     server.server_close()
 
 
-def cfg(base_url, retries=3):
+@pytest.fixture
+def silent_server():
+    """A server that accepts connections and never answers: its URL and what it accepted."""
+    srv = socket.create_server(("127.0.0.1", 0))
+    srv.settimeout(0.02)
+    accepted, stop = [], threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                accepted.append(srv.accept()[0])
+            except TimeoutError:
+                pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{srv.getsockname()[1]}", accepted
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        for conn in accepted:
+            conn.close()
+        srv.close()
+
+
+def cfg(base_url, retries=3, timeout_s=5.0):
     return EndpointConfig(
         base_url=base_url, model="mock-model", max_retries=retries,
-        timeout_s=5.0, backoff_base_s=0.01,
+        timeout_s=timeout_s, backoff_base_s=0.01,
     )
 
 
@@ -88,6 +124,12 @@ def test_429_retry_then_success(mock_server):
     assert len(MockHandler.requests_seen) == 3
 
 
+def test_truncated_reply_is_retried(mock_server):
+    MockHandler.script = ["short", "ok"]
+    assert complete(build_sequence([], "q"), cfg(mock_server)) == "mock reply"
+    assert len(MockHandler.requests_seen) == 2
+
+
 def test_500_exhaustion(mock_server):
     MockHandler.script = ["500"] * 10
     with pytest.raises(TransportError, match="4 attempts"):
@@ -100,6 +142,37 @@ def test_401_no_retry(mock_server):
     with pytest.raises(AuthError):
         complete(build_sequence([], "q"), cfg(mock_server))
     assert len(MockHandler.requests_seen) == 1
+
+
+def test_404_is_protocol_error_without_retry(mock_server):
+    MockHandler.script = ["404", "ok"]
+    with pytest.raises(ProtocolError, match='^unexpected HTTP 404: {"error": "status 404"}$'):
+        complete(build_sequence([], "q"), cfg(mock_server))
+    assert len(MockHandler.requests_seen) == 1
+
+
+def test_silent_server_times_out_every_attempt(silent_server):
+    url, accepted = silent_server
+    with pytest.raises(TransportError, match=r"^gave up after 3 attempts \(request timed out\)$"):
+        complete(build_sequence([], "q"), cfg(url, retries=2, timeout_s=0.2))
+    assert len(accepted) == 3
+
+
+def test_timeout_while_sending_is_a_timeout(monkeypatch):
+    """urllib reports a timeout before the response as a URLError whose reason it is."""
+    def timing_out(request, timeout):
+        raise urllib.error.URLError(TimeoutError("timed out"))
+
+    monkeypatch.setattr(urllib.request, "urlopen", timing_out)
+    with pytest.raises(TransportError, match=r"^gave up after 2 attempts \(request timed out\)$"):
+        complete(build_sequence([], "q"), cfg("http://127.0.0.1:1", retries=1))
+
+
+def test_closed_port_is_a_connection_failure():
+    with socket.create_server(("127.0.0.1", 0)) as srv:
+        port = srv.getsockname()[1]  # free once closed
+    with pytest.raises(TransportError, match=r"^gave up after 2 attempts \(connection failed: "):
+        complete(build_sequence([], "q"), cfg(f"http://127.0.0.1:{port}", retries=1))
 
 
 def test_non_json_reply_is_protocol_error(mock_server):
@@ -139,6 +212,12 @@ def test_deterministic_against_fixed_mock(mock_server):
 def test_config_refuses_values_that_would_fail_mid_run(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         EndpointConfig(base_url="http://127.0.0.1:1", model="m", **{field: value})
+
+
+@pytest.mark.parametrize("base_url", ["localhost:8000", "file:///etc", "ftp://127.0.0.1", ""])
+def test_config_refuses_a_base_url_that_is_not_http(base_url):
+    with pytest.raises(ValueError, match="^base_url must be an http:// or https:// URL"):
+        EndpointConfig(base_url=base_url, model="m")
 
 
 def test_zero_backoff_and_one_token_are_accepted():
