@@ -8,6 +8,7 @@ the same contract offline for deterministic testing.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
@@ -157,17 +158,28 @@ class EndpointConfig:
             raise ValueError(f"max_output_tokens must be >= 1, got {self.max_output_tokens}")
 
 
+@functools.cache  # built once, as urlopen's own opener is, since building reads the proxy settings
+def _opener():  # urllib's default opener, except that a 30x reply raises HTTPError
+    from urllib.request import HTTPRedirectHandler, build_opener
+
+    class NoRedirect(HTTPRedirectHandler):
+        def redirect_request(self, *args):
+            return None
+    return build_opener(NoRedirect)
+
+
 def complete(seq: PromptSequence, cfg: EndpointConfig) -> str:
     """POST the sequence to {base_url}/chat/completions and return the reply.
 
-    Retries on 429 / 5xx / timeouts with exponential backoff and jitter;
-    401 fails immediately with AuthError. Proxies come from ``http(s)_proxy``
-    and ``no_proxy``; HTTPS is verified against the system CA store.
+    Retries on 429 / 5xx / timeouts with exponential backoff and jitter; 401
+    fails at once with AuthError, and a 30x with ProtocolError (not followed,
+    so the token stays on this host). Proxies come from ``http(s)_proxy`` and
+    ``no_proxy``; HTTPS is verified against the system CA store.
     """
     # here, so that only bench against an HTTP endpoint loads them
     from http.client import HTTPException
     from urllib.error import HTTPError, URLError
-    from urllib.request import Request, urlopen
+    from urllib.request import Request
 
     url = cfg.base_url.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
@@ -188,8 +200,8 @@ def complete(seq: PromptSequence, cfg: EndpointConfig) -> str:
             time.sleep(delay * (1.0 + random.random() * 0.25))
         try:
             try:
-                resp = urlopen(Request(url, data=body, headers=headers, method="POST"),
-                               timeout=cfg.timeout_s)
+                resp = _opener().open(Request(url, data=body, headers=headers, method="POST"),
+                                      timeout=cfg.timeout_s)
             except HTTPError as exc:  # an error status, with its body still to read
                 resp = exc
             with resp:

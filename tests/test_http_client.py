@@ -22,6 +22,7 @@ class MockHandler(BaseHTTPRequestHandler):
     script: list = []          # per-test plan: list of status codes / "ok"
     requests_seen: list = []
     reply_content = "mock reply"
+    redirect_to = None         # Location sent with every error status
 
     def do_POST(self):  # noqa: N802
         length = int(self.headers.get("Content-Length", 0))
@@ -49,6 +50,8 @@ class MockHandler(BaseHTTPRequestHandler):
         else:
             data = json.dumps({"error": f"status {step}"}).encode()
             self.send_response(int(step))
+            if MockHandler.redirect_to:
+                self.send_header("Location", MockHandler.redirect_to)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -151,6 +154,20 @@ def test_404_is_protocol_error_without_retry(mock_server):
     assert len(MockHandler.requests_seen) == 1
 
 
+@pytest.mark.parametrize("status", ["301", "302", "303", "307", "308"])
+def test_redirect_is_refused_without_leaving_the_host(mock_server, silent_server,
+                                                      monkeypatch, status):
+    """The request, and the token in it, never reach a redirect's Location."""
+    elsewhere, accepted = silent_server
+    monkeypatch.setenv("GRIDPROMPT_API_KEY", "sk-test-123")
+    monkeypatch.setattr(MockHandler, "redirect_to", elsewhere + "/chat/completions")
+    MockHandler.script = [status, "ok"]
+    with pytest.raises(ProtocolError, match=f"^unexpected HTTP {status}: "):
+        complete(build_sequence([], "q"), cfg(mock_server, timeout_s=0.5))
+    assert len(MockHandler.requests_seen) == 1
+    assert accepted == []
+
+
 def test_silent_server_times_out_every_attempt(silent_server):
     url, accepted = silent_server
     with pytest.raises(TransportError, match=r"^gave up after 3 attempts \(request timed out\)$"):
@@ -160,10 +177,10 @@ def test_silent_server_times_out_every_attempt(silent_server):
 
 def test_timeout_while_sending_is_a_timeout(monkeypatch):
     """urllib reports a timeout before the response as a URLError whose reason it is."""
-    def timing_out(request, timeout):
+    def timing_out(opener, request, timeout):
         raise urllib.error.URLError(TimeoutError("timed out"))
 
-    monkeypatch.setattr(urllib.request, "urlopen", timing_out)
+    monkeypatch.setattr(urllib.request.OpenerDirector, "open", timing_out)
     with pytest.raises(TransportError, match=r"^gave up after 2 attempts \(request timed out\)$"):
         complete(build_sequence([], "q"), cfg("http://127.0.0.1:1", retries=1))
 
