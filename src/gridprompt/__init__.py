@@ -36,7 +36,6 @@ from .llm_protocol import (
 )
 from .evaluation import EvalReport, TrialRecord, run_benchmark, score
 from .dataset_export import (
-    FinetuneConfig,
     SolvedDataset,
     build_solved_dataset,
     export_finetune_jsonl,

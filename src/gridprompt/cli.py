@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .dataset_export import (
     DatasetError,
-    FinetuneConfig,
     build_solved_dataset,
     export_finetune_jsonl,
     load_solved_dataset,
@@ -116,9 +115,7 @@ def _cmd_bench(args, cfg) -> int:
     seed = _opt(args, cfg, "seed", 0)
     concurrency = _opt(args, cfg, "concurrency", 4)
     max_chars = _opt(args, cfg, "max_chars", None)
-    out = Path(_opt(args, cfg, "out", ds.root))
-    out.mkdir(parents=True, exist_ok=True)
-
+    out = Path(_opt(args, cfg, "out", ds.root))  # made by run_benchmark once all is checked
     replay = _opt(args, cfg, "replay", None)
     endpoint = _opt(args, cfg, "endpoint", None)
     if (replay is None) == (endpoint is None):
@@ -151,7 +148,7 @@ def _cmd_bench(args, cfg) -> int:
 
 def _cmd_export_ft(args, cfg) -> int:
     ds = load_solved_dataset(args.dataset)
-    out = export_finetune_jsonl(ds, config=FinetuneConfig(base_model=_opt(args, cfg, "model", "")))
+    out = export_finetune_jsonl(ds, base_model=_opt(args, cfg, "model", ""))
     print(json.dumps({"jsonl": str(out), "lines": len(ds)}, sort_keys=True))
     return 0
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -39,24 +39,11 @@ from .scenario_gen import MutationSpec, mutate
 from .solvers import OpfOptions, OpfSolution, solve_opf
 
 MANIFEST_SCHEMA = "gridprompt/dataset/v1"
+MAX_LINE_CHARS = 500_000  # per fine-tuning line
 
 
 class DatasetError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class FinetuneConfig:
-    rank: int = 8
-    alpha: float = 16.0
-    base_model: str = ""
-    notes: str = ""
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
 
 
 @dataclass(frozen=True)
@@ -250,24 +237,21 @@ def load_solved_dataset(root: str | Path) -> SolvedDataset:
 def export_finetune_jsonl(
     dataset: SolvedDataset,
     out_path: str | Path | None = None,
-    config: FinetuneConfig = FinetuneConfig(),
-    max_line_chars: int = 500_000,
+    base_model: str = "",
 ) -> Path:
-    """One chat-format training line per solved entry, plus a config sidecar: a
-    line is a prompt's system message and the entry as one in-context example."""
+    """One chat-format training line per solved entry, plus the LoRA sidecar (rank 8,
+    alpha 16, base_model): a line is a prompt's system message and the entry as one
+    in-context example, refused over ``MAX_LINE_CHARS``."""
     out_path = Path(out_path) if out_path else dataset.root / "finetune.jsonl"
     lines = []
     for e in dataset.entries:
         seq = PromptSequence((SYSTEM_MESSAGE, *example_pair(e.grid_text, e.solution_text)))
         line = json.dumps({"messages": seq.chat()}, sort_keys=True)
-        if len(line) > max_line_chars:
-            raise DatasetError(
-                f"entry {e.index}: training line is {len(line)} chars, "
-                f"budget is {max_line_chars}"
-            )
+        if len(line) > MAX_LINE_CHARS:
+            raise DatasetError(f"entry {e.index}: training line is {len(line)} chars, "
+                               f"budget is {MAX_LINE_CHARS}")
         lines.append(line)
     write_utf8(out_path, "\n".join(lines) + "\n")
-
-    sidecar = out_path.with_name("finetune_config.json")
-    write_utf8(sidecar, json.dumps(asdict(config), sort_keys=True, indent=1))
+    doc = {"rank": 8, "alpha": 16.0, "base_model": base_model, "notes": ""}
+    write_utf8(out_path.parent / "finetune_config.json", json.dumps(doc, sort_keys=True, indent=1))
     return out_path

@@ -115,6 +115,8 @@ def make_trials(entries, trials: int, context_size: int, seed: int) -> list[Benc
         raise ValueError(f"trials must be >= 1, got {trials}")
     if context_size < 0:
         raise ValueError(f"context_size must be >= 0, got {context_size}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     need = trials * (context_size + 1)
     if len(entries) < need:
         raise ValueError(
@@ -201,6 +203,8 @@ def run_benchmark(
     if concurrency < 1:
         raise ValueError(f"concurrency must be >= 1, got {concurrency}")
     plan = make_trials(entries, trials, context_size, seed)
+    if log_path is not None:  # once the plan is sound, so a refused run leaves no directory
+        Path(log_path).parent.mkdir(parents=True, exist_ok=True)
     if concurrency > 1:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
             records = list(pool.map(lambda t: run_trial(t, backend, max_chars), plan))

@@ -231,16 +231,16 @@ def from_hetero(tables: dict) -> GridCase:
     return case
 
 
-def branch_admittances(case: GridCase, lines) -> tuple[np.ndarray, np.ndarray]:
+def branch_admittances(case: GridCase) -> tuple[np.ndarray, np.ndarray]:
     """Each row's bus and the pi-model matrix Y of the line-end powers.
 
-    Row k of ``V[ends] * conj(Y @ V)`` is the power entering ``lines[k]`` at
-    its from bus ``ends[k]``, row nl + k at its to bus. Charging susceptance
+    Row k of ``V[ends] * conj(Y @ V)`` is the power entering ``case.lines[k]``
+    at its from bus ``ends[k]``, row nl + k at its to bus. Charging susceptance
     is split half per end; off-nominal taps are applied on the from side.
+    ``validate_case`` has refused a zero reactance, so every 1 / z is finite.
     """
+    lines = case.lines
     z = [complex(ln.r_pu, ln.x_pu) for ln in lines]
-    if 0 in z:
-        raise GridError(f"line {lines[z.index(0)].id} has zero series impedance")
     f = np.array([ln.from_bus for ln in lines], dtype=int)
     t = np.array([ln.to_bus for ln in lines], dtype=int)
     ys = np.array([1.0 / zk for zk in z], dtype=complex)  # Python's 1/z; numpy's rounds apart
@@ -260,7 +260,7 @@ def admittance_matrix(case: GridCase) -> np.ndarray:
     Each line end's row is added at its bus in line order, the order in which
     a line-by-line stamp adds them.
     """
-    ends, Y = branch_admittances(case, case.lines)
+    ends, Y = branch_admittances(case)
     order = np.arange(len(Y)).reshape(2, -1).T.ravel()  # from end, to end, line by line
     Ybus = np.zeros((case.n_bus, case.n_bus), dtype=complex)
     np.add.at(Ybus, ends[order], Y[order])

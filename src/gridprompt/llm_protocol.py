@@ -138,8 +138,6 @@ def validate_sequence(seq: PromptSequence) -> None:
 class EndpointConfig:
     base_url: str
     model: str
-    temperature: float = 0.0
-    max_output_tokens: int = 4096
     timeout_s: float = 120.0
     max_retries: int = 3
     auth_env: str = "GRIDPROMPT_API_KEY"
@@ -154,8 +152,6 @@ class EndpointConfig:
             raise ValueError(f"timeout_s must be finite and > 0, got {self.timeout_s}")
         if not 0 <= self.backoff_base_s < float("inf"):  # NaN and inf fail time.sleep too
             raise ValueError(f"backoff_base_s must be finite and >= 0, got {self.backoff_base_s}")
-        if self.max_output_tokens < 1:
-            raise ValueError(f"max_output_tokens must be >= 1, got {self.max_output_tokens}")
 
 
 @functools.cache  # built once, as urlopen's own opener is, since building reads the proxy settings
@@ -169,7 +165,8 @@ def _opener():  # urllib's default opener, except that a 30x reply raises HTTPEr
 
 
 def complete(seq: PromptSequence, cfg: EndpointConfig) -> str:
-    """POST the sequence to {base_url}/chat/completions and return the reply.
+    """POST the sequence to {base_url}/chat/completions and return the reply,
+    decoded greedily (temperature 0, at most 4096 tokens) for every model.
 
     Retries on 429 / 5xx / timeouts with exponential backoff and jitter; 401
     fails at once with AuthError, and a 30x with ProtocolError (not followed,
@@ -189,8 +186,8 @@ def complete(seq: PromptSequence, cfg: EndpointConfig) -> str:
     body = json.dumps({
         "model": cfg.model,
         "messages": seq.chat(),
-        "temperature": cfg.temperature,
-        "max_tokens": cfg.max_output_tokens,
+        "temperature": 0.0,
+        "max_tokens": 4096,
     }, allow_nan=False).encode()
 
     last_error = "no attempt made"

@@ -26,6 +26,8 @@ class MutationSpec:
             raise ValueError(
                 f"relative_halfwidth must be in [0, 1), got {self.relative_halfwidth}"
             )
+        if self.seed < 0:  # SeedSequence's own error names no option
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _draw(spec: MutationSpec, index: int, load_id: int, field: str) -> float:

@@ -49,7 +49,7 @@ names its reason (``infeasible`` for a converged one, else ``max_outer``,
 ``infeasible: line 9 (6-8) from-end rating over by 1.45e-02 pu``.
 
 ``_OpfProblem.solve`` calls ``_mips`` through one seam, this module's namespace
-``optimize.minimize(fun, x0, method, hess, options)``, which solve counters replace:
+``optimize``, whose ``minimize`` is ``_mips`` itself and which solve counters replace:
 perfbench's tracer sums each result's ``nit`` and ``nfev``, and two tests count calls.
 """
 from __future__ import annotations
@@ -140,24 +140,19 @@ def solve_pf(
     max_iter: int = OpfOptions.pf_max_iter,
     gen_p_mw: np.ndarray | None = None,
     gen_vm_pu: np.ndarray | None = None,
-    v0: np.ndarray | None = None,
 ) -> PfSolution:
-    """Newton-Raphson power flow from a flat start (or warm start ``v0``).
+    """Newton-Raphson power flow from a flat start.
 
     ``gen_p_mw`` / ``gen_vm_pu`` override the case's generator setpoints, e.g.
     to check a predicted dispatch. Non-convergence is reported in the result,
     not raised; a singular Jacobian raises SolverError.
     """
-    ng = len(case.generators)
-    for name, values, want in (
-        ("gen_p_mw", gen_p_mw, ng), ("gen_vm_pu", gen_vm_pu, ng), ("v0", v0, case.n_bus)
-    ):
-        _check_length(name, values, want)
+    for name, values in (("gen_p_mw", gen_p_mw), ("gen_vm_pu", gen_vm_pu)):
+        _check_length(name, values, len(case.generators))
     prob, base = _problem(case, OpfOptions()), case.base_mva
     gen_p = prob.gen_p0 if gen_p_mw is None else np.array(gen_p_mw, float) / base
     gen_vm = prob.gen_vm0 if gen_vm_pu is None else np.array(gen_vm_pu, float)
-    v0 = None if v0 is None else np.asarray(v0, complex)
-    pf = prob.power_flow(gen_p, gen_vm, v0, tol, max_iter)
+    pf = prob.power_flow(gen_p, gen_vm, None, tol, max_iter)
     return PfSolution(
         vm_pu=np.abs(pf.V), va_deg=np.degrees(np.angle(pf.V)),
         gen_p_mw=pf.x[prob.ip : prob.iq] * base, gen_q_mvar=pf.x[prob.iq : -1] * base,
@@ -219,12 +214,11 @@ class _MipsResult:
     nit: int
     nfev: int
     message: str
-    success = property(lambda self: self.message == "converged")
 
 
 def _mips(fun, x0, hess, maxiter, tol, lam0, mu0, scaled):
-    """MATPOWER's primal-dual interior-point loop (MIPS), dense, called through the
-    ``optimize.minimize`` seam (see the module docstring).
+    """MATPOWER's primal-dual interior-point loop (MIPS), dense: ``optimize.minimize``,
+    the seam of ``_OpfProblem.solve`` (see the module docstring).
 
     Minimizes f subject to h(x) = 0 and g(x) <= 0, where ``fun(x)`` returns
     (f, df, h, dh, g, dg) and ``hess(x, lam, mu)`` the Hessian of
@@ -283,10 +277,7 @@ _Limit = namedtuple("_Limit", "name col sign bound soft")  # a row of g (see _Op
 _PowerFlow = namedtuple("_PowerFlow", "V x excess converged iterations mismatch")  # of power_flow
 
 
-# the seam of _OpfProblem.solve (see the module docstring)
-optimize = SimpleNamespace(
-    minimize=lambda fun, x0, method, hess, options: method(fun, x0, hess=hess, **options)
-)
+optimize = SimpleNamespace(minimize=_mips)  # the seam of _OpfProblem.solve (module docstring)
 
 
 class _OpfProblem:
@@ -341,7 +332,7 @@ class _OpfProblem:
         base = case.base_mva
         # every line end, from ends then to ends: its bus a, the far bus b and the two
         # admittances of its row; the limit rows are the rated ones
-        a, Ybr = branch_admittances(case, case.lines)
+        a, Ybr = branch_admittances(case)
         b, r = a.reshape(2, -1)[::-1].ravel(), np.arange(len(a))
         self.ends, self.y_aa, self.y_ab = (a, b), Ybr[r, a], Ybr[r, b]
         # an end's columns (Va_a, Va_b, Vm_a, Vm_b), and the flat indices at which
@@ -601,14 +592,15 @@ class _OpfProblem:
         start = self.start()
         if start is None:
             return self._result(None, "pf_diverged: initial power flow diverged", None)
-        res = optimize.minimize(self.fun, start.x, method=_mips, hess=self.hess, options={
-            "maxiter": self.opts.max_outer, "tol": self.opts.optimality_tol,
-            "lam0": start.lam, "mu0": start.mu,
+        res = optimize.minimize(
+            self.fun, start.x, self.hess, maxiter=self.opts.max_outer,
+            tol=self.opts.optimality_tol, lam0=start.lam, mu0=start.mu,
             # not s and its row's slack, last in x and g: at s ~ 50 on a rejected
             # draw they loosened the feasibility test ~20-fold
-            "scaled": (self.nx - 1, len(self.limits) - 1),
-        })
-        point = PrimalDual(res.x, res.lam, res.mu) if res.success else PrimalDual(res.x)
+            scaled=(self.nx - 1, len(self.limits) - 1),
+        )
+        converged = res.message == "converged"
+        point = PrimalDual(res.x, res.lam, res.mu) if converged else PrimalDual(res.x)
         return self._result(point, res.message, SolveStats(res.nit, res.nfev, res.message, res.kkt))
 
     def _result(
@@ -660,7 +652,7 @@ class _OpfProblem:
 def line_loadings_mva(case: GridCase, vm_pu, va_deg) -> list[tuple[int, float, float]]:
     """Apparent power at both ends of every line, for limit reporting."""
     V = np.asarray(vm_pu) * np.exp(1j * np.radians(np.asarray(va_deg)))
-    ends, Y = branch_admittances(case, case.lines)
+    ends, Y = branch_admittances(case)
     sf, st = np.split(np.abs(V[ends] * np.conj(Y @ V)) * case.base_mva, 2)
     return [(ln.id, float(a), float(b)) for ln, a, b in zip(case.lines, sf, st)]
 

@@ -128,6 +128,15 @@ class TestGenBench:
         assert stdout == "" and f"{out} is not empty" in err
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == first
 
+    def test_gen_refuses_a_negative_seed_before_writing(self, capsys, tmp_path):
+        out = tmp_path / "ds"
+        code, stdout, err = run_cli(capsys, "gen", CASE9, "--n", "2", "--seed", "-1",
+                                    "--out", str(out))
+        assert (code, stdout, err) == (1, "", "error: seed must be >= 0, got -1\n")
+        assert not out.exists()
+        code, _, err = run_cli(capsys, "gen", CASE9, "--n", "2", "--seed", "0", "--out", str(out))
+        assert code == 0, err  # the corrected rerun finds no leftovers in its way
+
     def test_bench_oracle(self, capsys, dataset_dir, tmp_path):
         code, out, err = run_cli(
             capsys, "bench", str(dataset_dir), "--replay", "oracle",
@@ -182,28 +191,44 @@ class TestGenBench:
     ):
         code, out, err = run_cli(
             capsys, "bench", str(dataset_dir), "--replay", "oracle", "--trials", "3",
-            "--context", "3", "--concurrency", concurrency, "--out", str(tmp_path),
+            "--context", "3", "--concurrency", concurrency, "--out", str(tmp_path / "out"),
         )
         assert code == 1
         assert out == "" and f"concurrency must be >= 1, got {concurrency}" in err
-        assert not (tmp_path / "trials.jsonl").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--trials", "0", "trials must be >= 1, got 0"),
         ("--trials", "-2", "trials must be >= 1, got -2"),
         ("--context", "-1", "context_size must be >= 0, got -1"),
-    ], ids=["trials=0", "trials=-2", "context=-1"])
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+    ], ids=["trials=0", "trials=-2", "context=-1", "seed=-1"])
     def test_bench_refuses_a_bad_trial_count_or_context(
         self, capsys, dataset_dir, tmp_path, flag, value, message
     ):
         sizes = {"--trials": "3", "--context": "3", flag: value}
         code, out, err = run_cli(
             capsys, "bench", str(dataset_dir), "--replay", "oracle",
-            *(arg for pair in sizes.items() for arg in pair), "--out", str(tmp_path),
+            *(arg for pair in sizes.items() for arg in pair), "--out", str(tmp_path / "out"),
         )
         assert code == 1
         assert out == "" and message in err
-        assert not (tmp_path / "trials.jsonl").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        ((), "exactly one of --replay and --endpoint is required"),
+        (("--replay", "oracle", "--endpoint", "http://127.0.0.1:1"), "exactly one of"),
+        (("--endpoint", "ftp://x"), "base_url must be an http:// or https:// URL"),
+    ], ids=["no-backend", "both-backends", "ftp-endpoint"])
+    def test_bench_refuses_before_making_its_out_directory(
+        self, capsys, dataset_dir, tmp_path, flags, message
+    ):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "bench", str(dataset_dir), *flags,
+                                    "--trials", "3", "--context", "3", "--out", str(out))
+        assert code == 1
+        assert stdout == "" and message in err
+        assert not out.exists()
 
     def test_bench_requires_backend_choice(self, capsys, dataset_dir):
         code, out, err = run_cli(capsys, "bench", str(dataset_dir))

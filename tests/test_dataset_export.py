@@ -8,8 +8,9 @@ import pytest
 
 from gridprompt import dataset_export
 from gridprompt.dataset_export import (
+    MAX_LINE_CHARS,
     DatasetError,
-    FinetuneConfig,
+    SolvedDataset,
     build_solved_dataset,
     export_finetune_jsonl,
     load_solved_dataset,
@@ -154,9 +155,9 @@ class TestExportFinetune:
 
     def test_sidecar_defaults(self, dataset9):
         path = export_finetune_jsonl(dataset9)
-        sidecar = json.loads(path.with_name("finetune_config.json").read_text())
-        assert sidecar["rank"] == 8
-        assert sidecar["alpha"] == 16.0
+        assert path.with_name("finetune_config.json").read_text() == (
+            '{\n "alpha": 16.0,\n "base_model": "",\n "notes": "",\n "rank": 8\n}'
+        )
 
     def test_assistant_text_round_trips(self, dataset9, case9):
         path = export_finetune_jsonl(dataset9)
@@ -166,15 +167,18 @@ class TestExportFinetune:
         pred = parse_solution_doc(text)
         assert len(pred.bus) == case9.n_bus
 
-    def test_line_budget_enforced(self, dataset9):
-        with pytest.raises(DatasetError, match="budget"):
-            export_finetune_jsonl(dataset9, max_line_chars=100)
+    def test_line_budget_enforced(self, dataset9, tmp_path):
+        """A line of exactly MAX_LINE_CHARS is written; one char more is refused."""
+        e = dataset9.entries[0]
+        short = export_finetune_jsonl(SolvedDataset(tmp_path, [e])).read_text()
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FinetuneConfig(rank=0)
-        with pytest.raises(ValueError):
-            FinetuneConfig(alpha=0)
+        def padded(extra):  # e's line at MAX_LINE_CHARS + extra chars
+            text = e.grid_text + " " * (MAX_LINE_CHARS - len(short) + 1 + extra)
+            return SolvedDataset(tmp_path, [dataclasses.replace(e, grid_text=text)])
+
+        assert len(export_finetune_jsonl(padded(0)).read_text()) == MAX_LINE_CHARS + 1  # + "\n"
+        with pytest.raises(DatasetError, match=f"is {MAX_LINE_CHARS + 1} chars, budget is"):
+            export_finetune_jsonl(padded(1))
 
 
 @pytest.fixture

@@ -114,7 +114,7 @@ def test_success_path(mock_server):
     sent = MockHandler.requests_seen[0]
     assert sent["path"] == "/chat/completions"
     assert sent["body"]["model"] == "mock-model"
-    assert sent["body"]["temperature"] == 0.0
+    assert sent["body"]["temperature"] == 0.0 and sent["body"]["max_tokens"] == 4096
     assert [m["role"] for m in sent["body"]["messages"]] == [
         "system", "user", "assistant", "user",
     ]
@@ -222,7 +222,6 @@ def test_deterministic_against_fixed_mock(mock_server):
 
 @pytest.mark.parametrize("field, value", [
     ("backoff_base_s", -0.5), ("backoff_base_s", float("nan")), ("backoff_base_s", float("inf")),
-    ("max_output_tokens", 0), ("max_output_tokens", -1),
     ("max_retries", -1), ("timeout_s", 0.0), ("timeout_s", float("nan")),
     ("timeout_s", float("inf")),
 ])
@@ -237,7 +236,6 @@ def test_config_refuses_a_base_url_that_is_not_http(base_url):
         EndpointConfig(base_url=base_url, model="m")
 
 
-def test_zero_backoff_and_one_token_are_accepted():
-    cfg = EndpointConfig(base_url="http://127.0.0.1:1", model="m",
-                         backoff_base_s=0.0, max_output_tokens=1)
-    assert cfg.backoff_base_s == 0.0 and cfg.max_output_tokens == 1
+def test_zero_backoff_is_accepted():
+    cfg = EndpointConfig(base_url="http://127.0.0.1:1", model="m", backoff_base_s=0.0)
+    assert cfg.backoff_base_s == 0.0

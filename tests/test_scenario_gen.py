@@ -21,6 +21,11 @@ def test_spec_rejects_bad_halfwidth():
         MutationSpec(relative_halfwidth=-0.1)
 
 
+def test_spec_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        MutationSpec(seed=-1)
+
+
 @given(seed=st.integers(0, 2**63 - 1), index=st.integers(0, 10_000))
 @settings(max_examples=50, deadline=None)
 def test_bounds_property(case9, seed, index):

@@ -117,19 +117,10 @@ class TestPowerFlow:
     @pytest.mark.parametrize("name, values, want", [
         ("gen_p_mw", [10.0, 20.0], "2 entries, expected 3"),
         ("gen_vm_pu", [1.0] * 4, "4 entries, expected 3"),
-        ("v0", np.ones(3, complex), "3 entries, expected 9"),
     ])
     def test_inputs_of_the_wrong_length_are_refused(self, case9, name, values, want):
         with pytest.raises(ValueError, match=f"{name} has {want}"):
             solve_pf(case9, **{name: values})
-
-    def test_warm_start_converges_faster(self, case9):
-        cold = solve_pf(case9)
-        V = cold.vm_pu * np.exp(1j * np.radians(cold.va_deg))
-        for v0 in (V, list(V)):
-            warm = solve_pf(case9, v0=v0)
-            assert warm.converged
-            assert warm.iterations <= 1
 
     def test_shared_buses_split_q_by_range_and_last_setpoint_wins(self, case9_shared_buses):
         case = case9_shared_buses
@@ -495,7 +486,7 @@ def test_line_end_derivatives_match_the_incidence_matrix_form(case_name, request
     case = request.getfixturevalue(case_name)
     prob = _OpfProblem(case, OpfOptions())
     n, ctol = case.n_bus, OpfOptions.constraint_tol
-    ends, Ybr = branch_admittances(case, case.lines)
+    ends, Ybr = branch_admittances(case)
     rated = np.flatnonzero(np.tile([ln.rate_mva > 0 for ln in case.lines], 2))
     Ylim, Clim = Ybr[rated], np.eye(n)[ends[rated]]
     rate = np.tile([ln.rate_mva for ln in case.lines], 2)[rated] / case.base_mva
@@ -629,7 +620,7 @@ class TestPhase1:
         minimize = solvers.optimize.minimize
 
         def counting(*args, **kwargs):
-            calls.append(kwargs["options"]["maxiter"])
+            calls.append(kwargs["maxiter"])
             return minimize(*args, **kwargs)
 
         monkeypatch.setattr(solvers.optimize, "minimize", counting)
@@ -715,7 +706,7 @@ def test_interior_point_iterations_are_bounded(case9, case30, monkeypatch):
         results.clear()
         sol = solve_opf(case, opts)
         assert sol.feasible
-        assert len(results) == 1 and results[0].success
+        assert len(results) == 1 and results[0].message == "converged"
         assert results[0].nit <= cap
         assert results[0].kkt < OpfOptions.optimality_tol
         assert sol.stats == SolveStats(results[0].nit, results[0].nfev, "converged", results[0].kkt)
