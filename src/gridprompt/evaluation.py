@@ -150,7 +150,7 @@ def run_trial(trial: BenchmarkTrial, backend, max_chars: int | None = None) -> T
     response, reason, mse = "", "", (None, None, None)
     try:
         response = backend.complete(seq)
-    except (TransportError, ProtocolError) as exc:  # fails this trial, not the run
+    except (TransportError, ProtocolError, SequenceError) as exc:  # fails this trial, not the run
         reason = f"{type(exc).__name__}: {exc}"
     latency_ms = (time.monotonic() - start) * 1000.0
     if not reason:

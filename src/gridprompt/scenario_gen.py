@@ -35,6 +35,7 @@ def _draw(spec: MutationSpec, index: int, load_id: int, field: str) -> float:
     ss = np.random.SeedSequence(
         entropy=spec.seed, spawn_key=(index, load_id, _FIELD_CODE[field])
     )
+    # u is Generator.random(): the top 53 bits of the stream's first 64-bit word, over 2**53
     u = np.random.Generator(np.random.PCG64(ss)).random()
     h = spec.relative_halfwidth
     return 1.0 - h + 2.0 * h * u

@@ -23,10 +23,15 @@ optimum; an infeasible one at its l-infinity minimum, the smallest worst
 excess reachable near the start, with the soft row of largest multiplier
 named.
 
-One object, ``_OpfProblem``, is a grid's model (network arrays, bus roles,
-bounds, limits), built once per grid and shared by its draws, which bring
-only their loads, and by ``solve_pf``; ``validate_case`` has checked its bus
-roles, and its slack machine is ``GridCase.slack_gen``. A converged solve
+One object, ``_OpfProblem``, is a grid's model, built once per grid in
+``_grid_problem``'s memo: network arrays, bus roles, bounds, limits, and the
+constant parts of the derivatives as read-only templates that each call copies
+(``dh0``, ``dg0``, ``dlogT0``, ``H0``). Each draw, and ``solve_pf``, takes a copy
+that adds only its loads (``_draw``); each solve, one ``_mips`` call, fills one
+Newton matrix, whose zero (h, h) block no iterate rewrites; each iterate builds
+its voltages and line-end terms once for ``fun`` and ``hess`` (``_branch``), and
+every call returns arrays it owns. ``validate_case`` has checked the bus
+roles, and the slack machine is ``GridCase.slack_gen``. A converged solve
 hands on its primal-dual point (``OpfSolution.controls``: x and the
 multipliers of h and g). As ``OpfOptions.x0`` it starts a related draw from a
 predictor (Fiacco, Math. Programming 1976; Zavala & Biegler, Automatica
@@ -180,15 +185,13 @@ def _ip_start(g: np.ndarray, mu0: np.ndarray):
     return mu, z, 0.1 * (z @ mu) / len(z)
 
 
-def _newton_system(hess, x, lam, mu, z, gamma, lx, dh, g, dg):
-    """_mips's Newton matrix at (x, lam, mu, z) and the x block of its right-hand side,
-    lx being the gradient of the Lagrangian; the rest of the right-hand side is h."""
-    nx, nh = len(x), len(dh)
-    zinv = 1.0 / z
-    k = np.zeros((nx + nh, nx + nh))
+def _newton_system(k, hess, x, lam, mu, z, gamma, lx, dh, g, dg):
+    """Fill _mips's Newton matrix k at (x, lam, mu, z) but its zero (h, h) block, and return
+    the x block of the right-hand side, lx being the Lagrangian's gradient; the rest is h."""
+    nx, zinv = len(x), 1.0 / z
     np.add(hess(x, lam, mu), dg.T @ ((mu * zinv)[:, None] * dg), out=k[:nx, :nx])
     k[:nx, nx:], k[nx:, :nx] = dh.T, dh
-    return k, lx + dg.T @ (zinv * (mu * g + gamma))
+    return lx + dg.T @ (zinv * (mu * g + gamma))
 
 
 def _newton_step(d, x, lam, mu, z, g, dg, gamma):
@@ -197,9 +200,10 @@ def _newton_step(d, x, lam, mu, z, g, dg, gamma):
     dx, dlam = d[: len(x)], d[len(x) :]
     dz = -g - z - dg @ dx
     dmu = -mu + (1.0 / z) * (gamma - mu * dz)
+    zb, mub = dz < 0, dmu < 0  # the entries that head for their boundary
     step = (
-        min(1.0, 0.99995 * (z[dz < 0] / -dz[dz < 0]).min(initial=np.inf)),
-        min(1.0, 0.99995 * (mu[dmu < 0] / -dmu[dmu < 0]).min(initial=np.inf)),
+        min(1.0, 0.99995 * (z[zb] / -dz[zb]).min(initial=np.inf)),
+        min(1.0, 0.99995 * (mu[mub] / -dmu[mub]).min(initial=np.inf)),
     )
     return x + step[0] * dx, lam + step[1] * dlam, mu + step[1] * dmu, z + step[0] * dz, step
 
@@ -241,12 +245,13 @@ def _mips(fun, x0, hess, maxiter, tol, lam0, mu0, scaled):
     lam, (mu, z, gamma) = lam0, _ip_start(g, mu0)
     nx, nz = scaled
     f_prev, nit, nfev, step = f, 0, 1, (1.0, 1.0)
+    k = np.zeros((len(x) + len(h),) * 2)  # the Newton matrix, filled by _newton_system
     while True:
-        lx = df + dh.T @ lam + dg.T @ mu
+        lx, xnorm = df + dh.T @ lam + dg.T @ mu, norm(x[:nx])
         kkt = max(
-            max(norm(h), g.max(initial=0.0)) / (1.0 + max(norm(x[:nx]), norm(z[:nz]))),
+            max(norm(h), g.max(initial=0.0)) / (1.0 + max(xnorm, norm(z[:nz]))),
             norm(lx) / (1.0 + max(norm(lam), norm(mu))),
-            (z @ mu) / (1.0 + norm(x[:nx])),
+            (z @ mu) / (1.0 + xnorm),
             abs(f - f_prev) / (1.0 + abs(f_prev)),
         )
         if kkt < tol:
@@ -259,7 +264,7 @@ def _mips(fun, x0, hess, maxiter, tol, lam0, mu0, scaled):
             message = "stalled"
             break
         nit += 1
-        k, rx = _newton_system(hess, x, lam, mu, z, gamma, lx, dh, g, dg)
+        rx = _newton_system(k, hess, x, lam, mu, z, gamma, lx, dh, g, dg)
         try:
             d = np.linalg.solve(k, -np.concatenate([rx, h]))
         except np.linalg.LinAlgError:
@@ -337,10 +342,12 @@ class _OpfProblem:
         self.ends, self.y_aa, self.y_ab = (a, b), Ybr[r, a], Ybr[r, b]
         # an end's columns (Va_a, Va_b, Vm_a, Vm_b), and the flat indices at which
         # np.bincount sums its terms into bus a's P and Q rows of the (2n, 2n) bus
-        # Jacobian and into its 4 x 4 block of the (2n, 2n) Hessian
+        # Jacobian, in the order of dS's (real, imaginary) pairs, and into its 4 x 4
+        # block of the (2n, 2n) Hessian; d log T's angle entries are the constants 1j, -1j
         cols = np.stack([a, b, n + a, n + b], 1)
-        self.jac_at = ((a[:, None] + [0, n])[:, :, None] * 2 * n + cols[:, None, :]).ravel()
+        self.jac_at = ((a[:, None, None] + [0, n]) * 2 * n + cols[:, :, None]).ravel()
         self.hess_at = (cols[:, :, None] * 2 * n + cols[:, None, :]).ravel()
+        self.dlogT0 = np.tile([1j, -1j, 0.0, 0.0], (len(a), 1))
 
         # every machine but the last on its bus takes its q_weight share of the bus's Q
         split = [i for i, g in enumerate(gens) if last[g.bus] != i]
@@ -388,6 +395,11 @@ class _OpfProblem:
         self.cost_c2 = np.array([g.cost_c2 for g in gens]) * base * base
         self.cost_c1 = np.array([g.cost_c1 for g in gens]) * base
         self.cost_c0 = sum(g.cost_c0 for g in gens)
+        # hess's H with its cost curvature; it, dh0, dg0 and dlogT0 are read-only templates
+        self.H0 = np.diag(np.r_[np.zeros(self.ip), self.COST_SCALE * 2.0 * self.cost_c2,
+                                np.zeros(self.nx - self.iq)])
+        for template in (self.dh0, self.dg0, self.dlogT0, self.H0):
+            template.setflags(write=False)
 
     def _draw(self, case: GridCase, opts: OpfOptions):
         """Set case, opts and case's per-unit bus loads as new arrays, writing no shared one."""
@@ -395,6 +407,7 @@ class _OpfProblem:
         bus = np.array([ld.bus for ld in case.loads], int)
         pq = np.array([[ld.p_mw, ld.q_mvar] for ld in case.loads]).reshape(-1, 2) / case.base_mva
         self.p_load, self.q_load = (np.bincount(bus, w, case.n_bus) for w in pq.T)
+        self.s_load = self.p_load + 1j * self.q_load
 
     def for_draw(self, case: GridCase, opts: OpfOptions) -> "_OpfProblem":
         """This grid's problem at case's loads and opts; every other array is shared."""
@@ -420,10 +433,11 @@ class _OpfProblem:
         rows. Returns (S, T, dlogT, dS, that Jacobian)."""
         (a, b), vm, n2 = self.ends, np.abs(V), 2 * len(V)
         T = np.conj(self.y_ab) * V[a] * np.conj(V[b])
-        dlogT = np.stack([np.full(len(T), 1j), np.full(len(T), -1j), 1.0 / vm[a], 1.0 / vm[b]], 1)
+        dlogT = self.dlogT0.copy()
+        dlogT[:, 2], dlogT[:, 3] = 1.0 / vm[a], 1.0 / vm[b]
         dS = T[:, None] * dlogT
         dS[:, 2] += 2.0 * np.conj(self.y_aa) * vm[a]
-        jac = np.bincount(self.jac_at, np.stack([dS.real, dS.imag], 1).ravel(), n2 * n2)
+        jac = np.bincount(self.jac_at, dS.view(float).ravel(), n2 * n2)
         return np.conj(self.y_aa) * vm[a] ** 2 + T, T, dlogT, dS, jac.reshape(n2, n2)
 
     def fun(self, x: np.ndarray):
@@ -435,7 +449,7 @@ class _OpfProblem:
         df[self.ip : self.iq] = self.COST_SCALE * (2.0 * self.cost_c2 * pg + self.cost_c1)
         df[-1] = 1.0
 
-        S = V * np.conj(self.Y @ V) + self.p_load + 1j * self.q_load
+        S = V * np.conj(self.Y @ V) + self.s_load
         inj = [np.bincount(self.gen_bus, w, n) for w in (pg, qg)]  # machines' output per bus
         h = np.concatenate([S.real - inj[0], S.imag - inj[1], self.a_eq @ x])
         dh = self.dh0.copy()
@@ -459,9 +473,7 @@ class _OpfProblem:
     def hess(self, x: np.ndarray, lam: np.ndarray, mu: np.ndarray):
         """Hessian of f + lam @ h + mu @ g (f, h and g as in ``fun``)."""
         n, ctol = self.case.n_bus, self.opts.constraint_tol
-        H = np.zeros((self.nx, self.nx))
-        p = np.arange(self.ip, self.iq)
-        H[p, p] = self.COST_SCALE * 2.0 * self.cost_c2
+        H = self.H0.copy()
         S, T, dlogT, dS, _ = self._branch(x)[1]
         u = self.rate + ctol * x[-1]
         m = np.zeros(len(S))
@@ -527,7 +539,8 @@ class _OpfProblem:
             _, df, h, dh, g, dg = zero.fun(warm.x)
             mu, z, gamma = _ip_start(g, warm.mu)
             lx = df + dh.T @ warm.lam + dg.T @ mu
-            k, rx = _newton_system(zero.hess, warm.x, warm.lam, mu, z, gamma, lx, dh, g, dg)
+            k = np.zeros((self.nx + len(dh),) * 2)
+            rx = _newton_system(k, zero.hess, warm.x, warm.lam, mu, z, gamma, lx, dh, g, dg)
             n2 = 2 * self.case.n_bus  # h's P and Q rows, where the loads enter
             rhs = np.zeros((len(k), 1 + n2))
             rhs[:, 0] = np.concatenate([rx, h])

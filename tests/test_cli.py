@@ -185,6 +185,27 @@ class TestGenBench:
         assert code == 2
         assert json.loads(out)["valid_fraction"] == 0.0
 
+    @pytest.mark.parametrize("concurrency", ["1", "4"])
+    def test_bench_nearest_context_without_context_fails_each_trial(
+        self, capsys, dataset_dir, tmp_path, concurrency
+    ):
+        """A replay backend's SequenceError fails its trial, logged, as an over-budget prompt
+        does; the run still writes its log and report and exits 2 for zero valid trials."""
+        code, out, err = run_cli(
+            capsys, "bench", str(dataset_dir), "--replay", "nearest_context", "--trials", "3",
+            "--context", "0", "--concurrency", concurrency, "--out", str(tmp_path),
+        )
+        assert code == 2, err
+        report_text = (tmp_path / "report.json").read_text()
+        assert report_text == out and json.loads(out)["valid_fraction"] == 0.0
+        trials = [json.loads(line) for line in (tmp_path / "trials.jsonl").read_text().splitlines()]
+        assert [(t["trial_id"], t["valid"], t["reason"]) for t in trials] == [
+            (i, False, "SequenceError: nearest-context replay needs at least one example")
+            for i in range(3)
+        ]
+        again = reaggregate_log(tmp_path / "trials.jsonl", json.loads(report_text)["config"])
+        assert again.to_json() + "\n" == report_text
+
     @pytest.mark.parametrize("concurrency", ["0", "-3"])
     def test_bench_refuses_non_positive_concurrency(
         self, capsys, dataset_dir, tmp_path, concurrency

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridprompt.matpower_io import write_matpower
-from gridprompt.scenario_gen import MutationSpec, generate_dataset, mutate
+from gridprompt.scenario_gen import MutationSpec, _draw, generate_dataset, mutate
 
 
 def test_zero_halfwidth_is_identity(case9):
@@ -33,6 +33,20 @@ def test_bounds_property(case9, seed, index):
     for orig, mut in zip(case9.loads, m.loads):
         assert 0.8 * orig.p_mw <= mut.p_mw <= 1.2 * orig.p_mw
         assert 0.8 * orig.q_mvar <= mut.q_mvar <= 1.2 * orig.q_mvar
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40])
+def test_each_factor_is_its_keyed_streams_first_uniform(seed):
+    """A factor is 1 - h + 2h u, u the first Generator.random() of the stream keyed on
+    (seed, index, load id, field), bit for bit."""
+    for h in (0.2, 0.05):
+        spec = MutationSpec(h, seed=seed)
+        for index in range(50):
+            for load_id in range(30):
+                for code, name in enumerate(("p_mw", "q_mvar")):
+                    ss = np.random.SeedSequence(seed, spawn_key=(index, load_id, code))
+                    u = np.random.Generator(np.random.PCG64(ss)).random()
+                    assert _draw(spec, index, load_id, name) == 1 - h + 2 * h * u
 
 
 def test_determinism_and_distinctness(case9):

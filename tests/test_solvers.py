@@ -1,5 +1,7 @@
 import dataclasses
 import importlib.util
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -746,6 +748,34 @@ def test_predicted_starts_do_not_depend_on_the_draw_order(case30):
             got, want = (getattr(sol[i].controls, part) for sol in (reverse, forward))
             assert (got is None and want is None) or got.tobytes() == want.tobytes(), (i, part)
     solvers._grid_problem.cache_clear()
+
+
+def test_draws_solved_on_two_threads_equal_a_serial_loop(case30, case30_warm):
+    """Draws of one grid solved at once on two threads, each building its own Newton
+    matrix and arrays and both reaching for the shared predictor slot, give a serial
+    loop's answers, stats and bytes."""
+    draws = [mutate(case30, MutationSpec(0.2, seed=0), i) for i in range(8)]
+
+    def solve(draw):
+        return solve_opf(draw, case30_warm)
+
+    solvers._grid_problem.cache_clear()
+    serial = [solve(draw) for draw in draws]
+    solvers._grid_problem.cache_clear()  # both threads find the predictor slot empty
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, between most numpy calls
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(solve, draws))
+    finally:
+        sys.setswitchinterval(interval)
+        solvers._grid_problem.cache_clear()
+    assert [sol.feasible for sol in serial].count(False) == 2  # draws 0 and 4
+    for i, (got, want) in enumerate(zip(threaded, serial)):
+        assert got == want and got.stats == want.stats, i
+        for part in ("x", "lam", "mu"):
+            a, b = getattr(got.controls, part), getattr(want.controls, part)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), (i, part)
 
 
 def test_singular_predictor_starts_from_the_warm_x(case9, monkeypatch):
