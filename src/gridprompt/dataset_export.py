@@ -215,6 +215,8 @@ def load_solved_dataset(root: str | Path) -> SolvedDataset:
     path = root / "manifest.json"
     try:
         manifest = json.loads(read_utf8(path, DatasetError))
+        if manifest["schema"] != MANIFEST_SCHEMA:
+            raise DatasetError(f"{path}: schema {manifest['schema']!r} is not {MANIFEST_SCHEMA}")
         indices = [meta["index"] for meta in manifest["entries"]]
         rejected = list(manifest["rejected"])
     except (ValueError, LookupError, TypeError) as exc:

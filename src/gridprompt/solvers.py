@@ -24,23 +24,23 @@ excess reachable near the start, with the soft row of largest multiplier
 named.
 
 One object, ``_OpfProblem``, is a grid's model, built once per grid in
-``_grid_problem``'s memo: network arrays, bus roles, bounds, limits, and the
-constant parts of the derivatives as read-only templates that each call copies
-(``dh0``, ``dg0``, ``dlogT0``, ``H0``). Each draw, and ``solve_pf``, takes a copy
-that adds only its loads (``_draw``); each solve, one ``_mips`` call, fills one
-Newton matrix, whose zero (h, h) block no iterate rewrites; each iterate builds
-its voltages and line-end terms once for ``fun`` and ``hess`` (``_branch``), and
-every call returns arrays it owns. ``validate_case`` has checked the bus
-roles, and the slack machine is ``GridCase.slack_gen``. A converged solve
-hands on its primal-dual point (``OpfSolution.controls``: x and the
-multipliers of h and g). As ``OpfOptions.x0`` it starts a related draw from a
-predictor (Fiacco, Math. Programming 1976; Zavala & Biegler, Automatica
-2009): loads enter h alone, so the interior-point Newton system at that point
-is the same for every draw but for h's P and Q rows, and is solved once per
-warm start; a draw's first step is then one product with its loads. The draw
-starts at the power flow of the stepped controls and at the stepped
-multipliers: about 4.7 iterations per case9 draw and 8.4 per feasible case30
-draw, against 5.7 and 10.0 from the warm point itself.
+``_grid_problem``'s memo and then written only in its predictor slot: network
+arrays, bus roles, bounds, limits, and the constant parts of the derivatives as
+read-only templates that each call copies (``dh0``, ``dg0``, ``dlogT0``,
+``H0``). Draws pass their loads, ``loads(case)``, to the methods that use them;
+each solve, one ``_mips`` call, fills one Newton matrix, whose zero (h, h) block
+no iterate rewrites; each iterate's ``fun`` builds its line-end terms once and
+hands them to the ``hess`` it returns, and every call returns arrays it owns.
+``validate_case`` has checked the bus roles, and the slack machine is
+``GridCase.slack_gen``. A converged solve hands on its primal-dual point
+(``OpfSolution.controls``: x and the multipliers of h and g). As
+``OpfOptions.x0`` it starts a related draw from a predictor (Fiacco, Math.
+Programming 1976; Zavala & Biegler, Automatica 2009): loads enter h alone, so
+the interior-point Newton system at that point is the same for every draw but
+for h's P and Q rows, and is solved once per warm start; a draw's first step is
+then one product with its loads. The draw starts at the power flow of the
+stepped controls and at the stepped multipliers: about 4.7 iterations per case9
+draw and 8.4 per feasible case30 draw, against 5.7 and 10.0 from the warm point.
 
 One method, ``_OpfProblem.power_flow``, is the module's one Newton-Raphson power
 flow: at given controls (non-slack P, machine |V|) it returns the voltages, x
@@ -59,7 +59,6 @@ perfbench's tracer sums each result's ``nit`` and ``nfev``, and two tests count 
 """
 from __future__ import annotations
 
-import copy
 import functools
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
@@ -154,10 +153,10 @@ def solve_pf(
     """
     for name, values in (("gen_p_mw", gen_p_mw), ("gen_vm_pu", gen_vm_pu)):
         _check_length(name, values, len(case.generators))
-    prob, base = _problem(case, OpfOptions()), case.base_mva
+    prob, base = _problem(case), case.base_mva
     gen_p = prob.gen_p0 if gen_p_mw is None else np.array(gen_p_mw, float) / base
     gen_vm = prob.gen_vm0 if gen_vm_pu is None else np.array(gen_vm_pu, float)
-    pf = prob.power_flow(gen_p, gen_vm, None, tol, max_iter)
+    pf = prob.power_flow(prob.loads(case), gen_p, gen_vm, None, tol, max_iter)
     return PfSolution(
         vm_pu=np.abs(pf.V), va_deg=np.degrees(np.angle(pf.V)),
         gen_p_mw=pf.x[prob.ip : prob.iq] * base, gen_q_mvar=pf.x[prob.iq : -1] * base,
@@ -185,11 +184,11 @@ def _ip_start(g: np.ndarray, mu0: np.ndarray):
     return mu, z, 0.1 * (z @ mu) / len(z)
 
 
-def _newton_system(k, hess, x, lam, mu, z, gamma, lx, dh, g, dg):
+def _newton_system(k, hess, lam, mu, z, gamma, lx, dh, g, dg):
     """Fill _mips's Newton matrix k at (x, lam, mu, z) but its zero (h, h) block, and return
     the x block of the right-hand side, lx being the Lagrangian's gradient; the rest is h."""
-    nx, zinv = len(x), 1.0 / z
-    np.add(hess(x, lam, mu), dg.T @ ((mu * zinv)[:, None] * dg), out=k[:nx, :nx])
+    nx, zinv = len(lx), 1.0 / z
+    np.add(hess(lam, mu), dg.T @ ((mu * zinv)[:, None] * dg), out=k[:nx, :nx])
     k[:nx, nx:], k[nx:, :nx] = dh.T, dh
     return lx + dg.T @ (zinv * (mu * g + gamma))
 
@@ -220,13 +219,13 @@ class _MipsResult:
     message: str
 
 
-def _mips(fun, x0, hess, maxiter, tol, lam0, mu0, scaled):
+def _mips(fun, x0, maxiter, tol, lam0, mu0, scaled):
     """MATPOWER's primal-dual interior-point loop (MIPS), dense: ``optimize.minimize``,
     the seam of ``_OpfProblem.solve`` (see the module docstring).
 
     Minimizes f subject to h(x) = 0 and g(x) <= 0, where ``fun(x)`` returns
-    (f, df, h, dh, g, dg) and ``hess(x, lam, mu)`` the Hessian of
-    f + lam @ h + mu @ g. Converged when the feasibility, stationarity,
+    (f, df, h, dh, g, dg, hess), ``hess(lam, mu)`` being the Hessian of
+    f + lam @ h + mu @ g at x. Converged when the feasibility, stationarity,
     complementarity and cost-change conditions, each scaled as in MIPS, are
     all under ``tol``, the feasibility and complementarity scales counting only
     the leading ``scaled = (nx, nz)`` entries of x and of the slacks z;
@@ -241,7 +240,7 @@ def _mips(fun, x0, hess, maxiter, tol, lam0, mu0, scaled):
         return np.abs(v).max(initial=0.0)
 
     x = np.array(x0, dtype=float)
-    f, df, h, dh, g, dg = fun(x)
+    f, df, h, dh, g, dg, hess = fun(x)
     lam, (mu, z, gamma) = lam0, _ip_start(g, mu0)
     nx, nz = scaled
     f_prev, nit, nfev, step = f, 0, 1, (1.0, 1.0)
@@ -264,7 +263,7 @@ def _mips(fun, x0, hess, maxiter, tol, lam0, mu0, scaled):
             message = "stalled"
             break
         nit += 1
-        rx = _newton_system(k, hess, x, lam, mu, z, gamma, lx, dh, g, dg)
+        rx = _newton_system(k, hess, lam, mu, z, gamma, lx, dh, g, dg)
         try:
             d = np.linalg.solve(k, -np.concatenate([rx, h]))
         except np.linalg.LinAlgError:
@@ -273,7 +272,7 @@ def _mips(fun, x0, hess, maxiter, tol, lam0, mu0, scaled):
         x, lam, mu, z, step = _newton_step(d, x, lam, mu, z, g, dg, gamma)
         gamma = 0.1 * (z @ mu) / len(z)
         f_prev = f
-        f, df, h, dh, g, dg = fun(x)
+        f, df, h, dh, g, dg, hess = fun(x)
         nfev += 1
     return _MipsResult(x, lam, mu, float(kkt), nit, nfev, message)
 
@@ -298,11 +297,10 @@ class _OpfProblem:
     """
 
     COST_SCALE = 1e-4  # $/h to the interior-point objective, as in MATPOWER
-    _at = (None,)  # (x bytes, V, line_ends(V)) of the last iterate; grid alone
 
-    def __init__(self, case: GridCase, opts: OpfOptions):
-        self._draw(case, opts)
-        self._predicted = [(None, None)]  # (warm start, its _predictor), shared by for_draw
+    def __init__(self, case: GridCase):
+        self.case = case
+        self._predicted = (None, None)  # (warm start, its _predictor): written after __init__
         n = case.n_bus
         self.Y = admittance_matrix(case)
         kinds = [b.bus_kind for b in case.buses]
@@ -385,7 +383,7 @@ class _OpfProblem:
         self.rate, self.b_bound = bound[:nr], sign[nr:] * bound[nr:]
         self.lim_at = np.arange(nr)[:, None], cols[self.rated]  # in dg's limit rows
         self.a_bound = (col[nr:, None] == np.arange(self.nx)) * sign[nr:, None]
-        self.a_bound[self.soft[nr:], -1] = -opts.constraint_tol
+        self.a_bound[self.soft[nr:], -1] = -OpfOptions.constraint_tol
         self.con_names = [lim.name for lim in self.limits if lim.soft]
         # fun's dh and dg with their constant blocks set; fun fills copies
         self.dh0 = np.vstack([np.zeros((2 * n, self.nx)), self.a_eq])
@@ -401,19 +399,12 @@ class _OpfProblem:
         for template in (self.dh0, self.dg0, self.dlogT0, self.H0):
             template.setflags(write=False)
 
-    def _draw(self, case: GridCase, opts: OpfOptions):
-        """Set case, opts and case's per-unit bus loads as new arrays, writing no shared one."""
-        self.case, self.opts = case, opts
+    @staticmethod
+    def loads(case: GridCase):
+        """case's per-unit bus loads (P, Q), as new arrays: what a draw passes to the model."""
         bus = np.array([ld.bus for ld in case.loads], int)
         pq = np.array([[ld.p_mw, ld.q_mvar] for ld in case.loads]).reshape(-1, 2) / case.base_mva
-        self.p_load, self.q_load = (np.bincount(bus, w, case.n_bus) for w in pq.T)
-        self.s_load = self.p_load + 1j * self.q_load
-
-    def for_draw(self, case: GridCase, opts: OpfOptions) -> "_OpfProblem":
-        """This grid's problem at case's loads and opts; every other array is shared."""
-        prob = copy.copy(self)
-        prob._draw(case, opts)
-        return prob
+        return tuple(np.bincount(bus, w, case.n_bus) for w in pq.T)
 
     def voltages(self, x: np.ndarray) -> np.ndarray:
         n = self.case.n_bus
@@ -440,16 +431,17 @@ class _OpfProblem:
         jac = np.bincount(self.jac_at, dS.view(float).ravel(), n2 * n2)
         return np.conj(self.y_aa) * vm[a] ** 2 + T, T, dlogT, dS, jac.reshape(n2, n2)
 
-    def fun(self, x: np.ndarray):
-        """Scaled cost plus s, h, g and their Jacobians at x: the interior-point callback."""
-        n, ctol = self.case.n_bus, self.opts.constraint_tol
-        (V, (S_end, _, _, dS, jac)), pg, qg = self._branch(x), x[self.ip : self.iq], x[self.iq : -1]
+    def fun(self, x: np.ndarray, s_load: np.ndarray):
+        """Scaled cost plus s, h, g, their Jacobians and hess(lam, mu) at x, loads s_load."""
+        n, ctol = self.case.n_bus, OpfOptions.constraint_tol
+        V, pg, qg = self.voltages(x), x[self.ip : self.iq], x[self.iq : -1]
+        ends = S_end, _, _, dS, jac = self.line_ends(V)
         f = self.COST_SCALE * (((self.cost_c2 * pg + self.cost_c1) @ pg) + self.cost_c0) + x[-1]
         df = np.zeros(self.nx)
         df[self.ip : self.iq] = self.COST_SCALE * (2.0 * self.cost_c2 * pg + self.cost_c1)
         df[-1] = 1.0
 
-        S = V * np.conj(self.Y @ V) + self.s_load
+        S = V * np.conj(self.Y @ V) + s_load
         inj = [np.bincount(self.gen_bus, w, n) for w in (pg, qg)]  # machines' output per bus
         h = np.concatenate([S.real - inj[0], S.imag - inj[1], self.a_eq @ x])
         dh = self.dh0.copy()
@@ -461,20 +453,13 @@ class _OpfProblem:
         dg = self.dg0.copy()
         dg[self.lim_at] = (np.conj(Sbr)[:, None] * dS[self.rated]).real / u[:, None]
         dg[: len(u), -1] = -ctol * (flow2 + u * u) / (2.0 * u * u)
-        return f, df, h, dh, g, dg
+        return f, df, h, dh, g, dg, functools.partial(self.hess, x, ends)
 
-    def _branch(self, x: np.ndarray):
-        """Voltages V and ``line_ends(V)`` at x: computed once per iterate for fun and hess."""
-        if self._at[0] != x.tobytes():
-            V = self.voltages(x)
-            self._at = (x.tobytes(), V, self.line_ends(V))
-        return self._at[1:]
-
-    def hess(self, x: np.ndarray, lam: np.ndarray, mu: np.ndarray):
-        """Hessian of f + lam @ h + mu @ g (f, h and g as in ``fun``)."""
-        n, ctol = self.case.n_bus, self.opts.constraint_tol
+    def hess(self, x: np.ndarray, ends, lam: np.ndarray, mu: np.ndarray):
+        """Hessian of f + lam @ h + mu @ g (as in ``fun``), ends being ``line_ends`` at x."""
+        n, ctol = self.case.n_bus, OpfOptions.constraint_tol
         H = self.H0.copy()
-        S, T, dlogT, dS, _ = self._branch(x)[1]
+        S, T, dlogT, dS, _ = ends
         u = self.rate + ctol * x[-1]
         m = np.zeros(len(S))
         m[self.rated] = mu[: len(u)] / u  # a line row is |S|^2 / (2u) - u / 2
@@ -495,14 +480,13 @@ class _OpfProblem:
         H[-1, -1] = ctol * ctol * (k / u) @ (Sbr * np.conj(Sbr)).real
         return H
 
-    def start(self) -> PrimalDual | None:
-        """_mips's start, None if its power flow diverges: x is the power flow at the
-        controls of the warm start's predicted step (see ``_predictor``), of its x if it
-        has no predictor, or of the case's setpoints, clipped to their bounds, with s
-        at its worst soft excess (none below 0); the multipliers are the predicted ones,
-        else lam = 0 and mu = 1."""
-        opts, n = self.opts, self.case.n_bus
-        warm, lam, mu = opts.x0, np.zeros(len(self.dh0)), np.ones(len(self.dg0))
+    def start(self, loads, warm: PrimalDual | None) -> PrimalDual | None:
+        """_mips's start at bus loads (P, Q), None if its power flow diverges: x is the
+        power flow at the controls of warm's predicted step (see ``_predictor``), of its
+        x if it has no predictor, or of the case's setpoints if warm is None, clipped to
+        their bounds, with s at its worst soft excess (none below 0); the multipliers
+        are the predicted ones, else lam = 0 and mu = 1."""
+        n, lam, mu = self.case.n_bus, np.zeros(len(self.dh0)), np.ones(len(self.dg0))
         if warm is None:
             gen_p, gen_vm, v0 = self.gen_p0, self.gen_vm0, None
         else:
@@ -512,16 +496,16 @@ class _OpfProblem:
             predictor = None if warm.lam is None else self._predictor(warm)
             if predictor is not None:
                 d0, dload, mu, z, gamma, g, dg = predictor
-                d = d0 + dload @ np.concatenate([self.p_load, self.q_load])
+                d = d0 + dload @ np.concatenate(loads)
                 x, lam, mu, _, _ = _newton_step(d, x, warm.lam, mu, z, g, dg, gamma)
             (gen_p, gen_vm), v0 = self.controls(x), self.voltages(x)
         gen_p = np.clip(gen_p, self.lb[self.ip : self.iq], self.ub[self.ip : self.iq])
         gen_vm = np.clip(gen_vm, self.lb[n + self.gen_bus], self.ub[n + self.gen_bus])
-        pf = self.power_flow(gen_p, gen_vm, v0)
+        pf = self.power_flow(loads, gen_p, gen_vm, v0)
         if not pf.converged:
             return None
         x = pf.x
-        x[-1] = max(pf.excess.max(), 0.0) / opts.constraint_tol
+        x[-1] = max(pf.excess.max(), 0.0) / OpfOptions.constraint_tol
         # s >= 0's multiplier restarts at a cold share of s's unit cost, which at an
         # l-infinity minimum it splits with the soft rows
         mu[-1] = 1.0 / (self.soft.sum() + 1)
@@ -533,14 +517,13 @@ class _OpfProblem:
         at g and dg; None if the Newton matrix is singular. Loads enter h alone, so this
         is built once per warm start, at zero load, and held in a slot that this grid's
         draws share: every draw steps from the same arrays, whichever came first."""
-        held = self._predicted[0]
+        held = self._predicted
         if held[0] is not warm:
-            zero = self.for_draw(self.case.with_loads(()), self.opts)
-            _, df, h, dh, g, dg = zero.fun(warm.x)
+            _, df, h, dh, g, dg, hess = self.fun(warm.x, np.zeros(self.case.n_bus, complex))
             mu, z, gamma = _ip_start(g, warm.mu)
             lx = df + dh.T @ warm.lam + dg.T @ mu
             k = np.zeros((self.nx + len(dh),) * 2)
-            rx = _newton_system(k, zero.hess, warm.x, warm.lam, mu, z, gamma, lx, dh, g, dg)
+            rx = _newton_system(k, hess, warm.lam, mu, z, gamma, lx, dh, g, dg)
             n2 = 2 * self.case.n_bus  # h's P and Q rows, where the loads enter
             rhs = np.zeros((len(k), 1 + n2))
             rhs[:, 0] = np.concatenate([rx, h])
@@ -551,18 +534,20 @@ class _OpfProblem:
                 held = warm, None
             else:
                 held = warm, (d[:, 0], d[:, 1:], mu, z, gamma, g, dg)
-            self._predicted[0] = held
+            self._predicted = held
         return held[1]
 
-    def power_flow(self, gen_p: np.ndarray, gen_vm: np.ndarray, v0: np.ndarray | None,
+    def power_flow(self, loads, gen_p: np.ndarray, gen_vm: np.ndarray, v0: np.ndarray | None,
                    tol: float = OpfOptions.pf_tol, max_iter: int = OpfOptions.pf_max_iter):
-        """The Newton-Raphson power flow at controls (gen_p, gen_vm) from v0, else a flat
-        start: its voltages V; its x with s = 0, the slack machine's P closing its bus's
-        balance less co-located setpoints and each bus's Q split by ``q_weight``; if it
-        converged (largest mismatch within tol in max_iter iterations), the soft rows of g
-        there, in ``con_names``'s order, each a per-unit excess (a line row is |S| - rate,
-        so one tolerance fits all), else None; then converged, iterations and mismatch."""
+        """The Newton-Raphson power flow at bus loads (P, Q) and controls (gen_p, gen_vm)
+        from v0, else a flat start: its voltages V; its x with s = 0, the slack machine's P
+        closing its bus's balance less co-located setpoints and each bus's Q split by
+        ``q_weight``; if it converged (largest mismatch within tol in max_iter iterations),
+        the soft rows of g there, in ``con_names``'s order, each a per-unit excess (a line
+        row is |S| - rate, so one tolerance fits all), else None; then converged,
+        iterations and mismatch."""
         n, pq, pvpq, sb = len(self.Y), self.pq, self.pvpq, self.slack_bus
+        p_load, q_load = loads
         rc = np.concatenate([pvpq, n + pq])  # P at pvpq, Q at pq; Va at pvpq, Vm at pq
         vm_fixed = gen_vm[self.vm_set_gen]
         V = np.ones(n, dtype=complex) if v0 is None else v0.copy()
@@ -570,7 +555,7 @@ class _OpfProblem:
         V[self.fixed] = vm_fixed * V[self.fixed] / np.abs(V[self.fixed])
         V[sb] = vm_fixed[0]  # slack angle = 0
         sums = np.bincount(self.gen_bus[self.free], gen_p[self.free], n)  # slack's left out
-        p_spec, q_spec = sums - self.p_load, -self.q_load
+        p_spec, q_spec = sums - p_load, -q_load
 
         def mismatch(V):  # S, and the mismatch's largest entry
             S = V * np.conj(self.Y @ V)
@@ -591,8 +576,8 @@ class _OpfProblem:
             it, (S, F, norm) = it + 1, mismatch(V)
 
         p = gen_p.copy()
-        p[self.slack_i] = S.real[sb] + self.p_load[sb] - sums[sb]
-        q = self.q_weight * (S.imag + self.q_load)[self.gen_bus]
+        p[self.slack_i] = S.real[sb] + p_load[sb] - sums[sb]
+        q = self.q_weight * (S.imag + q_load)[self.gen_bus]
         x = np.concatenate([np.angle(V), np.abs(V), p, q, [0.0]])
         converged = norm <= tol  # False for a NaN mismatch too
         if not converged:  # V may be far off: no line-end flows
@@ -601,25 +586,29 @@ class _OpfProblem:
         excess = np.concatenate([flow - self.rate, self.a_bound @ x - self.b_bound])[self.soft]
         return _PowerFlow(V, x, excess, converged, it, norm)
 
-    def solve(self) -> OpfSolution:
-        start = self.start()
+    def solve(self, case: GridCase, opts: OpfOptions) -> OpfSolution:
+        loads = self.loads(case)
+        start = self.start(loads, opts.x0)
         if start is None:
-            return self._result(None, "pf_diverged: initial power flow diverged", None)
+            return self._result(loads, None, "pf_diverged: initial power flow diverged", None)
+        s_load = loads[0] + 1j * loads[1]
         res = optimize.minimize(
-            self.fun, start.x, self.hess, maxiter=self.opts.max_outer,
-            tol=self.opts.optimality_tol, lam0=start.lam, mu0=start.mu,
+            lambda x: self.fun(x, s_load), start.x, maxiter=opts.max_outer,
+            tol=OpfOptions.optimality_tol, lam0=start.lam, mu0=start.mu,
             # not s and its row's slack, last in x and g: at s ~ 50 on a rejected
             # draw they loosened the feasibility test ~20-fold
             scaled=(self.nx - 1, len(self.limits) - 1),
         )
         converged = res.message == "converged"
         point = PrimalDual(res.x, res.lam, res.mu) if converged else PrimalDual(res.x)
-        return self._result(point, res.message, SolveStats(res.nit, res.nfev, res.message, res.kkt))
+        stats = SolveStats(res.nit, res.nfev, res.message, res.kkt)
+        return self._result(loads, point, res.message, stats)
 
     def _result(
-        self, point: PrimalDual | None, reason: str, stats: SolveStats | None
+        self, loads, point: PrimalDual | None, reason: str, stats: SolveStats | None
     ) -> OpfSolution:
-        """The solution at point.x, checked by an independent power flow at its controls.
+        """The solution at point.x, checked by an independent power flow at bus loads
+        (P, Q) and point's controls.
 
         Feasible only when the interior-point loop converged and the power
         flow meets every limit; otherwise the message is the reason, then by
@@ -629,7 +618,7 @@ class _OpfProblem:
         names its most violated row.
         """
         if point is not None:
-            pf = self.power_flow(*self.controls(point.x), self.voltages(point.x))
+            pf = self.power_flow(loads, *self.controls(point.x), self.voltages(point.x))
         if point is None or not pf.converged:
             return OpfSolution(
                 gen=(), slack=(self.gens[self.slack_i].id, float("nan"), float("nan")),
@@ -644,7 +633,7 @@ class _OpfProblem:
         # never empty: the parser refuses Inf, so slack P's bounds are finite soft rows
         viol = float(gv.max())
         converged = reason == "converged"
-        feasible = converged and viol <= self.opts.constraint_tol
+        feasible = converged and viol <= OpfOptions.constraint_tol
         worst = int(np.argmax(point.mu[self.soft] if converged else gv))
         reason = "infeasible" if converged else reason
         name = self.con_names[worst]
@@ -676,19 +665,19 @@ def solve_opf(case: GridCase, opts: OpfOptions | None = None) -> OpfSolution:
     Infeasibility or non-convergence comes back as ``feasible=False`` with a
     diagnostic message; only a structurally broken problem raises.
     """
-    return _problem(case, opts or OpfOptions()).solve()
+    return _problem(case).solve(case, opts or OpfOptions())
 
 
-def _problem(case: GridCase, opts: OpfOptions) -> _OpfProblem:
-    """case's problem at its loads and opts, from the memo of its grid."""
+def _problem(case: GridCase) -> _OpfProblem:
+    """The model of case's grid, from its memo."""
     grid = {f.name: getattr(case, f.name) for f in fields(case) if f.name not in ("loads", "name")}
-    return _grid_problem(**grid).for_draw(case, opts)
+    return _grid_problem(**grid)
 
 
 @functools.lru_cache(maxsize=1)
 def _grid_problem(**grid) -> _OpfProblem:
-    """The zero-load problem of one grid, kept for its next draw or power flow; nothing writes it.
+    """The model of one grid, kept for its next draw or power flow; only ``_predictor`` writes it.
 
     ``grid`` is every GridCase field but ``loads`` and ``name``: ``external_bus_ids`` too.
     """
-    return _OpfProblem(GridCase(name="", loads=(), **grid), OpfOptions())
+    return _OpfProblem(GridCase(name="", loads=(), **grid))

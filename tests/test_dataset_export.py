@@ -252,18 +252,25 @@ class TestLazyScenarios:
             make_trials(ds.entries, 1, 4, seed=0)
 
 
+def v1(fields: str) -> str:
+    """A manifest of the current schema with the given JSON fields."""
+    return '{"schema": "gridprompt/dataset/v1", ' + fields + "}"
+
+
 @pytest.mark.parametrize("text", [
-    "{not json", "[]", '{"rejected": []}', '{"entries": []}', '{"entries": [{}], "rejected": []}',
-    '{"entries": [], "rejected": 3}', None,
-    '{"entries": [{"index": true}], "rejected": []}',
-    '{"entries": [{"index": "3"}], "rejected": []}',
-    '{"entries": [{"index": "../truth/0"}], "rejected": []}',
-    '{"entries": [{"index": 2.0}], "rejected": []}',
-    '{"entries": [{"index": -1}], "rejected": []}',
-    '{"entries": [{"index": 1}, {"index": 2}, {"index": 1}], "rejected": []}',
+    "{not json", "[]", v1('"rejected": []'), v1('"entries": []'),
+    v1('"entries": [{}], "rejected": []'), v1('"entries": [], "rejected": 3'), None,
+    v1('"entries": [{"index": true}], "rejected": []'),
+    v1('"entries": [{"index": "3"}], "rejected": []'),
+    v1('"entries": [{"index": "../truth/0"}], "rejected": []'),
+    v1('"entries": [{"index": 2.0}], "rejected": []'),
+    v1('"entries": [{"index": -1}], "rejected": []'),
+    v1('"entries": [{"index": 1}, {"index": 2}, {"index": 1}], "rejected": []'),
+    '{"entries": [], "rejected": []}',
+    '{"schema": "gridprompt/dataset/v0", "entries": [], "rejected": []}',
 ], ids=["not-json", "list", "no-entries", "no-rejected", "no-index", "rejected-not-a-list",
         "missing", "index-bool", "index-str", "index-path", "index-float", "index-negative",
-        "index-repeated"])
+        "index-repeated", "no-schema", "schema-v0"])
 def test_bad_manifest_named(dataset9_copy, text):
     path = dataset9_copy / "manifest.json"
     if text is None:
@@ -272,6 +279,24 @@ def test_bad_manifest_named(dataset9_copy, text):
         path.write_text(text)
     with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: "):
         load_solved_dataset(dataset9_copy)
+
+
+@pytest.mark.parametrize("schema, detail", [
+    (None, "KeyError: 'schema'"),
+    ("gridprompt/dataset/v0", "schema 'gridprompt/dataset/v0' is not gridprompt/dataset/v1"),
+])
+def test_manifest_of_another_schema_refused(dataset9_copy, schema, detail):
+    """A dataset that another version wrote is refused before any entry is read,
+    naming the manifest and the schema found there."""
+    path = dataset9_copy / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest.pop("schema")
+    if schema is not None:
+        manifest["schema"] = schema
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError) as err:
+        load_solved_dataset(dataset9_copy)
+    assert str(err.value) == f"{path}: {detail}"
 
 
 @pytest.mark.parametrize("sub", ["embeddings", "solutions"])

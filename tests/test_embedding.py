@@ -40,6 +40,15 @@ def _tables(doc: dict) -> dict:
     return doc["nodes"] if doc["kind"] == "graph" else doc
 
 
+@pytest.mark.parametrize("kind, decimals, message", [
+    ("json", 4, "unknown embedding kind 'json'"), ("table", 0, "decimals must be >= 1"),
+])
+def test_embedding_format_refused(kind, decimals, message):
+    with pytest.raises(ValueError) as err:
+        EmbeddingFormat(kind, decimals)
+    assert str(err.value) == message
+
+
 class TestEmbedGrid:
     def test_case9_graph_edge_count(self, case9):
         doc = json.loads(embed_grid(to_hetero(case9), GRAPH))
@@ -253,6 +262,13 @@ class TestSolutionDoc:
             doc["gen"][0][field] = value
             with pytest.raises(InvalidResponse, match="missing or invalid values"):
                 parse_solution_doc(json.dumps(doc))
+
+    def test_row_that_is_not_an_object_is_invalid(self, opf9):
+        doc = json.loads(encode_solution(opf9))
+        doc["bus"][0] = [0, 1.0, 0.0]
+        with pytest.raises(InvalidResponse) as err:
+            parse_solution_doc(json.dumps(doc))
+        assert str(err.value) == "missing or invalid values: 'bus' row"
 
     @pytest.mark.parametrize("rid", [1.7, True, False, float("inf")])
     def test_fractional_or_boolean_id_is_invalid(self, opf9, rid):

@@ -76,6 +76,13 @@ class TestScore:
         with pytest.raises(ScoringError, match="missing or invalid values"):
             score(pred, truth, 100.0)
 
+    def test_duplicate_predicted_id_raises(self):
+        truth = _toy_truth()
+        pred = _doc_from(truth, gen=truth.gen + (truth.gen[0],))
+        with pytest.raises(ScoringError) as err:
+            score(pred, truth, 100.0)
+        assert str(err.value) == "duplicate ids in predicted gen"
+
     def test_unknown_id_raises(self):
         truth = _toy_truth()
         pred = _doc_from(truth, gen=truth.gen + ((9, 1.0, 1.0),))

@@ -124,6 +124,24 @@ class TestCaseValidation:
                 case, lines=(Line(id=0, from_bus=1, to_bus=1, r_pu=0, x_pu=0.1),)
             )
 
+    @pytest.mark.parametrize("table, i, changes, message", [
+        ("buses", 1, {"id": 5}, "bus ids must be dense 0..1, got 5 at 1"),
+        ("buses", 0, {"vm_min": 1.1, "vm_max": 0.9}, "bus 0: vm_min 1.1 > vm_max 0.9"),
+        ("generators", 0, {"bus": 5}, "generator 0 references missing bus 5"),
+        ("generators", 0, {"p_min_mw": 600.0}, "generator 0: p_min > p_max"),
+        ("generators", 0, {"q_min_mvar": 600.0}, "generator 0: q_min > q_max"),
+        ("lines", 0, {"to_bus": 5}, "line 0 references a missing bus"),
+        ("lines", 0, {"tap_ratio": 0.0}, "line 0 has non-positive tap ratio"),
+    ], ids=["sparse-bus-ids", "vm-bounds", "gen-missing-bus", "p-bounds", "q-bounds",
+            "line-missing-bus", "zero-tap"])
+    def test_broken_component_named(self, table, i, changes, message):
+        case = two_bus_case()
+        rows = list(getattr(case, table))
+        rows[i] = dataclasses.replace(rows[i], **changes)
+        with pytest.raises(GridError) as err:
+            dataclasses.replace(case, **{table: tuple(rows)})
+        assert str(err.value) == message
+
     def test_disconnected_rejected(self):
         case = two_bus_case()
         with pytest.raises(GridError, match="not connected"):

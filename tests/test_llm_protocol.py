@@ -86,6 +86,19 @@ class TestValidateSequence:
         with pytest.raises(SequenceError, match="message 1"):
             validate_sequence(seq)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_rejects_odd_message_count(self, count):
+        roles = ["system", "user", "assistant"][:count]
+        seq = PromptSequence(tuple(ChatMessage(role, "m") for role in roles))
+        with pytest.raises(SequenceError) as err:
+            validate_sequence(seq)
+        assert str(err.value) == f"expected an even message count >= 2, got {count}"
+
+    def test_rejects_unknown_role(self):
+        with pytest.raises(SequenceError) as err:
+            ChatMessage("tool", "t")
+        assert str(err.value) == "unknown role 'tool'"
+
     def test_rejects_empty_content(self):
         with pytest.raises(SequenceError, match="empty"):
             ChatMessage("user", "")

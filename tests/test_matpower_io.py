@@ -100,7 +100,32 @@ class TestParse:
         with pytest.raises(MatpowerParseError, match="branch"):
             parse_matpower(text)
 
-    def test_out_of_service_branch_dropped_with_warning(self):
+    @pytest.mark.parametrize("old, new, error, message", [
+        ("mpc.version = '2';", "mpc.version = '1';",
+         UnsupportedFeatureError, "line 2: only case format version 2 is supported"),
+        ("10 0;\n];", "10 0;\n", MatpowerParseError, "line 16: unterminated matrix gencost"),
+        ("3 0.1 10 0;", "3 0.1 10;", MatpowerParseError, "gencost row 1: expected 3 coefficients"),
+        ("3 0.1 10 0;", "4 0 0.1 10 0;",
+         UnsupportedFeatureError, "gencost row 1: polynomial degree > 2 not supported"),
+        ("    9  1  0", "    5  1  0", MatpowerParseError, "duplicate bus numbers in mpc.bus"),
+        ("    9  1  0", "    9  4  0", UnsupportedFeatureError, "bus 9: unsupported bus type 4"),
+        ("    2 0 0 3 0.1 10 0;", "    2 0 0 3 0.1 10 0;\n    2 0 0 3 0.1 10 0;",
+         MatpowerParseError, "gencost has 2 rows for 1 generators"),
+        ("    1  10  0  100", "    7  10  0  100",
+         MatpowerParseError, "generator 0 references unknown bus 7"),
+        ("    5  9  0.01", "    5  7  0.01", MatpowerParseError, "branch 1 references an unknown bus"),
+        ("100 0 0 1 -360 360;\n    5", "100 0 5 1 -360 360;\n    5",
+         UnsupportedFeatureError, "branch 0: phase shifters not supported"),
+    ], ids=["version-1", "unterminated-matrix", "few-coefficients", "cubic-cost",
+            "duplicate-bus", "bus-type-4", "gencost-rows", "gen-unknown-bus",
+            "branch-unknown-bus", "phase-shifter"])
+    def test_refusal_names_its_cause(self, old, new, error, message):
+        assert MINI_CASE.count(old) == 1
+        with pytest.raises(MatpowerParseError) as err:
+            parse_matpower(MINI_CASE.replace(old, new))
+        assert type(err.value) is error and str(err.value) == message
+
+    def test_out_of_service_branch_dropped(self):
         text = MINI_CASE.replace(
             "5  9  0.01 0.1 0.02 100 100 100 0 0 1 -360 360;",
             "5  9  0.01 0.1 0.02 100 100 100 0 0 0 -360 360;\n    5  9  0.02 0.2 0 100 100 100 0 0 1 -360 360;",

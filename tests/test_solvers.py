@@ -13,6 +13,7 @@ from gridprompt.scenario_gen import MutationSpec, mutate
 from gridprompt.solvers import (
     OpfOptions,
     PrimalDual,
+    SolverError,
     SolveStats,
     _OpfProblem,
     generation_cost,
@@ -292,10 +293,10 @@ class TestOpf:
         ))
         cut = solve_opf(tight, OpfOptions(max_outer=1))  # the cap stops the solve
         assert cut.message.startswith("max_outer: slack gen 0 P max over by")
-        prob = _OpfProblem(case9, OpfOptions())
-        x = prob.start().x
+        prob, loads = _OpfProblem(case9), _OpfProblem.loads(case9)
+        x = prob.start(loads, None).x
         x[case9.n_bus : 2 * case9.n_bus] = 0.1  # every |V|: the check's power flow diverges
-        final = prob._result(PrimalDual(x), "converged", None)
+        final = prob._result(loads, PrimalDual(x), "converged", None)
         assert not final.feasible and final.max_violation_pu == float("inf")
         assert final.message == "pf_diverged: final power flow diverged"
 
@@ -358,14 +359,21 @@ def test_reference_script_power_flow_matches_on_shared_buses(case9_shared_buses)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
 
-def assert_derivatives_match_central_differences(fun, hess, x, rng):
-    """dh, dg and the Hessian of f + lam h + mu g against central differences at x."""
-    _, df, h, dh, g, dg = fun(x)
+def s_load(case):
+    """case's per-unit bus loads P + jQ, as a solve passes them to ``fun``."""
+    p, q = _OpfProblem.loads(case)
+    return p + 1j * q
+
+
+def assert_derivatives_match_central_differences(fun, x, rng):
+    """dh, dg and the Hessian of f + lam h + mu g against central differences at x, fun
+    returning (f, df, h, dh, g, dg, hess) as _mips takes it."""
+    _, df, h, dh, g, dg, hess = fun(x)
     lam = rng.standard_normal(len(h))
     mu = rng.uniform(0.0, 1.0, len(g))
 
     def lagrangian_gradient(xk):
-        _, df_k, _, dh_k, _, dg_k = fun(xk)
+        _, df_k, _, dh_k, _, dg_k, _ = fun(xk)
         return df_k + lam @ dh_k + mu @ dg_k
 
     step = 1e-6
@@ -379,7 +387,7 @@ def assert_derivatives_match_central_differences(fun, hess, x, rng):
         fd_hess[:, k] = (lagrangian_gradient(x + e) - lagrangian_gradient(x - e)) / (2 * step)
     assert np.max(np.abs(dh - fd_h)) <= 1e-6 * np.max(np.abs(fd_h))
     assert np.max(np.abs(dg - fd_g)) <= 1e-6 * np.max(np.abs(fd_g))
-    assert np.max(np.abs(hess(x, lam, mu) - fd_hess)) <= 1e-6 * np.max(np.abs(fd_hess))
+    assert np.max(np.abs(hess(lam, mu) - fd_hess)) <= 1e-6 * np.max(np.abs(fd_hess))
 
 
 @pytest.fixture
@@ -394,10 +402,10 @@ def case9_unrated_line(case9):
 def test_full_space_derivatives_match_central_differences(case_name, request):
     """dh, dg and the Hessian of f + lam h + mu g against central differences."""
     case = request.getfixturevalue(case_name)
-    prob = _OpfProblem(case, OpfOptions())
+    prob, load = _OpfProblem(case), s_load(case)
     rng = np.random.default_rng(0)
-    x = prob.start().x + 0.02 * rng.standard_normal(prob.nx)
-    assert_derivatives_match_central_differences(prob.fun, prob.hess, x, rng)
+    x = prob.start(prob.loads(case), None).x + 0.02 * rng.standard_normal(prob.nx)
+    assert_derivatives_match_central_differences(lambda x: prob.fun(x, load), x, rng)
 
 
 @pytest.mark.parametrize("case_name", ["case9", "case30"])
@@ -407,21 +415,22 @@ def test_elastic_derivatives_match_central_differences(case_name, request):
     taken in pu of t, not s = t / constraint_tol, so its column and the (t, x) Hessian
     terms weigh as much as the others."""
     case = scaled_loads(request.getfixturevalue(case_name), 1.5)
-    prob = _OpfProblem(case, OpfOptions())
+    prob, load = _OpfProblem(case), s_load(case)
     scale = np.ones(prob.nx)
     scale[-1] = 1.0 / OpfOptions.constraint_tol  # x = scale * y
 
     def fun(y):
-        f, df, h, dh, g, dg = prob.fun(scale * y)
-        return f, df * scale, h, dh * scale, g, dg * scale
+        f, df, h, dh, g, dg, hess = prob.fun(scale * y, load)
 
-    def hess(y, lam, mu):
-        return scale[:, None] * prob.hess(scale * y, lam, mu) * scale
+        def scaled_hess(lam, mu):
+            return scale[:, None] * hess(lam, mu) * scale
+
+        return f, df * scale, h, dh * scale, g, dg * scale, scaled_hess
 
     rng = np.random.default_rng(0)
-    y = prob.start().x / scale + 0.02 * rng.standard_normal(prob.nx)
+    y = prob.start(prob.loads(case), None).x / scale + 0.02 * rng.standard_normal(prob.nx)
     y[-1] = 0.05
-    assert_derivatives_match_central_differences(fun, hess, y, rng)
+    assert_derivatives_match_central_differences(fun, y, rng)
 
 
 @pytest.fixture
@@ -486,7 +495,7 @@ def test_line_end_derivatives_match_the_incidence_matrix_form(case_name, request
     """fun's bus and limit Jacobians and hess's voltage block, all summed from per-line-end
     terms, equal MATPOWER's C-matrix forms at random (V, lam, mu) to 1e-12 of the largest entry."""
     case = request.getfixturevalue(case_name)
-    prob = _OpfProblem(case, OpfOptions())
+    prob, load = _OpfProblem(case), s_load(case)
     n, ctol = case.n_bus, OpfOptions.constraint_tol
     ends, Ybr = branch_admittances(case)
     rated = np.flatnonzero(np.tile([ln.rate_mva > 0 for ln in case.lines], 2))
@@ -497,7 +506,7 @@ def test_line_end_derivatives_match_the_incidence_matrix_form(case_name, request
     for _ in range(50):
         V = rng.uniform(0.9, 1.1, n) * np.exp(1j * rng.uniform(-0.5, 0.5, n))
         x = np.concatenate([np.angle(V), np.abs(V), rng.uniform(0.0, 1.0, prob.nx - 2 * n)])
-        _, _, h, dh, g, dg = prob.fun(x)
+        _, _, h, dh, g, dg, hess = prob.fun(x, load)
         lam, mu = rng.standard_normal(len(h)), rng.uniform(0.0, 1.0, len(g))
         dSbus = matrix_form_ds_dv(Ybus, np.eye(n), V)
         Sbr, dSbr = (Clim @ V) * np.conj(Ylim @ V), matrix_form_ds_dv(Ylim, Clim, V)
@@ -512,30 +521,32 @@ def test_line_end_derivatives_match_the_incidence_matrix_form(case_name, request
             ).real,
         }
         got = {"dh": dh[: 2 * n, : 2 * n], "dg": dg[:nr, : 2 * n]}
-        got["hess"] = prob.hess(x, lam, mu)[: 2 * n, : 2 * n]
+        got["hess"] = hess(lam, mu)[: 2 * n, : 2 * n]
         for part, value in want.items():
             assert np.max(np.abs(got[part] - value)) <= 1e-12 * np.max(np.abs(value)), part
 
 
 @pytest.mark.parametrize("case_name", ["case9", "case30", "case9_shared_buses"])
 def test_derivatives_follow_the_iterate_and_own_their_arrays(case_name, request):
-    """hess(x1) after fun(x2) is the Hessian at x1, and no call rewrites an earlier result."""
+    """The hess of fun(x1), called after fun(x2), is the Hessian at x1, and no call
+    rewrites an earlier result."""
     case = request.getfixturevalue(case_name)
-    prob = _OpfProblem(case, OpfOptions())
+    prob, load = _OpfProblem(case), s_load(case)
     rng = np.random.default_rng(1)
-    x1, x2 = prob.start().x + 0.01 * rng.standard_normal((2, prob.nx))
-    first = prob.fun(x1)
+    x1, x2 = prob.start(prob.loads(case), None).x + 0.01 * rng.standard_normal((2, prob.nx))
+    *first, first_hess = prob.fun(x1, load)
     lam = rng.standard_normal(len(first[2]))
     mu = rng.uniform(0.0, 1.0, len(first[4]))
-    second = prob.fun(x2)
-    hess = prob.hess(x1, lam, mu)
+    *second, second_hess = prob.fun(x2, load)
+    hess = first_hess(lam, mu)
     kept = [np.copy(a) for a in (*first, *second, hess)]
-    fresh = _OpfProblem(case, OpfOptions())
-    assert np.array_equal(hess, fresh.hess(x1, lam, mu))
-    for got, want in zip(first, fresh.fun(x1)):
+    *fresh, fresh_hess = _OpfProblem(case).fun(x1, load)
+    assert np.array_equal(hess, fresh_hess(lam, mu))
+    for got, want in zip(first, fresh):
         assert np.array_equal(got, want)
-    prob.hess(x2, lam, mu)
-    prob.fun(x1)
+    second_hess(lam, mu)
+    prob.fun(x1, load)
+    assert np.array_equal(first_hess(lam, mu), hess)
     for got, want in zip((*first, *second, hess), kept):
         assert np.array_equal(got, want)
 
@@ -778,6 +789,49 @@ def test_draws_solved_on_two_threads_equal_a_serial_loop(case30, case30_warm):
             assert (a is None and b is None) or a.tobytes() == b.tobytes(), (i, part)
 
 
+def linear_cost_under_one_bound(slope):
+    """min slope @ x subject to x[0] <= 1, as _mips's one callback: (f, df, h, dh, g, dg,
+    hess), with no equality and a zero Hessian."""
+    def fun(x):
+        dg = np.zeros((1, len(x)))
+        dg[0, 0] = 1.0
+
+        def hess(lam, mu):
+            return np.zeros((len(x), len(x)))
+
+        return slope @ x, slope.copy(), np.zeros(0), np.zeros((0, len(x))), x[:1] - 1.0, dg, hess
+    return fun
+
+
+@pytest.mark.parametrize("slope, x0, mu0, nit, nfev", [
+    # the fraction to the boundary cuts the first step to mu / |slope| ~ 1e-9
+    ([-1e5], [0.0], [0.0], 1, 2),
+    # x[1] enters nothing, so the Newton matrix has a zero row
+    ([-1.0, 0.0], [0.0, 0.0], [0.0], 1, 1),
+    # a NaN gradient makes the first step, and so x, NaN
+    ([np.nan], [0.0], [0.0], 1, 2),
+    # the barrier parameter starts at 0.1 * z * mu = 1e19
+    ([1.0], [0.0], [1e20], 0, 1),
+], ids=["short-step", "singular", "not-finite", "barrier-out-of-range"])
+def test_interior_point_loop_stops_as_stalled(slope, x0, mu0, nit, nfev):
+    """_mips ends as stalled on a step under 1e-8, a singular Newton matrix, a non-finite
+    x or a barrier parameter out of range, long before its iteration cap."""
+    fun = linear_cost_under_one_bound(np.array(slope))
+    res = solvers._mips(fun, x0, maxiter=50, tol=1e-6, lam0=np.zeros(0), mu0=np.array(mu0),
+                        scaled=(len(x0), 1))
+    assert (res.message, res.nit, res.nfev) == ("stalled", nit, nfev)
+
+
+def test_singular_power_flow_jacobian_raises(case9, monkeypatch):
+    """A singular Newton-Raphson Jacobian raises SolverError naming the iteration."""
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(solvers.np.linalg, "solve", singular)
+    with pytest.raises(SolverError, match="^singular power-flow Jacobian at iteration 0$"):
+        solve_pf(case9)
+
+
 def test_singular_predictor_starts_from_the_warm_x(case9, monkeypatch):
     """Without a predictor (its Newton matrix singular) a draw starts as from x alone."""
     base = solve_opf(case9)
@@ -801,11 +855,11 @@ def test_singular_predictor_starts_from_the_warm_x(case9, monkeypatch):
 
 def test_constraint_names_follow_g(case30):
     """Each name labels the g entry of its quantity, computed here from a plain PF."""
-    prob = _OpfProblem(case30, OpfOptions())
+    prob, loads = _OpfProblem(case30), _OpfProblem.loads(case30)
     pf = solve_pf(case30)
-    gen_p, gen_vm = prob.controls(prob.start().x)
+    gen_p, gen_vm = prob.controls(prob.start(loads, None).x)
     assert np.array_equal(gen_p[prob.free] * case30.base_mva, pf.gen_p_mw[prob.free])
-    g = prob.power_flow(gen_p, gen_vm, pf.vm_pu * np.exp(1j * np.radians(pf.va_deg)))[2]
+    g = prob.power_flow(loads, gen_p, gen_vm, pf.vm_pu * np.exp(1j * np.radians(pf.va_deg)))[2]
     named = dict(zip(prob.con_names, g))
     assert len(named) == len(g) == len(prob.con_names)
     base, ext = case30.base_mva, case30.external_bus_ids
@@ -835,14 +889,15 @@ def test_constraint_names_follow_g(case30):
 def test_evaluate_checks_the_soft_rows_of_g(request, case_name):
     """At a power-flow point with s = 0, power_flow's g is fun's g at its soft rows, in
     g's order, with each line row as |S| - rate; con_names names each soft row once."""
-    prob = _OpfProblem(request.getfixturevalue(case_name), OpfOptions())
-    x = prob.start().x
+    case = request.getfixturevalue(case_name)
+    prob, loads = _OpfProblem(case), _OpfProblem.loads(case)
+    x = prob.start(loads, None).x
     x[-1] = 0.0
-    g = prob.fun(x)[4]
+    g = prob.fun(x, s_load(case))[4]
     nf, rate = len(prob.rate), prob.rate
     # fun's line row is (|S|^2 - rate^2) / (2 rate) at s = 0
     over = np.concatenate([np.sqrt(2.0 * rate * g[:nf] + rate**2) - rate, g[nf:]])[prob.soft]
-    checked = prob.power_flow(*prob.controls(x), prob.voltages(x))[2]
+    checked = prob.power_flow(loads, *prob.controls(x), prob.voltages(x))[2]
     assert len(prob.con_names) == prob.soft.sum() == len(checked)
     assert np.max(np.abs(checked - over)) <= 1e-9
 
@@ -853,11 +908,11 @@ def test_every_bound_row_of_g_follows_the_case(request, case_name):
     case's own bound (the bound less the entry for a lower one), less constraint_tol * s
     if soft. Hard: non-slack P, the |V| of PV and slack buses, s >= 0; soft: the rest."""
     case = request.getfixturevalue(case_name)
-    prob = _OpfProblem(case, OpfOptions())
+    prob = _OpfProblem(case)
     n, base, ext = case.n_bus, case.base_mva, case.external_bus_ids
     x = np.random.default_rng(7).uniform(-2.0, 2.0, prob.nx)
     x[-1] = 0.5 + abs(x[-1])  # s > 0, so a soft row shows its relaxation
-    g = prob.fun(x)[4]
+    g = prob.fun(x, s_load(case))[4]
     rated = 2 * sum(ln.rate_mva > 0 for ln in case.lines)
     # (name, x entry, lower bound, upper bound, soft) of each bounded entry of x, in x order
     entries = [
