@@ -2,7 +2,8 @@
 
 stdout carries machine-readable payloads only; diagnostics go to stderr.
 Exit codes: 0 ok, 1 error, 2 infeasible (or benchmark with zero valid trials).
-A JSON config file can preset any option; explicit flags win.
+``--config`` names a JSON file whose values become the options' defaults, so a
+flag given on the command line beats the file, and the file beats the default.
 """
 from __future__ import annotations
 
@@ -35,9 +36,9 @@ _CONFIG_KEYS = {
 }
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str) -> dict:
     try:
-        cfg = json.loads(read_utf8(path)) if path else {}
+        cfg = json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -51,19 +52,12 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _opt(args, cfg: dict, key: str, default):
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    return cfg.get(key, default)
-
-
 def _err(msg: str, code: int = 1) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return code
 
 
-def _cmd_solve(args, cfg) -> int:
+def _cmd_solve(args) -> int:
     case = load_case(args.case_path)
     if args.pf:
         sol = solve_pf(case)
@@ -86,20 +80,13 @@ def _cmd_solve(args, cfg) -> int:
     return 0
 
 
-def _cmd_gen(args, cfg) -> int:
+def _cmd_gen(args) -> int:
     case = load_case(args.case_path)
-    spec = MutationSpec(
-        relative_halfwidth=float(_opt(args, cfg, "halfwidth", 0.2)),
-        seed=_opt(args, cfg, "seed", 0),
-    )
-    fmt = EmbeddingFormat(
-        kind=_opt(args, cfg, "format", "graph"),
-        decimals=_opt(args, cfg, "decimals", 4),
-    )
-    out = Path(_opt(args, cfg, "out", f"{case.name}_dataset"))
-    n = _opt(args, cfg, "n", 66)
+    spec = MutationSpec(relative_halfwidth=float(args.halfwidth), seed=args.seed)
+    fmt = EmbeddingFormat(kind=args.format, decimals=args.decimals)
+    out = Path(f"{case.name}_dataset" if args.out is None else args.out)
     try:
-        ds = build_solved_dataset(case, spec, n, fmt, out)
+        ds = build_solved_dataset(case, spec, args.n, fmt, out)
     except DatasetError as exc:
         return _err(str(exc), 2)
     print(json.dumps({
@@ -108,36 +95,28 @@ def _cmd_gen(args, cfg) -> int:
     return 0
 
 
-def _cmd_bench(args, cfg) -> int:
+def _cmd_bench(args) -> int:
     ds = load_solved_dataset(args.dataset)
-    trials = _opt(args, cfg, "trials", 100)
-    context = _opt(args, cfg, "context", 65)
-    seed = _opt(args, cfg, "seed", 0)
-    concurrency = _opt(args, cfg, "concurrency", 4)
-    max_chars = _opt(args, cfg, "max_chars", None)
-    out = Path(_opt(args, cfg, "out", ds.root))  # made by run_benchmark once all is checked
-    replay = _opt(args, cfg, "replay", None)
-    endpoint = _opt(args, cfg, "endpoint", None)
-    if (replay is None) == (endpoint is None):
+    out = Path(ds.root if args.out is None else args.out)  # made by run_benchmark once all is checked
+    if (args.replay is None) == (args.endpoint is None):
         return _err("exactly one of --replay and --endpoint is required")
-    if replay is not None:
-        backend = replay_backend(replay, ds.truth_map() if replay == "oracle" else None)
-        backend_echo = {"replay": replay}
+    if args.replay is not None:
+        truth = ds.truth_map() if args.replay == "oracle" else None
+        backend, backend_echo = replay_backend(args.replay, truth), {"replay": args.replay}
     else:
-        ecfg = EndpointConfig(base_url=endpoint, model=_opt(args, cfg, "model", "gpt-4o-mini"))
-        backend = HttpBackend(ecfg)
-        backend_echo = {"endpoint": endpoint, "model": ecfg.model}
+        backend = HttpBackend(EndpointConfig(base_url=args.endpoint, model=args.model))
+        backend_echo = {"endpoint": args.endpoint, "model": args.model}
 
     config_echo = {
         "dataset": str(ds.root),
-        "concurrency": concurrency,
-        "max_chars": max_chars,
+        "concurrency": args.concurrency,
+        "max_chars": args.max_chars,
         **backend_echo,
     }
     log_path = out / "trials.jsonl"
     report, records = run_benchmark(
-        ds.entries, backend, trials=trials, context_size=context, seed=seed,
-        concurrency=concurrency, max_chars=max_chars,
+        ds.entries, backend, trials=args.trials, context_size=args.context, seed=args.seed,
+        concurrency=args.concurrency, max_chars=args.max_chars,
         log_path=log_path, config=config_echo,
     )
     write_utf8(out / "report.json", report.to_json() + "\n")
@@ -146,14 +125,15 @@ def _cmd_bench(args, cfg) -> int:
     return 0 if report.valid_fraction > 0 else 2
 
 
-def _cmd_export_ft(args, cfg) -> int:
+def _cmd_export_ft(args) -> int:
     ds = load_solved_dataset(args.dataset)
-    out = export_finetune_jsonl(ds, base_model=_opt(args, cfg, "model", ""))
+    out = export_finetune_jsonl(ds, base_model=args.model)
     print(json.dumps({"jsonl": str(out), "lines": len(ds)}, sort_keys=True))
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; a checked ``config`` replaces the defaults of the options it names."""
     p = argparse.ArgumentParser(prog="gridprompt", description=__doc__)
     p.add_argument("--config", help="JSON config file; explicit flags override it")
     sub = p.add_subparsers(dest="command", required=True)
@@ -167,39 +147,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("gen", help="generate a solved scenario dataset")
     pg.add_argument("case_path")
-    pg.add_argument("--n", type=int)
-    pg.add_argument("--seed", type=int)
-    pg.add_argument("--halfwidth", type=float)
-    pg.add_argument("--format", choices=["graph", "table"])
-    pg.add_argument("--decimals", type=int)
-    pg.add_argument("--out")
+    pg.add_argument("--n", type=int, default=66)
+    pg.add_argument("--seed", type=int, default=0)
+    pg.add_argument("--halfwidth", type=float, default=0.2)
+    pg.add_argument("--format", choices=["graph", "table"], default="graph")
+    pg.add_argument("--decimals", type=int, default=4)
+    pg.add_argument("--out")  # None: <case name>_dataset
     pg.set_defaults(func=_cmd_gen)
 
     pb = sub.add_parser("bench", help="run the in-context benchmark on a dataset")
     pb.add_argument("dataset")
     pb.add_argument("--replay", choices=["oracle", "nearest_context", "corrupt"])
     pb.add_argument("--endpoint", help="base URL of an OpenAI-compatible API")
-    pb.add_argument("--model")
-    pb.add_argument("--trials", type=int)
-    pb.add_argument("--context", type=int)
-    pb.add_argument("--seed", type=int)
-    pb.add_argument("--concurrency", type=int)
+    pb.add_argument("--model", default="gpt-4o-mini")
+    pb.add_argument("--trials", type=int, default=100)
+    pb.add_argument("--context", type=int, default=65)
+    pb.add_argument("--seed", type=int, default=0)
+    pb.add_argument("--concurrency", type=int, default=4)
     pb.add_argument("--max-chars", type=int)
-    pb.add_argument("--out")
+    pb.add_argument("--out")  # None: the dataset's directory
     pb.set_defaults(func=_cmd_bench)
 
     pf = sub.add_parser("export-ft", help="emit chat-format fine-tuning JSONL")
     pf.add_argument("dataset")
-    pf.add_argument("--model", help="base model name recorded in the sidecar")
+    pf.add_argument("--model", default="", help="base model name recorded in the sidecar")
     pf.set_defaults(func=_cmd_export_ft)
+    for command in (pg, pb, pf):
+        command.set_defaults(**config or {})
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        return args.func(args, cfg)
+        if args.config:  # parse again, the config's values now the defaults that flags beat
+            args = build_parser(_load_config(args.config)).parse_args(argv)
+        return args.func(args)
     except (OSError, ValueError, DatasetError) as exc:
         return _err(str(exc))
     except Exception as exc:  # noqa: BLE001 - CLI boundary

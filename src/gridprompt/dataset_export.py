@@ -236,15 +236,12 @@ def load_solved_dataset(root: str | Path) -> SolvedDataset:
     return SolvedDataset(root=root, entries=entries, rejected=rejected)
 
 
-def export_finetune_jsonl(
-    dataset: SolvedDataset,
-    out_path: str | Path | None = None,
-    base_model: str = "",
-) -> Path:
+def export_finetune_jsonl(dataset: SolvedDataset, base_model: str = "") -> Path:
     """One chat-format training line per solved entry, plus the LoRA sidecar (rank 8,
     alpha 16, base_model): a line is a prompt's system message and the entry as one
-    in-context example, refused over ``MAX_LINE_CHARS``."""
-    out_path = Path(out_path) if out_path else dataset.root / "finetune.jsonl"
+    in-context example, refused over ``MAX_LINE_CHARS``; written to the dataset's
+    ``finetune.jsonl`` and ``finetune_config.json``."""
+    out_path = dataset.root / "finetune.jsonl"
     lines = []
     for e in dataset.entries:
         seq = PromptSequence((SYSTEM_MESSAGE, *example_pair(e.grid_text, e.solution_text)))
@@ -255,5 +252,5 @@ def export_finetune_jsonl(
         lines.append(line)
     write_utf8(out_path, "\n".join(lines) + "\n")
     doc = {"rank": 8, "alpha": 16.0, "base_model": base_model, "notes": ""}
-    write_utf8(out_path.parent / "finetune_config.json", json.dumps(doc, sort_keys=True, indent=1))
+    write_utf8(dataset.root / "finetune_config.json", json.dumps(doc, sort_keys=True, indent=1))
     return out_path

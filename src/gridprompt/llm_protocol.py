@@ -155,13 +155,14 @@ class EndpointConfig:
 
 
 @functools.cache  # built once, as urlopen's own opener is, since building reads the proxy settings
-def _opener():  # urllib's default opener, except that a 30x reply raises HTTPError
-    from urllib.request import HTTPRedirectHandler, build_opener
+def _opener():  # urllib's default opener, except that it returns every reply, 30x unfollowed
+    from urllib.request import HTTPErrorProcessor, build_opener
 
-    class NoRedirect(HTTPRedirectHandler):
-        def redirect_request(self, *args):
-            return None
-    return build_opener(NoRedirect)
+    class AnyStatus(HTTPErrorProcessor):  # replaces the one that raises on a status not 2xx
+        def http_response(self, request, response):
+            return response
+        https_response = http_response
+    return build_opener(AnyStatus)
 
 
 def complete(seq: PromptSequence, cfg: EndpointConfig) -> str:
@@ -175,7 +176,7 @@ def complete(seq: PromptSequence, cfg: EndpointConfig) -> str:
     """
     # here, so that only bench against an HTTP endpoint loads them
     from http.client import HTTPException
-    from urllib.error import HTTPError, URLError
+    from urllib.error import URLError
     from urllib.request import Request
 
     url = cfg.base_url.rstrip("/") + "/chat/completions"
@@ -196,12 +197,8 @@ def complete(seq: PromptSequence, cfg: EndpointConfig) -> str:
             delay = cfg.backoff_base_s * (2 ** (attempt - 1))
             time.sleep(delay * (1.0 + random.random() * 0.25))
         try:
-            try:
-                resp = _opener().open(Request(url, data=body, headers=headers, method="POST"),
-                                      timeout=cfg.timeout_s)
-            except HTTPError as exc:  # an error status, with its body still to read
-                resp = exc
-            with resp:
+            with _opener().open(Request(url, data=body, headers=headers, method="POST"),
+                                timeout=cfg.timeout_s) as resp:
                 status, text = resp.status, resp.read()
         except (OSError, HTTPException) as exc:  # a timeout may arrive as a URLError's reason
             reason = exc.reason if isinstance(exc, URLError) else exc

@@ -1,14 +1,16 @@
 """MATPOWER case file (.m, format version 2) reader and writer.
 
-Only numeric literals and matrix blocks are understood; no MATLAB evaluation.
-External (1-based, possibly sparse) bus numbers are remapped to dense 0-based
-internal ids; the original numbers are kept on GridCase.external_bus_ids and
-restored on write.
+``parse_matpower`` reads a case in one pass: a private tokenizer reads the
+name, baseMVA and numeric tables, and the GridCase is built from them, honoring
+the status columns. Only numeric literals and matrix blocks are understood; no
+MATLAB evaluation. External (1-based, possibly sparse) bus numbers are remapped
+to dense 0-based internal ids; the original numbers are kept on
+GridCase.external_bus_ids and restored on write.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .files import read_utf8
@@ -32,17 +34,6 @@ class UnsupportedFeatureError(MatpowerParseError):
     """Valid MATPOWER construct this reader deliberately does not handle."""
 
 
-@dataclass
-class RawCaseTables:
-    """Numeric tables exactly as read from the file."""
-    name: str
-    base_mva: float
-    bus: list[list[float]]
-    gen: list[list[float]]
-    branch: list[list[float]]
-    gencost: list[list[float]]
-
-
 _NUM = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 # a matrix body is numbers separated by blanks, commas, semicolons and newlines;
 # match() stops right before the first token that is not a whole number
@@ -51,8 +42,8 @@ _MATRIX = re.compile(rf"(?:[\s,;]*{_NUM.pattern}(?![^\s,;]))*[\s,;]*")
 _ASSIGN = re.compile(r"mpc\.(\w+)\s*=\s*(\[[^\]]*\]?|[^;\n]*)")
 
 
-def parse_raw_tables(text: str) -> RawCaseTables:
-    """Tokenize the case file into named numeric tables."""
+def _tokenize(text: str) -> tuple[str, float, dict[str, list[list[float]]]]:
+    """The case file's (name, baseMVA, {table name: rows}), numbers exactly as read."""
     text = re.sub(r"%.*", "", text)
     m = re.search(r"function\s+\w+\s*=\s*(\w+)", text)
     name = m.group(1) if m else "case"
@@ -99,7 +90,7 @@ def parse_raw_tables(text: str) -> RawCaseTables:
                     f"mpc.{req} row {j + 1}: expected >= {min_cols} columns, "
                     f"got {len(row)}"
                 )
-    return RawCaseTables(name, base_mva, *(tables[k] for k in ("bus", "gen", "branch", "gencost")))
+    return name, base_mva, tables
 
 
 def _integer(value: float, table: str, index: int, column: str) -> int:
@@ -130,15 +121,17 @@ def _gencost_coeffs(row: list[float], gen_idx: int) -> tuple[float, float, float
     return padded[0], padded[1], padded[2]
 
 
-def raw_to_case(raw: RawCaseTables) -> GridCase:
-    """Build a validated GridCase from raw tables, honoring status columns."""
-    ext_ids = [_integer(r[BUS_I], "bus", i, "BUS_I") for i, r in enumerate(raw.bus)]
+def parse_matpower(text: str) -> GridCase:
+    """A validated GridCase from a case file's text, honoring its status columns."""
+    name, base_mva, tables = _tokenize(text)
+    bus, gen, branch, gencost = (tables[k] for k in ("bus", "gen", "branch", "gencost"))
+    ext_ids = [_integer(r[BUS_I], "bus", i, "BUS_I") for i, r in enumerate(bus)]
     if len(set(ext_ids)) != len(ext_ids):
         raise MatpowerParseError("duplicate bus numbers in mpc.bus")
     ext_to_int = {e: i for i, e in enumerate(ext_ids)}
 
     buses = []
-    for i, r in enumerate(raw.bus):
+    for i, r in enumerate(bus):
         btype = _integer(r[BUS_TYPE], "bus", i, "BUS_TYPE")
         if btype not in _BUS_TYPE_TO_KIND:
             raise UnsupportedFeatureError(
@@ -155,16 +148,14 @@ def raw_to_case(raw: RawCaseTables) -> GridCase:
         )
 
     loads = []
-    for i, r in enumerate(raw.bus):
+    for i, r in enumerate(bus):
         if r[PD] != 0 or r[QD] != 0:
             loads.append(Load(id=len(loads), bus=i, p_mw=r[PD], q_mvar=r[QD]))
 
-    if len(raw.gencost) != len(raw.gen):
-        raise MatpowerParseError(
-            f"gencost has {len(raw.gencost)} rows for {len(raw.gen)} generators"
-        )
+    if len(gencost) != len(gen):
+        raise MatpowerParseError(f"gencost has {len(gencost)} rows for {len(gen)} generators")
     gens = []
-    for i, r in enumerate(raw.gen):
+    for i, r in enumerate(gen):
         if _integer(r[GEN_STATUS], "gen", i, "GEN_STATUS") <= 0:
             continue
         # MATPOWER's hasPQcap: Q limits that change between PC1 and PC2
@@ -174,7 +165,7 @@ def raw_to_case(raw: RawCaseTables) -> GridCase:
         bus_i = ext_to_int.get(bus_ext)
         if bus_i is None:
             raise MatpowerParseError(f"generator {i} references unknown bus {bus_ext}")
-        c2, c1, c0 = _gencost_coeffs(raw.gencost[i], i)
+        c2, c1, c0 = _gencost_coeffs(gencost[i], i)
         gens.append(
             Generator(
                 id=len(gens),
@@ -197,7 +188,7 @@ def raw_to_case(raw: RawCaseTables) -> GridCase:
             buses[b.id] = replace(b, bus_kind=BusKind.PQ)
 
     lines = []
-    for i, r in enumerate(raw.branch):
+    for i, r in enumerate(branch):
         if _integer(r[BR_STATUS], "branch", i, "BR_STATUS") <= 0:
             continue
         f = ext_to_int.get(_integer(r[F_BUS], "branch", i, "F_BUS"))
@@ -226,18 +217,14 @@ def raw_to_case(raw: RawCaseTables) -> GridCase:
         )
 
     return GridCase(
-        name=raw.name,
-        base_mva=raw.base_mva,
+        name=name,
+        base_mva=base_mva,
         buses=tuple(buses),
         loads=tuple(loads),
         generators=tuple(gens),
         lines=tuple(lines),
         external_bus_ids=tuple(ext_ids),
     )
-
-
-def parse_matpower(text: str) -> GridCase:
-    return raw_to_case(parse_raw_tables(text))
 
 
 def load_case(path: str | Path) -> GridCase:

@@ -230,7 +230,8 @@ def _mips(fun, x0, maxiter, tol, lam0, mu0, scaled):
     all under ``tol``, the feasibility and complementarity scales counting only
     the leading ``scaled = (nx, nz)`` entries of x and of the slacks z;
     max_outer is the cap of ``maxiter`` iterations, stalled a step under 1e-8,
-    a singular system, a non-finite x or barrier parameter out of range.
+    a singular system, a non-finite x or barrier parameter out of range, or
+    conditions under ``tol`` beside a residual that is not finite.
 
     The duals start at ``lam0`` and ``mu0``, e.g. the multipliers of a related
     problem's solution (Yildirim & Wright, SIAM J. Optim. 2002), kept off zero
@@ -253,8 +254,9 @@ def _mips(fun, x0, maxiter, tol, lam0, mu0, scaled):
             (z @ mu) / (1.0 + xnorm),
             abs(f - f_prev) / (1.0 + abs(f_prev)),
         )
-        if kkt < tol:
-            message = "converged"
+        if kkt < tol:  # max() above drops a NaN unless it comes first, so look for one
+            parts = [f - f_prev, *map(norm, (x, h, g, lx, lam, mu, z))]
+            message = "converged" if np.isfinite(parts).all() else "stalled"
             break
         if nit == maxiter:
             message = "max_outer"

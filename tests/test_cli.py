@@ -13,6 +13,7 @@ from gridprompt.evaluation import make_trials, reaggregate_log
 from gridprompt.matpower_io import load_case, write_matpower
 
 from conftest import CASES_DIR
+from test_http_client import MockHandler, mock_server  # noqa: F401 - a fixture
 
 CASE9 = str(CASES_DIR / "case9.m")
 
@@ -344,6 +345,52 @@ class TestGenBench:
         manifest = json.loads((out / "manifest.json").read_text())
         assert repr(manifest["mutation"]["relative_halfwidth"]) == "0.0"  # as --halfwidth 0 writes
 
+    def test_config_presets_every_gen_option_as_its_flag_does(self, capsys, tmp_path):
+        """Integers, a number, a choice and a string from the config write the bytes
+        their flags write."""
+        values = {"n": 3, "seed": 5, "halfwidth": 0.1, "format": "table", "decimals": 3}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**values, "out": str(tmp_path / "by-config")}))
+        by_flags = run_cli(capsys, "gen", CASE9, *as_flags(values),
+                           "--out", str(tmp_path / "by-flags"))
+        by_config = run_cli(capsys, "--config", str(cfg), "gen", CASE9)
+        assert by_flags[0] == by_config[0] == 0, by_config[2]
+        assert by_config[1] == by_flags[1].replace("by-flags", "by-config")
+        assert_same_files(tmp_path / "by-flags", tmp_path / "by-config")
+
+    def test_config_presets_every_bench_option_and_each_flag_beats_it(
+            self, capsys, dataset_dir, tmp_path):
+        """Integers, a choice, a string and a null budget from the config give the
+        outputs their flags give, and a flag beats the config's value of its option."""
+        values = {"replay": "nearest_context", "trials": 3, "context": 2, "seed": 6,
+                  "concurrency": 2, "max_chars": 10**6}
+        other = {"replay": "corrupt", "trials": 5, "context": 4, "seed": 9,
+                 "concurrency": 3, "max_chars": 10, "out": str(tmp_path / "unused")}
+
+        def bench(tag, *flags, config=None):
+            """Outputs of a bench run into tag, named by a flag or, if absent, the config."""
+            argv = ["bench", str(dataset_dir), *flags]
+            if config is not None:
+                (tmp_path / f"{tag}.json").write_text(json.dumps(config))
+                argv = ["--config", str(tmp_path / f"{tag}.json"), *argv]
+            code, stdout, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            trials = [{k: v for k, v in json.loads(line).items() if k != "latency_ms"}
+                      for line in (tmp_path / tag / "trials.jsonl").read_text().splitlines()]
+            return stdout, trials, (tmp_path / tag / "report.json").read_text()
+
+        def out(tag):
+            return str(tmp_path / tag)
+
+        by_flags = bench("a", *as_flags(values), "--out", out("a"))
+        assert json.loads(by_flags[0])["config"]["max_chars"] == 10**6
+        assert by_flags == bench("b", config={**values, "out": out("b")})
+        assert by_flags == bench("c", *as_flags(values), "--out", out("c"), config=other)
+        assert not (tmp_path / "unused").exists()
+        no_budget = {k: v for k, v in values.items() if k != "max_chars"}
+        assert bench("d", *as_flags(no_budget), "--out", out("d")) == bench(
+            "e", config={**no_budget, "max_chars": None, "out": out("e")})
+
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"banana": 1}))
@@ -356,8 +403,6 @@ class TestBenchHttp:
     def test_bench_against_mock_endpoint(self, capsys, tmp_path):
         import threading
         from http.server import HTTPServer
-
-        from test_http_client import MockHandler
 
         out_ds = tmp_path / "ds"
         assert main(["gen", CASE9, "--n", "8", "--seed", "3", "--out", str(out_ds)]) == 0
@@ -383,6 +428,28 @@ class TestBenchHttp:
         assert len(log) == 2
         assert len(MockHandler.requests_seen) == 2
 
+    def test_config_presets_the_endpoint_and_model_and_flags_beat_them(
+            self, capsys, tmp_path, mock_server):
+        ds = tmp_path / "ds"
+        assert run_cli(capsys, "gen", CASE9, "--n", "4", "--seed", "3", "--out", str(ds))[0] == 0
+        sizes = ("--trials", "1", "--context", "1")
+
+        def bench(tag, *flags, **config):
+            (tmp_path / f"{tag}.json").write_text(json.dumps(config))
+            code, stdout, err = run_cli(capsys, "--config", str(tmp_path / f"{tag}.json"),
+                                        "bench", str(ds), *sizes, "--out", str(tmp_path / tag),
+                                        *flags)
+            assert code == 2, err  # the mock's reply holds no JSON
+            echo = json.loads(stdout)["config"]
+            return echo["endpoint"], echo["model"], MockHandler.requests_seen.pop()["body"]["model"]
+
+        want = {"endpoint": mock_server, "model": "m-flag"}
+        assert bench("by-config", **want) == (mock_server, "m-flag", "m-flag")
+        assert bench("by-flags", *as_flags(want)) == (mock_server, "m-flag", "m-flag")
+        assert bench("flags-win", *as_flags(want), endpoint="http://127.0.0.1:1",
+                     model="m-config") == (mock_server, "m-flag", "m-flag")
+        assert MockHandler.requests_seen == []
+
 
 # Run the CLI in a fresh interpreter where importing scipy or requests fails.
 WITHOUT_SCIPY_AND_REQUESTS = (
@@ -391,6 +458,11 @@ WITHOUT_SCIPY_AND_REQUESTS = (
     "from gridprompt.cli import main\n"
     "sys.exit(main(sys.argv[1:]))\n"
 )
+
+
+def as_flags(values: dict) -> list[str]:
+    """The command-line flags that set these options, as ``--max-chars=100``."""
+    return [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
 
 
 def subprocess_env(**extra) -> dict:

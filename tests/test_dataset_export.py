@@ -208,8 +208,7 @@ class TestLazyScenarios:
         ds = load_solved_dataset(dataset9_copy)
         assert len(ds.truth_map()) == len(ds)
         path = export_finetune_jsonl(ds)
-        intact = export_finetune_jsonl(dataset9, dataset9_copy / "intact.jsonl")
-        assert path.read_text() == intact.read_text()
+        assert path.read_text() == export_finetune_jsonl(dataset9).read_text()
         assert count_parses == []
         missing = str(ds.entries[0].scenario_path)
         with pytest.raises(DatasetError, match=f"^{re.escape(missing)}: No such file"):

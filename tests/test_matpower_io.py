@@ -10,7 +10,6 @@ from gridprompt.matpower_io import (
     MatpowerParseError,
     UnsupportedFeatureError,
     parse_matpower,
-    parse_raw_tables,
     write_matpower,
 )
 from gridprompt.scenario_gen import MutationSpec, mutate
@@ -130,8 +129,6 @@ class TestParse:
             "5  9  0.01 0.1 0.02 100 100 100 0 0 1 -360 360;",
             "5  9  0.01 0.1 0.02 100 100 100 0 0 0 -360 360;\n    5  9  0.02 0.2 0 100 100 100 0 0 1 -360 360;",
         )
-        raw = parse_raw_tables(text)
-        assert len(raw.branch) == 3
         case = parse_matpower(text)
         assert len(case.lines) == 2
         assert case.lines[1].x_pu == 0.2

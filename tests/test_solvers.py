@@ -803,21 +803,24 @@ def linear_cost_under_one_bound(slope):
     return fun
 
 
-@pytest.mark.parametrize("slope, x0, mu0, nit, nfev", [
+@pytest.mark.parametrize("slope, x0, mu0, tol, nit, nfev", [
     # the fraction to the boundary cuts the first step to mu / |slope| ~ 1e-9
-    ([-1e5], [0.0], [0.0], 1, 2),
+    ([-1e5], [0.0], [0.0], 1e-6, 1, 2),
     # x[1] enters nothing, so the Newton matrix has a zero row
-    ([-1.0, 0.0], [0.0, 0.0], [0.0], 1, 1),
+    ([-1.0, 0.0], [0.0, 0.0], [0.0], 1e-6, 1, 1),
     # a NaN gradient makes the first step, and so x, NaN
-    ([np.nan], [0.0], [0.0], 1, 2),
+    ([np.nan], [0.0], [0.0], 1e-6, 1, 2),
     # the barrier parameter starts at 0.1 * z * mu = 1e19
-    ([1.0], [0.0], [1e20], 0, 1),
-], ids=["short-step", "singular", "not-finite", "barrier-out-of-range"])
-def test_interior_point_loop_stops_as_stalled(slope, x0, mu0, nit, nfev):
+    ([1.0], [0.0], [1e20], 1e-6, 0, 1),
+    # the same NaN gradient, its stationarity condition NaN beside the others under tol
+    ([np.nan], [0.0], [0.0], 1e-3, 0, 1),
+], ids=["short-step", "singular", "not-finite", "barrier-out-of-range", "nan-under-tol"])
+def test_interior_point_loop_stops_as_stalled(slope, x0, mu0, tol, nit, nfev):
     """_mips ends as stalled on a step under 1e-8, a singular Newton matrix, a non-finite
-    x or a barrier parameter out of range, long before its iteration cap."""
+    x, a barrier parameter out of range, or a NaN condition that max() would drop, long
+    before its iteration cap."""
     fun = linear_cost_under_one_bound(np.array(slope))
-    res = solvers._mips(fun, x0, maxiter=50, tol=1e-6, lam0=np.zeros(0), mu0=np.array(mu0),
+    res = solvers._mips(fun, x0, maxiter=50, tol=tol, lam0=np.zeros(0), mu0=np.array(mu0),
                         scaled=(len(x0), 1))
     assert (res.message, res.nit, res.nfev) == ("stalled", nit, nfev)
 
