@@ -20,7 +20,8 @@ def read_utf8(path: str | os.PathLike, error: type[Exception] = OSError) -> str:
             data = b"".join(iter(lambda: os.read(fd, _CHUNK), b""))
         finally:
             os.close(fd)
-        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        text = data.decode("utf-8")  # write_utf8 puts no \r, so most reads skip both scans
+        return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
     except OSError as exc:
         raise error(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

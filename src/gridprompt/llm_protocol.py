@@ -31,6 +31,7 @@ SYSTEM_PROMPT = (
 EXAMPLE_INPUT_PREFIX = "Example Input JSON: "
 EXAMPLE_OUTPUT_PREFIX = "Example Output JSON: "
 QUERY_INPUT_PREFIX = "Query Input JSON: "
+_DECODER = json.JSONDecoder()
 
 
 class SequenceError(Exception):
@@ -231,13 +232,13 @@ def complete(seq: PromptSequence, cfg: EndpointConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _load_vector(grid_text: str) -> np.ndarray:
-    doc = json.loads(grid_text)
-    loads = doc["load"] if "load" in doc else doc["nodes"]["load"]
-    vec = []
-    for rec in sorted(loads, key=lambda r: r["id"]):
-        vec += [rec["p_mw"], rec["q_mvar"]]
-    return np.array(vec)
+def _load_vector(grid_text: str, what: str) -> np.ndarray:
+    """(p_mw, q_mvar) rows by load id, from just the "load" table of a canonical embedding."""
+    try:  # that key appears once in either kind; any other text fails the trial
+        loads = _DECODER.raw_decode(grid_text, grid_text.index('"load":') + len('"load":'))[0]
+        return np.array([(r["p_mw"], r["q_mvar"]) for r in sorted(loads, key=lambda r: r["id"])], float)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SequenceError(f"nearest_context found no load table in {what}: {exc!r}") from None
 
 
 class OracleBackend:
@@ -258,14 +259,18 @@ class OracleBackend:
 
 
 class NearestContextBackend:
-    """Returns the solution of the context example with the closest load vector."""
+    """Answers the nearest example's solution by "load" table; other text fails the trial."""
 
     def complete(self, seq: PromptSequence) -> str:
         pairs = seq.context_pairs()
         if not pairs:
             raise SequenceError("nearest-context replay needs at least one example")
-        target = _load_vector(seq.query_text)
-        dists = [np.linalg.norm(_load_vector(g) - target) for g, _ in pairs]
+        target = _load_vector(seq.query_text, "the query")
+        vecs = [_load_vector(g, f"example {k}") for k, (g, _) in enumerate(pairs)]
+        for k, vec in enumerate(vecs):  # numpy would broadcast a one-load example
+            if len(vec) != len(target):
+                raise SequenceError(f"example {k} has {len(vec)} loads, the query {len(target)}")
+        dists = [np.linalg.norm(vec - target) for vec in vecs]
         return pairs[int(np.argmin(dists))][1]
 
 

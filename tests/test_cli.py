@@ -207,6 +207,31 @@ class TestGenBench:
         again = reaggregate_log(tmp_path / "trials.jsonl", json.loads(report_text)["config"])
         assert again.to_json() + "\n" == report_text
 
+    def test_bench_nearest_context_fails_the_trial_of_a_grid_it_cannot_read(self, capsys, tmp_path):
+        ds = tmp_path / "ds"
+        code, _, err = run_cli(capsys, "gen", CASE9, "--n", "6", "--seed", "0",
+                               "--format", "graph", "--out", str(ds))
+        assert code == 0, err
+        broken = '{"schema": "gridprompt/v1", "kind": "graph"}'
+        (ds / "embeddings" / "3.json").write_text(broken)
+        plan = make_trials(load_solved_dataset(ds).entries, 2, 2, seed=0)
+        want = []  # each trial's reason, or None for a valid one
+        for trial in plan:
+            grids = [g for g, _ in trial.context]
+            where = ("the query" if trial.query_text == broken
+                     else f"example {grids.index(broken)}" if broken in grids else None)
+            want.append(where and "SequenceError: nearest_context found no load table in "
+                        f"{where}: ValueError('substring not found')")
+        assert want.count(None) == 1  # seed 0 puts entry 3 in one of the two trials
+        out = tmp_path / "run"
+        code, stdout, err = run_cli(capsys, "bench", str(ds), "--replay", "nearest_context",
+                                    "--trials", "2", "--context", "2", "--out", str(out))
+        assert code == 0, err
+        trials = [json.loads(line) for line in (out / "trials.jsonl").read_text().splitlines()]
+        assert [t["reason"] or None for t in trials] == want
+        assert [t["valid"] for t in trials] == [not w for w in want]
+        assert json.loads((out / "report.json").read_text())["valid_fraction"] == 0.5
+
     @pytest.mark.parametrize("concurrency", ["0", "-3"])
     def test_bench_refuses_non_positive_concurrency(
         self, capsys, dataset_dir, tmp_path, concurrency

@@ -18,6 +18,19 @@ def test_case_with_other_line_ends_loads_equal(case9, tmp_path, newline):
     assert load_case(path) == case9
 
 
+@pytest.mark.parametrize("raw, want", [
+    ('{"name": "Jos\u00e9"}\nline two\n\n', '{"name": "Jos\u00e9"}\nline two\n\n'),
+    ("a\r\nb\r\n", "a\nb\n"),
+    ("a\rb", "a\nb"),
+    ("a\r\r\nb", "a\n\nb"),
+    ("a\nb\r", "a\nb\n"),
+], ids=["lf-only", "crlf", "lone-cr", "cr-crlf", "trailing-cr"])
+def test_line_ends_are_read_as_lf(tmp_path, raw, want):
+    path = tmp_path / "text.txt"
+    path.write_bytes(raw.encode("utf-8"))
+    assert read_utf8(path) == want
+
+
 def test_file_larger_than_a_chunk_is_read_whole(tmp_path):
     # a two-byte character straddles the first chunk boundary and a CRLF the second
     head = "x" * (files._CHUNK - 1)

@@ -1,12 +1,14 @@
+import numpy as np
 import pytest
 
-from gridprompt.embedding import EmbeddingFormat, embed_grid, encode_solution
+from gridprompt.embedding import EmbeddingFormat, embed_grid, encode_solution, parse_grid
 from gridprompt.grid_model import to_hetero
 from gridprompt.llm_protocol import (
     SYSTEM_PROMPT,
     ChatMessage,
     PromptSequence,
     SequenceError,
+    _load_vector,
     build_sequence,
     replay_backend,
     validate_sequence,
@@ -137,6 +139,51 @@ class TestReplayBackends:
         seq = build_sequence(solved_pairs[:3], solved_pairs[1][0])
         assert backend.complete(seq) == solved_pairs[1][1]
 
+    @pytest.mark.parametrize("where", ["the query", "example 1"])
+    @pytest.mark.parametrize("damage, why", [
+        ('{"schema":"gridprompt/v1","kind":"graph"}', "ValueError('substring not found')"),
+        ('{"load": []}', "JSONDecodeError"),
+        ('{"load":[{"id":0,"p_mw":1.0}]}', "KeyError('q_mvar')"),
+        ('{"load":[{"id":0,"p_mw":"one","q_mvar":1.0}]}', "ValueError"),
+        ('{"load":{"id":0}}', "TypeError"),
+    ], ids=["no-load-table", "not-canonical", "missing-field", "not-a-number", "not-a-list"])
+    def test_nearest_context_refuses_a_grid_it_cannot_read(self, solved_pairs, where, damage, why):
+        context = list(solved_pairs[:3])
+        query = solved_pairs[3][0]
+        if where == "the query":
+            query = damage
+        else:
+            context[1] = (damage, context[1][1])
+        with pytest.raises(SequenceError) as err:
+            replay_backend("nearest_context").complete(build_sequence(context, query))
+        assert str(err.value).startswith(f"nearest_context found no load table in {where}: {why}")
+
+    @pytest.mark.parametrize("keep", [1, 2], ids=["one-load", "two-loads"])
+    def test_nearest_context_refuses_an_example_with_another_load_count(self, solved_pairs, keep):
+        # one load would broadcast against the query's three and give a wrong distance
+        grid = parse_grid(solved_pairs[0][0])
+        grid["load"] = grid["load"][:keep]
+        context = [solved_pairs[1], (embed_grid(grid, EmbeddingFormat("table")), solved_pairs[0][1])]
+        seq = build_sequence(context, solved_pairs[3][0])
+        with pytest.raises(SequenceError) as err:
+            replay_backend("nearest_context").complete(seq)
+        assert str(err.value) == f"example 1 has {keep} loads, the query 3"
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown replay mode"):
             replay_backend("telepathy")
+
+
+@pytest.mark.parametrize("decimals", [2, 4, 6])
+@pytest.mark.parametrize("kind", ["graph", "table"])
+@pytest.mark.parametrize("case_name", ["case9", "case30"])
+def test_load_vector_equals_the_full_parse(request, case_name, kind, decimals):
+    case = request.getfixturevalue(case_name)
+    fmt = EmbeddingFormat(kind, decimals)
+    for i in range(3):
+        text = embed_grid(to_hetero(mutate(case, MutationSpec(0.2, seed=11), i)), fmt)
+        loads = sorted(parse_grid(text)["load"], key=lambda r: r["id"])
+        want = np.array([(r["p_mw"], r["q_mvar"]) for r in loads])
+        got = _load_vector(text, "the query")
+        assert got.shape == (len(case.loads), 2) and got.dtype == np.float64
+        assert np.array_equal(got, want)
